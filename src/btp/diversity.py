@@ -6,6 +6,11 @@ greedy heuristic (repeatedly add the candidate farthest from the current
 set).  For metrics satisfying the triangle inequality the greedy set's
 minimum distance is at least half the optimum; ``brute_force_maxmin`` is
 the exhaustive reference used to check that bound on small instances.
+
+Manhattan and euclidean distances are computed a block of rows at a time
+(``distance_rows``), so no [N, N, d] difference tensor is ever built: the
+greedy pulls only the row of each point it picks, O(k * N * d) work and
+O(N * d) memory.  Cosine distance is one [N, N] matrix product.
 """
 
 from __future__ import annotations
@@ -21,6 +26,11 @@ from .errors import ValidationError
 SPATIAL_METRICS = ("manhattan", "euclidean")
 SEMANTIC_METRICS = ("cosine_distance", "euclidean")
 SEED_RULES = ("spatial_first_point", "farthest_from_centroid")
+ELEMENTWISE_METRICS = ("manhattan", "euclidean")
+
+# largest [rows, N, d] float64 difference block distance_rows allocates;
+# a single row is computed whole even when it is larger
+BLOCK_BYTES = 32 * 2**20
 
 
 @dataclass(frozen=True)
@@ -45,16 +55,42 @@ class DiversityConfig:
             raise ValidationError(f"unknown seed rule {self.seed_rule!r}")
 
 
-def distance_matrix(points, metric: str) -> np.ndarray:
-    """Dense pairwise distances, float64, shape [N, N]."""
+def _as_points(points) -> np.ndarray:
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
         raise ValidationError(f"points must be [N, d], got shape {pts.shape}")
-    if metric == "manhattan":
-        return np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
-    if metric == "euclidean":
-        diff = pts[:, None, :] - pts[None, :, :]
-        return np.sqrt((diff * diff).sum(axis=2))
+    return pts
+
+
+def distance_rows(points, rows, metric: str) -> np.ndarray:
+    """Manhattan or euclidean distances from ``points[rows]`` to every point.
+
+    Returns float64 [len(rows), N].  Rows are computed in blocks whose
+    difference temporary stays within ``BLOCK_BYTES``; each distance reduces
+    the same contiguous d-axis as a dense [N, N, d] computation would, so
+    the values are bit-identical to it.
+    """
+    pts = _as_points(points)
+    if metric not in ELEMENTWISE_METRICS:
+        raise ValidationError(f"unknown elementwise metric {metric!r}")
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+    n, d = pts.shape
+    out = np.empty((rows.size, n))
+    step = max(1, BLOCK_BYTES // max(1, n * d * 8))
+    for start in range(0, rows.size, step):
+        diff = pts[rows[start:start + step], None, :] - pts[None, :, :]
+        block = out[start:start + step]
+        if metric == "manhattan":
+            np.abs(diff, out=diff).sum(axis=2, out=block)
+        else:
+            np.multiply(diff, diff, out=diff).sum(axis=2, out=block)
+            np.sqrt(block, out=block)
+    return out
+
+
+def distance_matrix(points, metric: str) -> np.ndarray:
+    """Dense pairwise distances, float64, shape [N, N]."""
+    pts = _as_points(points)
     if metric == "cosine_distance":
         norms = np.linalg.norm(pts, axis=1)
         bad = np.flatnonzero(norms == 0)
@@ -67,40 +103,66 @@ def distance_matrix(points, metric: str) -> np.ndarray:
         dmat = 1.0 - sim
         np.fill_diagonal(dmat, 0.0)
         return dmat
+    if metric in ELEMENTWISE_METRICS:
+        return distance_rows(pts, np.arange(pts.shape[0]), metric)
     raise ValidationError(f"unknown metric {metric!r}")
+
+
+def pair_distances(points, subset, metric: str) -> np.ndarray:
+    """Distances over the unordered pairs of ``subset``, in ``np.triu_indices`` order.
+
+    Elementwise metrics are computed one row of the upper triangle at a
+    time, in O(len(subset) * d) memory.
+    """
+    idx = np.asarray(list(subset), dtype=np.int64)
+    pts = _as_points(points)[idx]
+    m = idx.size
+    if m < 2:
+        return np.empty(0)
+    if metric == "cosine_distance":
+        return distance_matrix(pts, metric)[np.triu_indices(m, k=1)]
+    return np.concatenate(
+        [distance_rows(pts[i:], [0], metric)[0, 1:] for i in range(m - 1)]
+    )
 
 
 def min_pairwise_distance(points, subset, metric: str) -> float:
     """Smallest pairwise distance within ``subset``; 0.0 below two points."""
-    idx = np.asarray(list(subset), dtype=np.int64)
-    if idx.size < 2:
-        return 0.0
-    dmat = distance_matrix(np.asarray(points, dtype=np.float64)[idx], metric)
-    return float(dmat[np.triu_indices(idx.size, k=1)].min())
+    pairs = pair_distances(points, subset, metric)
+    return float(pairs.min()) if pairs.size else 0.0
 
 
 def sum_of_distances(points, subset, metric: str) -> float:
     """Sum over unordered pairs within ``subset``; 0.0 below two points."""
-    idx = np.asarray(list(subset), dtype=np.int64)
-    if idx.size < 2:
-        return 0.0
-    dmat = distance_matrix(np.asarray(points, dtype=np.float64)[idx], metric)
-    return float(dmat[np.triu_indices(idx.size, k=1)].sum())
+    return float(pair_distances(points, subset, metric).sum())
 
 
-def _greedy_extend(dmat: np.ndarray, k: int, initial: list[int]) -> list[int]:
-    """Grow ``initial`` to k points, each step taking the candidate whose
-    minimum distance to the selected set is largest (lower index on ties)."""
-    n = dmat.shape[0]
+def _distance_row_source(pts: np.ndarray, metric: str):
+    """Function from a point index to its float64 distance row."""
+    if metric == "cosine_distance":
+        # one GEMM matrix: per-row GEMVs are memory-bound and round differently
+        return distance_matrix(pts, metric).__getitem__
+    if metric not in ELEMENTWISE_METRICS:
+        raise ValidationError(f"unknown metric {metric!r}")
+    return lambda s: distance_rows(pts, [s], metric)[0]
+
+
+def _greedy_extend(row_of, n: int, k: int, initial: list[int]) -> list[int]:
+    """Grow ``initial`` to k of n points, each step taking the candidate whose
+    minimum distance to the selected set is largest (lower index on ties).
+
+    ``row_of(s)`` gives point s's distance row; it is asked once per point
+    selected.
+    """
     selected = list(initial)
     min_dist = np.full(n, np.inf)
     for s in selected:
-        np.minimum(min_dist, dmat[s], out=min_dist)
+        np.minimum(min_dist, row_of(s), out=min_dist)
         min_dist[s] = -np.inf
     while len(selected) < k:
         pick = int(np.argmax(min_dist))  # argmax returns the first maximum
         selected.append(pick)
-        np.minimum(min_dist, dmat[pick], out=min_dist)
+        np.minimum(min_dist, row_of(pick), out=min_dist)
         min_dist[pick] = -np.inf
     return selected
 
@@ -125,7 +187,7 @@ def greedy_maxmin(
     n = pts.shape[0]
     if not 0 < k <= n:
         raise ValidationError(f"k must be in [1, {n}], got {k}")
-    dmat = distance_matrix(pts, metric)
+    row_of = _distance_row_source(pts, metric)
 
     if initial is not None and len(initial) > 0:
         seed = [int(i) for i in initial]
@@ -143,7 +205,7 @@ def greedy_maxmin(
             dist = np.abs(pts - centroid).sum(axis=1)
         elif metric == "euclidean":
             dist = np.linalg.norm(pts - centroid, axis=1)
-        else:  # cosine_distance; zero rows were rejected by distance_matrix above
+        else:  # cosine_distance; zero rows were rejected by its distance matrix
             cnorm = np.linalg.norm(centroid)
             if cnorm == 0:
                 raise ValidationError(
@@ -155,7 +217,7 @@ def greedy_maxmin(
     else:
         raise ValidationError(f"unknown seed rule {seed_rule!r}")
 
-    return np.asarray(_greedy_extend(dmat, k, seed), dtype=np.int64)
+    return np.asarray(_greedy_extend(row_of, n, k, seed), dtype=np.int64)
 
 
 def spatial_init(grid_rows: int, grid_cols: int, k: int, metric: str = "manhattan") -> np.ndarray:
@@ -174,8 +236,8 @@ def spatial_init(grid_rows: int, grid_cols: int, k: int, metric: str = "manhatta
         raise ValidationError(f"k must be in [1, {n}], got {k}")
     rows, cols = np.divmod(np.arange(n), grid_cols)
     coords = np.stack([rows, cols], axis=1).astype(np.float64)
-    dmat = distance_matrix(coords, metric)
-    return np.asarray(_greedy_extend(dmat, k, [0]), dtype=np.int64)
+    row_of = _distance_row_source(coords, metric)
+    return np.asarray(_greedy_extend(row_of, n, k, [0]), dtype=np.int64)
 
 
 def brute_force_maxmin(

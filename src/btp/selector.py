@@ -16,13 +16,10 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .diversity import (
-    DiversityConfig,
-    greedy_maxmin,
-    min_pairwise_distance,
-    spatial_init,
-    sum_of_distances,
-)
+from .diversity import DiversityConfig, greedy_maxmin, pair_distances, spatial_init
+
+# not called here; perfbench/traced_cli.py looks these names up on this module
+from .diversity import min_pairwise_distance, sum_of_distances  # noqa: F401
 from .errors import ValidationError
 from .scoring import importance_last_token, rebalanced_topk
 from .trace import (
@@ -83,6 +80,10 @@ class StageInputs:
             raise ValidationError(
                 f"hidden must be [{survivors.size}, d], got {hidden.shape}"
             )
+        if not np.isfinite(scores).all():
+            raise ValidationError(f"layer {self.layer}: stage scores contain non-finite values")
+        if not np.isfinite(hidden).all():
+            raise ValidationError(f"layer {self.layer}: hidden states contain non-finite values")
 
     def grid_positions(self) -> np.ndarray:
         rows, cols = np.divmod(self.survivors, self.layout.grid_cols)
@@ -136,8 +137,9 @@ def select_stage(
         cells = spatial_init(
             inputs.layout.grid_rows, inputs.layout.grid_cols, seed_size, cfg.spatial_metric
         )
-        pos_of = {int(orig): i for i, orig in enumerate(rem_orig)}
-        initial = [pos_of[int(c)] for c in cells if int(c) in pos_of][:k_div]
+        # skeleton cells still among the remaining survivors, in selection order
+        pos = np.minimum(np.searchsorted(rem_orig, cells), rem_orig.size - 1)
+        initial = pos[rem_orig[pos] == cells][:k_div]
         div_rel = greedy_maxmin(
             inputs.hidden[rem_local],
             k_div,
@@ -156,17 +158,13 @@ def select_stage(
 def _stage_diagnostics(
     inputs: StageInputs, stage: PruningStage, kept: np.ndarray, cfg: DiversityConfig
 ) -> dict[str, float]:
-    pos_of = {int(orig): i for i, orig in enumerate(inputs.survivors)}
-    kept_local = np.asarray([pos_of[int(i)] for i in kept], dtype=np.int64)
+    kept_local = np.searchsorted(inputs.survivors, kept)
     total = float(inputs.scores.sum())
     kept_score = float(inputs.scores[kept_local].sum()) if kept_local.size else 0.0
     mass = kept_score / total if total > 0 else 0.0
-    if kept_local.size >= 2:
-        min_dist = min_pairwise_distance(inputs.hidden, kept_local, cfg.semantic_metric)
-        dist_sum = sum_of_distances(inputs.hidden, kept_local, cfg.semantic_metric)
-    else:
-        min_dist = 0.0
-        dist_sum = 0.0
+    pairs = pair_distances(inputs.hidden, kept_local, cfg.semantic_metric)
+    min_dist = float(pairs.min()) if pairs.size else 0.0
+    dist_sum = float(pairs.sum())
     objective = stage.balance * kept_score + (1.0 - stage.balance) * dist_sum
     return {
         "kept_count": float(kept_local.size),

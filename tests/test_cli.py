@@ -40,18 +40,22 @@ def _write_calib_trace(tmp_path, name, seed, planted, num_layers=12, n_image=12,
     return str(path)
 
 
-def _write_select_trace(tmp_path, seed=0):
+def _write_select_trace(tmp_path, seed=0, nan_in=None):
+    """Trace with attn/hidden tensors at layers 1 and 3; ``nan_in`` names a
+    tensor whose flat element 2 (an image column of an attention row)
+    becomes NaN."""
     rng = np.random.default_rng(seed)
     layout = TokenLayout(n_system=2, n_image=12, n_text=3, grid_rows=3, grid_cols=4)
     dims = ModelShape(layers=6, d=8, heads=2, m=16)
-    blobs = {}
+    arrays = {}
     for layer in (1, 3):
         row = rng.random(layout.total()) + 1e-3
         row /= row.sum()
-        blobs[f"attn_l{layer}"] = TensorBlob.from_array(f"attn_l{layer}", row)
-        blobs[f"hidden_l{layer}"] = TensorBlob.from_array(
-            f"hidden_l{layer}", rng.standard_normal((layout.n_image, 8)).astype(np.float32)
-        )
+        arrays[f"attn_l{layer}"] = row
+        arrays[f"hidden_l{layer}"] = rng.standard_normal((layout.n_image, 8)).astype(np.float32)
+    if nan_in is not None:
+        arrays[nan_in].flat[2] = np.nan
+    blobs = {name: TensorBlob.from_array(name, arr) for name, arr in arrays.items()}
     path = tmp_path / "trace"
     write_trace(path, make_manifest(layout, dims, blobs), blobs)
     return str(path)
@@ -249,6 +253,19 @@ def test_select_depth_mismatch(tmp_path, capsys):
     sched = _write_schedule(tmp_path, [(1, 0.5, 0.5)], num_layers=5)
     code, _, err = _run(capsys, ["select", "--trace", trace, "--schedule", sched])
     assert code == 1 and "5 layers" in err
+
+
+@pytest.mark.parametrize("tensor,what", [
+    ("hidden_l1", "hidden states"),
+    ("attn_l3", "stage scores"),
+])
+def test_select_rejects_non_finite_stage_inputs(tmp_path, capsys, tensor, what):
+    trace = _write_select_trace(tmp_path, nan_in=tensor)
+    sched = _write_schedule(tmp_path, [(1, 0.5, 0.0), (3, 0.5, 1.0)], num_layers=6)
+    code, out, err = _run(capsys, ["select", "--trace", trace, "--schedule", sched])
+    layer = tensor.rsplit("_l", 1)[1]
+    assert code == 1 and out == ""
+    assert err == f"error: layer {layer}: {what} contain non-finite values\n"
 
 
 def test_select_missing_trace(tmp_path, capsys):

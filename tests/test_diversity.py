@@ -1,20 +1,151 @@
 """Greedy max-min dispersion, the grid skeleton, and the exhaustive reference."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from btp import diversity
 from btp.diversity import (
     DiversityConfig,
     brute_force_maxmin,
     distance_matrix,
+    distance_rows,
     greedy_maxmin,
     min_pairwise_distance,
+    pair_distances,
     spatial_init,
     sum_of_distances,
 )
 from btp.errors import ValidationError
+
+METRICS = ("manhattan", "euclidean", "cosine_distance")
+
+
+# ---------------------------------------------------------------------------
+# dense reference: the [N, N, d] implementation the row-on-demand code
+# replaced, kept as the oracle it must match bit for bit
+
+
+def _dense_distance_matrix(points, metric):
+    pts = np.asarray(points, dtype=np.float64)
+    if metric == "manhattan":
+        return np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
+    if metric == "euclidean":
+        diff = pts[:, None, :] - pts[None, :, :]
+        return np.sqrt((diff * diff).sum(axis=2))
+    norms = np.linalg.norm(pts, axis=1)
+    unit = pts / norms[:, None]
+    dmat = 1.0 - np.clip(unit @ unit.T, -1.0, 1.0)
+    np.fill_diagonal(dmat, 0.0)
+    return dmat
+
+
+def _dense_greedy_extend(dmat, k, initial):
+    n = dmat.shape[0]
+    selected = list(initial)
+    min_dist = np.full(n, np.inf)
+    for s in selected:
+        np.minimum(min_dist, dmat[s], out=min_dist)
+        min_dist[s] = -np.inf
+    while len(selected) < k:
+        pick = int(np.argmax(min_dist))
+        selected.append(pick)
+        np.minimum(min_dist, dmat[pick], out=min_dist)
+        min_dist[pick] = -np.inf
+    return selected
+
+
+def _dense_greedy_maxmin(pts, k, metric, initial, seed_rule):
+    dmat = _dense_distance_matrix(pts, metric)
+    if initial:
+        seed = list(initial)
+    elif seed_rule == "spatial_first_point":
+        seed = [0]
+    else:
+        centroid = pts.mean(axis=0)
+        if metric == "manhattan":
+            dist = np.abs(pts - centroid).sum(axis=1)
+        elif metric == "euclidean":
+            dist = np.linalg.norm(pts - centroid, axis=1)
+        else:
+            unit = pts / np.linalg.norm(pts, axis=1)[:, None]
+            dist = 1.0 - np.clip(unit @ (centroid / np.linalg.norm(centroid)), -1.0, 1.0)
+        seed = [int(np.argmax(dist))]
+    return np.asarray(_dense_greedy_extend(dmat, k, seed), dtype=np.int64)
+
+
+def _corpus():
+    """Seeded point sets: gaussian at several widths, plus tie-heavy integer grids."""
+    rng = np.random.default_rng(2024)
+    sets = []
+    for n, d in ((2, 1), (7, 2), (12, 3), (25, 8), (40, 17), (30, 130), (16, 300)):
+        sets.append(rng.standard_normal((n, d)))
+    for n, d in ((20, 2), (30, 3), (24, 9)):
+        # small integer coordinates repeat distances everywhere; the +1 keeps
+        # every row away from zero norm for cosine
+        sets.append(rng.integers(0, 3, size=(n, d)).astype(np.float64) + 1.0)
+    return rng, sets
+
+
+def test_distance_rows_match_dense_reference(monkeypatch):
+    _, sets = _corpus()
+    # a small block cap forces several row blocks per call
+    monkeypatch.setattr(diversity, "BLOCK_BYTES", 4096)
+    for pts in sets:
+        for metric in ("manhattan", "euclidean"):
+            dense = _dense_distance_matrix(pts, metric)
+            assert np.array_equal(distance_matrix(pts, metric), dense)
+            rows = [pts.shape[0] - 1, 0]
+            assert np.array_equal(distance_rows(pts, rows, metric), dense[rows])
+        assert np.array_equal(
+            distance_matrix(pts, "cosine_distance"), _dense_distance_matrix(pts, "cosine_distance")
+        )
+    with pytest.raises(ValidationError):
+        distance_rows(np.ones((2, 2)), [0], "cosine_distance")
+
+
+def test_greedy_matches_dense_reference():
+    rng, sets = _corpus()
+    for pts in sets:
+        n = pts.shape[0]
+        for metric in METRICS:
+            for k in sorted({1, 2, max(1, n // 3), n}):
+                for rule in ("spatial_first_point", "farthest_from_centroid"):
+                    want = _dense_greedy_maxmin(pts, k, metric, None, rule)
+                    got = greedy_maxmin(pts, k, metric, seed_rule=rule)
+                    assert np.array_equal(got, want), (pts.shape, metric, k, rule)
+                size = int(rng.integers(1, k + 1))
+                initial = [int(i) for i in rng.choice(n, size=size, replace=False)]
+                want = _dense_greedy_maxmin(pts, k, metric, initial, None)
+                assert np.array_equal(greedy_maxmin(pts, k, metric, initial=initial), want)
+
+
+def test_spatial_init_matches_dense_reference():
+    for rows, cols in ((1, 1), (1, 5), (3, 5), (4, 4), (6, 9), (12, 12)):
+        r, c = np.divmod(np.arange(rows * cols), cols)
+        coords = np.stack([r, c], axis=1).astype(np.float64)
+        for metric in ("manhattan", "euclidean"):
+            dmat = _dense_distance_matrix(coords, metric)
+            n = rows * cols
+            for k in sorted({1, min(2, n), min(3, n), (n + 1) // 2, n}):
+                want = _dense_greedy_extend(dmat, k, [0])
+                assert np.array_equal(spatial_init(rows, cols, k, metric), want)
+
+
+def test_subset_statistics_match_dense_reference():
+    rng, sets = _corpus()
+    for pts in sets:
+        n = pts.shape[0]
+        for metric in METRICS:
+            for size in sorted({2, min(3, n), n}):
+                subset = rng.choice(n, size=size, replace=False)
+                dense = _dense_distance_matrix(pts[subset], metric)
+                want = dense[np.triu_indices(size, k=1)]
+                assert np.array_equal(pair_distances(pts, subset, metric), want)
+                assert min_pairwise_distance(pts, subset, metric) == float(want.min())
+                assert sum_of_distances(pts, subset, metric) == float(want.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +257,20 @@ def test_greedy_within_half_of_optimum():
             assert got >= 0.5 * opt - 1e-12
 
 
+@pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+def test_greedy_memory_bounded_at_paper_width(metric):
+    # a dense [N, N, d] float64 difference tensor would be about 10.9 GB here
+    pts = np.random.default_rng(14).standard_normal((576, 4096))
+    tracemalloc.start()
+    try:
+        sel = greedy_maxmin(pts, 16, metric)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.unique(sel).size == 16
+    assert peak < 64 * 2**20
+
+
 def test_greedy_bounds():
     pts = np.ones((3, 2))
     with pytest.raises(ValidationError):
@@ -152,6 +297,19 @@ def test_spatial_init_single_row():
 
 def test_spatial_init_four_by_four():
     np.testing.assert_array_equal(spatial_init(4, 4, 4, "manhattan"), [0, 15, 3, 9])
+
+
+@pytest.mark.parametrize("metric", ["manhattan", "euclidean"])
+@pytest.mark.parametrize("rows,cols,ks", [
+    (24, 24, (1, 2, 3, 5, 18, 72, 144, 575, 576)),
+    (4, 4, tuple(range(1, 17))),
+    (3, 5, tuple(range(1, 16))),
+])
+def test_spatial_init_prefix_property(rows, cols, ks, metric):
+    full = spatial_init(rows, cols, rows * cols, metric)
+    np.testing.assert_array_equal(np.sort(full), np.arange(rows * cols))
+    for k in ks:
+        np.testing.assert_array_equal(spatial_init(rows, cols, k, metric), full[:k])
 
 
 def test_spatial_init_deterministic_per_shape():

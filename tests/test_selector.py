@@ -6,7 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from btp.diversity import DiversityConfig, greedy_maxmin, spatial_init
+from btp.diversity import (
+    DiversityConfig,
+    greedy_maxmin,
+    min_pairwise_distance,
+    spatial_init,
+    sum_of_distances,
+)
 from btp.errors import ValidationError
 from btp.scoring import rebalanced_topk
 from btp.selector import (
@@ -64,6 +70,12 @@ def test_stage_inputs_validation():
         StageInputs(1, [0, 1], [0.1], np.zeros((2, 4)), LAYOUT)
     with pytest.raises(ValidationError):
         StageInputs(1, [0, 1], [0.1, 0.2], np.zeros((3, 4)), LAYOUT)
+    with pytest.raises(ValidationError, match="scores contain non-finite"):
+        StageInputs(1, [0, 1], [0.1, np.nan], np.zeros((2, 4)), LAYOUT)
+    with pytest.raises(ValidationError, match="scores contain non-finite"):
+        StageInputs(1, [0, 1], [np.inf, 0.2], np.zeros((2, 4)), LAYOUT)
+    with pytest.raises(ValidationError, match="hidden states contain non-finite"):
+        StageInputs(1, [0, 1], [0.1, 0.2], np.array([[0.0, 1.0], [np.nan, 0.0]]), LAYOUT)
 
 
 def test_grid_positions_follow_original_indices():
@@ -163,16 +175,23 @@ def test_full_attention_share_maximizes_kept_mass():
 def test_diagnostics_contents():
     inputs = _inputs(8)
     stage = PruningStage(layer=1, retention=0.5, balance=0.25)
-    sel = run_stage(inputs, stage)
-    d = sel.diagnostics
-    assert set(d) == {
-        "kept_count", "attention_mass", "min_pairwise_distance",
-        "sum_of_distances", "objective",
-    }
-    assert d["kept_count"] == len(sel.kept_indices)
-    assert 0.0 <= d["attention_mass"] <= 1.0
-    kept_score = inputs.scores[np.asarray(sel.kept_indices)].sum()
-    assert d["objective"] == pytest.approx(0.25 * kept_score + 0.75 * d["sum_of_distances"])
+    for metric in ("cosine_distance", "euclidean"):
+        sel = run_stage(inputs, stage, DiversityConfig(semantic_metric=metric))
+        d = sel.diagnostics
+        assert set(d) == {
+            "kept_count", "attention_mass", "min_pairwise_distance",
+            "sum_of_distances", "objective",
+        }
+        assert d["kept_count"] == len(sel.kept_indices)
+        assert 0.0 <= d["attention_mass"] <= 1.0
+        kept = np.asarray(sel.kept_indices)
+        kept_score = inputs.scores[kept].sum()
+        assert d["objective"] == pytest.approx(
+            0.25 * kept_score + 0.75 * d["sum_of_distances"]
+        )
+        # survivors are 0..n-1 here, so original and local indices coincide
+        assert d["min_pairwise_distance"] == min_pairwise_distance(inputs.hidden, kept, metric)
+        assert d["sum_of_distances"] == sum_of_distances(inputs.hidden, kept, metric)
 
 
 # ---------------------------------------------------------------------------
