@@ -23,11 +23,9 @@ from .calibration import (
 from .costs import (
     CostReport,
     ModelDims,
-    empty_schedule,
     kv_cache_bytes,
     layer_flops,
     per_layer_image_counts,
-    performance_gain,
     schedule_flops,
 )
 from .diversity import (
@@ -35,6 +33,7 @@ from .diversity import (
     brute_force_maxmin,
     distance_matrix,
     greedy_maxmin,
+    grid_coordinates,
     min_pairwise_distance,
     spatial_init,
     sum_of_distances,
@@ -51,12 +50,8 @@ from .oracles import (
 )
 from .scoring import (
     ImportanceScores,
-    attention_mass_ratio,
-    importance_averaged,
     importance_last_token,
-    importance_similarity,
     rebalanced_topk,
-    value_norm_dispersion,
 )
 from .selector import (
     ArrayStageProvider,
@@ -77,8 +72,6 @@ from .toymodel import (
     local_prune_error,
     single_layer_optimality_check,
     sinusoidal_encoding,
-    weights_from_blobs,
-    weights_to_blobs,
 )
 from .trace import (
     ModelShape,
@@ -90,6 +83,7 @@ from .trace import (
     TokenLayout,
     TraceManifest,
     TensorSpec,
+    layer_tensors,
     make_manifest,
     read_trace,
     stage_kept_count,

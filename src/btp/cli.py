@@ -5,7 +5,9 @@ Subcommands: ``calibrate`` (shift profile -> pruning schedule), ``select``
 comparison), ``cost`` (FLOPs / KV-cache accounting), ``oracle``
 (verification suites).  Exit codes: 0 success, 1 validation problem,
 2 IO or format problem, 3 oracle suite failure.  All outputs are
-deterministic and embed the resolved configuration.
+deterministic.  The JSON or CSV result goes to ``--out`` or, without it,
+to stdout, which then carries nothing else; tables and the resolved
+``simulate`` configuration go to stderr.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .toymodel import (
     init_weights,
     layer_output_distance,
 )
-from .trace import PruningSchedule, TokenLayout, read_trace
+from .trace import PruningSchedule, TokenLayout, layer_tensors, read_trace
 
 LAMBDA_PRESETS = {
     "llava7b": (0.6, 0.8, 1.0),
@@ -105,12 +107,21 @@ def _thread_count(n_jobs: int) -> int:
     return max(1, min(cap, n_jobs))
 
 
-def _dump_json(obj: dict, out: str | None) -> None:
-    text = json.dumps(obj, indent=2) + "\n"
+def _emit(text: str, out: str | None) -> None:
+    """Write a command's result to ``out``, or to stdout without one."""
     if out:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def _dump_json(obj: dict, out: str | None) -> None:
+    _emit(json.dumps(obj, indent=2) + "\n", out)
+
+
+def _note(line: str) -> None:
+    # human-readable lines go to stderr; stdout carries only the JSON or CSV
+    print(line, file=sys.stderr)
 
 
 def _fmt(value: float) -> str:
@@ -123,34 +134,16 @@ def _fmt(value: float) -> str:
 
 def _profile_one_trace(trace_dir: str, tau: float):
     manifest, tensors = read_trace(trace_dir)
-    layers = []
-    for name in tensors:
-        if name.startswith("hidden_l"):
-            try:
-                layers.append(int(name[len("hidden_l"):]))
-            except ValueError as exc:
-                raise ValidationError(f"tensor name {name!r} is not hidden_l<i>") from exc
-    if not layers:
+    hidden = layer_tensors(tensors, "hidden_l")
+    if not hidden:
         raise ValidationError(f"{trace_dir}: no hidden_l<i> tensors in trace")
-    layers.sort()
-    if layers != list(range(len(layers))):
+    if list(hidden) != list(range(len(hidden))):
         raise ValidationError(
-            f"{trace_dir}: hidden snapshots must be contiguous from 0, got {layers}"
+            f"{trace_dir}: hidden snapshots must be contiguous from 0, got "
+            f"{', '.join(blob.name for blob in hidden.values())}"
         )
     layout = manifest.layout
-    mats = []
-    for l in layers:
-        mat = tensors[f"hidden_l{l}"].view()
-        if mat.ndim != 2:
-            raise ValidationError(f"{trace_dir}: hidden_l{l} is not a matrix")
-        if mat.shape[0] == layout.total():
-            mat = mat[layout.image_slice]
-        elif mat.shape[0] != layout.n_image:
-            raise ValidationError(
-                f"{trace_dir}: hidden_l{l} has {mat.shape[0]} rows, want "
-                f"{layout.n_image} or {layout.total()}"
-            )
-        mats.append(mat)
+    mats = [layout.image_rows(blob.view(), blob.name) for blob in hidden.values()]
     return shift_profile(np.stack(mats), tau=tau)
 
 
@@ -183,12 +176,12 @@ def cmd_calibrate(args) -> int:
     selection = select_pruning_layers(profile, num_stages, min_gap=args.min_gap)
     schedule = build_schedule(selection.layers, retentions, balances, profile.num_layers)
 
-    print(f"shift profile over {len(traces)} trace(s), tau={args.tau}")
-    print("layer  shifted")
+    _note(f"shift profile over {len(traces)} trace(s), tau={args.tau}")
+    _note("layer  shifted")
     for entry in profile.per_layer:
         marker = " <- prune next layer" if entry.layer + 1 in selection.layers else ""
-        print(f"{entry.layer:>5}  {entry.shifted_count:>7}{marker}")
-    print(f"pruning layers: {list(selection.layers)}")
+        _note(f"{entry.layer:>5}  {entry.shifted_count:>7}{marker}")
+    _note(f"pruning layers: {list(selection.layers)}")
 
     payload = schedule.to_json_dict()
     payload["profile"] = [
@@ -235,10 +228,10 @@ def cmd_select(args) -> int:
     provider = trace_stage_provider(manifest, tensors)
     result = run_schedule(provider, schedule, cfg)
 
-    print("layer  kept  attn_mass  min_dist   sum_dist")
+    _note("layer  kept  attn_mass  min_dist   sum_dist")
     for stage in result.per_stage:
         d = stage.diagnostics
-        print(
+        _note(
             f"{stage.layer:>5}  {len(stage.kept_indices):>4}  "
             f"{d['attention_mass']:>9.4f}  {d['min_pairwise_distance']:>8.4f}  "
             f"{d['sum_of_distances']:>9.3f}"
@@ -321,11 +314,7 @@ def cmd_simulate(args) -> int:
                 )
             )
         lines.append(",".join(row))
-    csv_text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(csv_text)
-    else:
-        sys.stdout.write(csv_text)
+    _emit("\n".join(lines) + "\n", args.out)
 
     config = {
         "command": "simulate",
@@ -343,7 +332,7 @@ def cmd_simulate(args) -> int:
         "seed_rule": dcfg.seed_rule,
         "out": args.out,
     }
-    print("config: " + json.dumps(config))
+    _note("config: " + json.dumps(config))
     return 0
 
 

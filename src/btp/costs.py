@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 from .errors import ValidationError
 from .trace import ModelShape, PruningSchedule, TokenLayout
@@ -104,23 +103,3 @@ def kv_cache_bytes(layout: TokenLayout, schedule: PruningSchedule, dims: ModelDi
     for image_count in per_layer_image_counts(layout, schedule):
         total += 2 * (other + image_count) * dims.d * dims.kv_bytes_per_elem
     return total
-
-
-def empty_schedule(num_layers: int) -> PruningSchedule:
-    """Schedule that prunes nothing; gives the original-model cost."""
-    return PruningSchedule(stages=(), num_layers=num_layers)
-
-
-def performance_gain(pruned: Mapping[str, float], original: Mapping[str, float]) -> float:
-    """Mean pruned/original score ratio across tasks, as a percentage."""
-    if set(pruned) != set(original):
-        missing = sorted(set(original) ^ set(pruned))
-        raise ValidationError(f"task sets differ, mismatched keys: {missing}")
-    if not pruned:
-        raise ValidationError("no tasks given")
-    ratios = []
-    for task in sorted(pruned):
-        if original[task] == 0:
-            raise ValidationError(f"task {task!r}: original score is zero")
-        ratios.append(pruned[task] / original[task])
-    return 100.0 * sum(ratios) / len(ratios)

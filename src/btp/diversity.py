@@ -220,6 +220,12 @@ def greedy_maxmin(
     return np.asarray(_greedy_extend(row_of, n, k, seed), dtype=np.int64)
 
 
+def grid_coordinates(grid_rows: int, grid_cols: int) -> np.ndarray:
+    """(row, col) of every cell of a grid, row-major, float64 [rows * cols, 2]."""
+    cells = np.arange(grid_rows * grid_cols)
+    return np.stack(np.divmod(cells, grid_cols), axis=1).astype(np.float64)
+
+
 def spatial_init(grid_rows: int, grid_cols: int, k: int, metric: str = "manhattan") -> np.ndarray:
     """Greedy max-min over grid cells, seeded at cell (0, 0).
 
@@ -234,9 +240,7 @@ def spatial_init(grid_rows: int, grid_cols: int, k: int, metric: str = "manhatta
     n = grid_rows * grid_cols
     if not 0 < k <= n:
         raise ValidationError(f"k must be in [1, {n}], got {k}")
-    rows, cols = np.divmod(np.arange(n), grid_cols)
-    coords = np.stack([rows, cols], axis=1).astype(np.float64)
-    row_of = _distance_row_source(coords, metric)
+    row_of = _distance_row_source(grid_coordinates(grid_rows, grid_cols), metric)
     return np.asarray(_greedy_extend(row_of, n, k, [0]), dtype=np.int64)
 
 

@@ -16,7 +16,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .diversity import brute_force_maxmin, greedy_maxmin, min_pairwise_distance, spatial_init
+from .diversity import (
+    brute_force_maxmin,
+    greedy_maxmin,
+    grid_coordinates,
+    min_pairwise_distance,
+    spatial_init,
+)
 from .toymodel import ForwardRecord, ToyConfig, single_layer_optimality_check
 from .trace import (
     ModelShape,
@@ -117,7 +123,7 @@ def spatial_grid_exactness(
     for rows in range(1, max_rows + 1):
         for cols in range(1, max_cols + 1):
             cells = rows * cols
-            coords = np.stack(np.divmod(np.arange(cells), cols), axis=1).astype(float)
+            coords = grid_coordinates(rows, cols)
             for k in range(2, min(max_k, cells) + 1):
                 for metric in ("manhattan", "euclidean"):
                     sel = spatial_init(rows, cols, k, metric)

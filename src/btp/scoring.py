@@ -1,11 +1,10 @@
 """Attention-derived importance scores and position-rebalanced top-k.
 
 Importance of an image token is the attention it receives from prompt text,
-read off softmaxed attention rows.  Three estimators are provided: the last
-prompt position's row, the mean over all text rows, and a mean over the
-text rows most similar to the image content.  Scores feed the rebalanced
-top-k selector, which counteracts the positional skew of causal attention
-(late image tokens absorb more attention mass than early ones).
+read off the last prompt position's softmaxed attention row.  Scores feed
+the rebalanced top-k selector, which counteracts the positional skew of
+causal attention (late image tokens absorb more attention mass than early
+ones).
 """
 
 from __future__ import annotations
@@ -41,21 +40,6 @@ def _as_array(x) -> np.ndarray:
     return np.asarray(x)
 
 
-def _check_attention_rows(rows: np.ndarray, layout: TokenLayout, what: str) -> np.ndarray:
-    """Validate softmaxed attention rows over the full sequence.
-
-    Accepts [seq] or [heads, seq] for a single row and [m, seq] for a row
-    batch; head axes are averaged away by the callers before this point.
-    """
-    if rows.shape[-1] != layout.total():
-        raise ValidationError(
-            f"{what}: row length {rows.shape[-1]} != sequence length {layout.total()}"
-        )
-    if np.any(rows < 0):
-        raise ValidationError(f"{what}: negative entries, expected softmaxed rows")
-    return rows.astype(np.float64)
-
-
 def importance_last_token(attn_row, layout: TokenLayout, layer: int = 0) -> ImportanceScores:
     """Importance from the last prompt position's attention row.
 
@@ -70,69 +54,14 @@ def importance_last_token(attn_row, layout: TokenLayout, layer: int = 0) -> Impo
         row = row.mean(axis=0)
     elif row.ndim != 1:
         raise ValidationError(f"attention row must be 1-D or [heads, seq], got {row.shape}")
-    row = _check_attention_rows(row, layout, "last-token attention row")
-    return ImportanceScores(layer=layer, scores=row[layout.image_slice], method="last_token")
-
-
-def importance_averaged(attn_rows, layout: TokenLayout, layer: int = 0) -> ImportanceScores:
-    """Importance as the mean attention over a batch of prompt rows."""
-    rows = _as_array(attn_rows)
-    if rows.ndim != 2:
-        raise ValidationError(f"attention rows must be [m, seq], got {rows.shape}")
-    if rows.shape[0] == 0:
-        raise ValidationError("attention row batch is empty")
-    rows = _check_attention_rows(rows, layout, "attention rows")
-    return ImportanceScores(
-        layer=layer, scores=rows.mean(axis=0)[layout.image_slice], method="averaged_tokens"
-    )
-
-
-def _unit_rows(x: np.ndarray, what: str) -> np.ndarray:
-    norms = np.linalg.norm(x, axis=1)
-    bad = np.flatnonzero(norms == 0)
-    if bad.size:
-        raise ValidationError(f"{what}: zero-norm hidden state at index {bad[0]}")
-    return x / norms[:, None]
-
-
-def importance_similarity(
-    text_hidden,
-    image_hidden,
-    attn_rows,
-    layout: TokenLayout,
-    top_t: int,
-    layer: int = 0,
-) -> ImportanceScores:
-    """Importance from the text rows most similar to the image.
-
-    Each text token is scored by its maximum cosine similarity to any image
-    token; the attention rows of the ``top_t`` best-matching text tokens
-    (ties broken toward the lower text index) are averaged over the image
-    slice.  ``top_t`` equal to the number of text rows reduces this to
-    ``importance_averaged``.
-    """
-    text = _as_array(text_hidden).astype(np.float64)
-    image = _as_array(image_hidden).astype(np.float64)
-    rows = _as_array(attn_rows)
-    if text.ndim != 2 or image.ndim != 2 or text.shape[1] != image.shape[1]:
+    if row.size != layout.total():
         raise ValidationError(
-            f"hidden states must share the feature axis, got {text.shape} and {image.shape}"
+            f"last-token attention row: row length {row.size} != sequence length {layout.total()}"
         )
-    if rows.ndim != 2 or rows.shape[0] != text.shape[0]:
-        raise ValidationError(
-            f"attention rows [{rows.shape}] must align with {text.shape[0]} text tokens"
-        )
-    if not 1 <= top_t <= text.shape[0]:
-        raise ValidationError(f"top_t must be in [1, {text.shape[0]}], got {top_t}")
-    rows = _check_attention_rows(rows, layout, "text attention rows")
-
-    sims = _unit_rows(text, "text hidden states") @ _unit_rows(image, "image hidden states").T
-    best = sims.max(axis=1)
-    # descending similarity, lower text index wins ties
-    order = np.lexsort((np.arange(best.size), -best))
-    picked = rows[order[:top_t]]
+    if np.any(row < 0):
+        raise ValidationError("last-token attention row: negative entries, expected softmaxed rows")
     return ImportanceScores(
-        layer=layer, scores=picked.mean(axis=0)[layout.image_slice], method="similarity_based"
+        layer=layer, scores=row.astype(np.float64)[layout.image_slice], method="last_token"
     )
 
 
@@ -173,31 +102,3 @@ def rebalanced_topk(scores, k: int, k_prime: int | None = None) -> np.ndarray:
         return pre[:k].astype(np.int64)
     post = pool[pool >= split]
     return np.concatenate([pre, post[: k - pre.size]]).astype(np.int64)
-
-
-def attention_mass_ratio(scores, k: int) -> float:
-    """Fraction of total attention mass captured by the k highest scores."""
-    vec = _scores_vector(scores)
-    if not 0 <= k <= vec.size:
-        raise ValidationError(f"k must be in [0, {vec.size}], got {k}")
-    total = float(vec.sum())
-    if total <= 0:
-        raise ValidationError("attention mass ratio undefined for all-zero scores")
-    top = np.sort(vec)[::-1][:k]
-    return float(top.sum()) / total
-
-
-def value_norm_dispersion(values) -> float:
-    """Coefficient of variation (population std / mean) of value-row norms.
-
-    Near zero means pruning error is governed by attention weights alone;
-    large values warn that a low-attention, high-norm row can matter.
-    """
-    mat = _as_array(values).astype(np.float64)
-    if mat.ndim != 2 or mat.shape[0] < 2:
-        raise ValidationError(f"values must be [N>=2, d], got {mat.shape}")
-    norms = np.linalg.norm(mat, axis=1)
-    mean = norms.mean()
-    if mean == 0:
-        raise ValidationError("value rows are all zero")
-    return float(norms.std(ddof=0) / mean)

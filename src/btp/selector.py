@@ -30,6 +30,7 @@ from .trace import (
     TensorBlob,
     TokenLayout,
     TraceManifest,
+    layer_tensors,
     stage_kept_count,
 )
 
@@ -46,9 +47,9 @@ class StageInputs:
     """Everything a stage needs, restricted to the current survivors.
 
     ``survivors`` are original image indices in ascending order; ``scores``
-    and ``hidden`` rows align with them.  Grid positions are derived from
-    the original indices via the layout, so spatial structure refers to the
-    full image grid no matter how many tokens remain.
+    and ``hidden`` rows align with them.  The spatial skeleton is matched
+    against the original indices, so spatial structure refers to the full
+    image grid no matter how many tokens remain.
     """
 
     layer: int
@@ -84,10 +85,6 @@ class StageInputs:
             raise ValidationError(f"layer {self.layer}: stage scores contain non-finite values")
         if not np.isfinite(hidden).all():
             raise ValidationError(f"layer {self.layer}: hidden states contain non-finite values")
-
-    def grid_positions(self) -> np.ndarray:
-        rows, cols = np.divmod(self.survivors, self.layout.grid_cols)
-        return np.stack([rows, cols], axis=1)
 
 
 def _round_half_up(x: float) -> int:
@@ -243,69 +240,26 @@ def trace_stage_provider(
     which the image rows are sliced).
     """
     layout = manifest.layout
-    scores: dict[int, np.ndarray] = {}
-    hidden: dict[int, np.ndarray] = {}
-    for name, blob in tensors.items():
-        if name.startswith("attn_l"):
-            layer = _trailing_int(name, "attn_l")
-            scores[layer] = importance_last_token(blob, layout, layer=layer).scores
-        elif name.startswith("hidden_l"):
-            layer = _trailing_int(name, "hidden_l")
-            mat = blob.view()
-            if mat.ndim != 2:
-                raise ValidationError(f"tensor {name!r}: expected a matrix, got {blob.shape}")
-            if mat.shape[0] == layout.total():
-                mat = mat[layout.image_slice]
-            elif mat.shape[0] != layout.n_image:
-                raise ValidationError(
-                    f"tensor {name!r}: {mat.shape[0]} rows, want n_image={layout.n_image} "
-                    f"or the full sequence {layout.total()}"
-                )
-            hidden[layer] = mat
+    scores = {
+        layer: importance_last_token(blob, layout, layer=layer).scores
+        for layer, blob in layer_tensors(tensors, "attn_l").items()
+    }
+    hidden = {
+        layer: layout.image_rows(blob.view(), blob.name)
+        for layer, blob in layer_tensors(tensors, "hidden_l").items()
+    }
     return ArrayStageProvider(layout, scores, hidden)
 
 
-def _trailing_int(name: str, prefix: str) -> int:
-    try:
-        return int(name[len(prefix):])
-    except ValueError as exc:
-        raise ValidationError(f"tensor name {name!r} is not {prefix}<layer>") from exc
-
-
-def run_schedule(
-    provider,
-    schedule: PruningSchedule,
-    cfg: DiversityConfig = DiversityConfig(),
-    k_prime_rule: KPrimeRule | None = None,
-) -> SelectionResult:
-    """Run every stage of ``schedule`` against a stage-input provider.
-
-    ``provider`` exposes ``layout`` and ``stage_inputs(layer, survivors)``;
-    see ``ArrayStageProvider``.  Scores and hidden states are re-read at
-    each stage layer, restricted to the tokens still alive.
-    """
-    survivors = np.arange(provider.layout.n_image, dtype=np.int64)
-    stages = []
-    last = len(schedule.stages) - 1
-    for i, stage in enumerate(schedule.stages):
-        inputs = provider.stage_inputs(stage.layer, survivors)
-        selection = run_stage(inputs, stage, cfg, k_prime_rule, final=i == last)
-        stages.append(selection)
-        survivors = np.asarray(selection.kept_indices, dtype=np.int64)
-        if survivors.size == 0 and i != last:
-            raise ValidationError(
-                f"stage at layer {stage.layer} dropped every token before the final stage"
-            )
-    return SelectionResult(per_stage=tuple(stages))
-
-
 class ScheduleDriver:
-    """Stateful prune hook for the toy transformer.
+    """Stateful stage runner: the prune hook for the toy transformer and the
+    loop body of ``run_schedule``.
 
     Feed it to ``toymodel.forward``: at each scheduled layer it runs the
     stage on the live ``StageInputs`` and returns the kept indices, keeping
-    everything elsewhere.  Collected selections are available afterwards
-    via ``selection_result()``.
+    everything elsewhere.  Only the schedule's last stage may drop every
+    token.  Collected selections are available afterwards via
+    ``selection_result()``.
     """
 
     def __init__(
@@ -334,3 +288,22 @@ class ScheduleDriver:
 
     def selection_result(self) -> SelectionResult:
         return SelectionResult(per_stage=tuple(self._selections))
+
+
+def run_schedule(
+    provider,
+    schedule: PruningSchedule,
+    cfg: DiversityConfig = DiversityConfig(),
+    k_prime_rule: KPrimeRule | None = None,
+) -> SelectionResult:
+    """Run every stage of ``schedule`` against a stage-input provider.
+
+    ``provider`` exposes ``layout`` and ``stage_inputs(layer, survivors)``;
+    see ``ArrayStageProvider``.  Scores and hidden states are re-read at
+    each stage layer, restricted to the tokens still alive.
+    """
+    driver = ScheduleDriver(schedule, cfg, k_prime_rule)
+    survivors = np.arange(provider.layout.n_image, dtype=np.int64)
+    for stage in schedule.stages:
+        survivors = driver(provider.stage_inputs(stage.layer, survivors))
+    return driver.selection_result()

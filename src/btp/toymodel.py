@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .selector import StageInputs
-from .trace import TensorBlob, TokenLayout
+from .trace import TokenLayout
 
 VALUE_NORM_MODES = ("raw", "unit")
 
@@ -79,38 +79,6 @@ def init_weights(cfg: ToyConfig) -> ToyWeights:
         w1.append(draw(cfg.d, cfg.mlp))
         w2.append(draw(cfg.mlp, cfg.d))
     return ToyWeights(tuple(wq), tuple(wk), tuple(wv), tuple(wo), tuple(w1), tuple(w2))
-
-
-_WEIGHT_FIELDS = ("wq", "wk", "wv", "wo", "w1", "w2")
-
-
-def weights_to_blobs(weights: ToyWeights) -> dict[str, TensorBlob]:
-    blobs = {}
-    for field in _WEIGHT_FIELDS:
-        for layer, mat in enumerate(getattr(weights, field)):
-            name = f"{field}_l{layer}"
-            blobs[name] = TensorBlob.from_array(name, mat)
-    return blobs
-
-
-def weights_from_blobs(cfg: ToyConfig, blobs: dict[str, TensorBlob]) -> ToyWeights:
-    shapes = {
-        "wq": (cfg.d, cfg.d), "wk": (cfg.d, cfg.d), "wv": (cfg.d, cfg.d),
-        "wo": (cfg.d, cfg.d), "w1": (cfg.d, cfg.mlp), "w2": (cfg.mlp, cfg.d),
-    }
-    collected: dict[str, list[np.ndarray]] = {f: [] for f in _WEIGHT_FIELDS}
-    for field in _WEIGHT_FIELDS:
-        for layer in range(cfg.num_layers):
-            name = f"{field}_l{layer}"
-            if name not in blobs:
-                raise ValidationError(f"weight tensor {name!r} missing")
-            blob = blobs[name]
-            if blob.shape != shapes[field]:
-                raise ValidationError(
-                    f"weight tensor {name!r}: shape {blob.shape}, want {shapes[field]}"
-                )
-            collected[field].append(blob.view())
-    return ToyWeights(**{f: tuple(collected[f]) for f in _WEIGHT_FIELDS})
 
 
 def sinusoidal_encoding(positions, d: int) -> np.ndarray:
@@ -238,9 +206,7 @@ def forward(
         value_mats.append(v)
 
         if prune_hook is not None and alive.size > 0:
-            image_mask = (positions >= layout.n_system) & (
-                positions < layout.n_system + layout.n_image
-            )
+            image_mask = layout.image_mask(positions)
             view = StageInputs(
                 layer=layer,
                 survivors=alive,
@@ -336,9 +302,7 @@ def local_prune_error(record: ForwardRecord, layer: int, kept) -> float:
     """
     if not 0 <= layer < len(record.attn_last):
         raise ValidationError(f"layer {layer} outside recorded range")
-    pos = record.positions[layer]
-    lay = record.layout
-    mask = (pos >= lay.n_system) & (pos < lay.n_system + lay.n_image)
+    mask = record.layout.image_mask(record.positions[layer])
     alive = record.image_survivors[layer]
     kept = np.asarray(list(kept), dtype=np.int64)
     if kept.size and not np.isin(kept, alive).all():
@@ -363,9 +327,7 @@ def single_layer_optimality_check(
     """
     if not 0 <= layer < len(record.attn_last):
         raise ValidationError(f"layer {layer} outside recorded range")
-    pos = record.positions[layer]
-    lay = record.layout
-    mask = (pos >= lay.n_system) & (pos < lay.n_system + lay.n_image)
+    mask = record.layout.image_mask(record.positions[layer])
     n = int(mask.sum())
     if n == 0:
         raise ValidationError(f"no image tokens alive at layer {layer}")

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import shutil
 import uuid
@@ -87,6 +88,28 @@ class TensorBlob:
         return self.data.reshape(self.shape)
 
 
+def layer_tensors(tensors: Mapping[str, TensorBlob], prefix: str) -> dict[int, TensorBlob]:
+    """The tensors named ``<prefix><layer>``, keyed by layer, ascending.
+
+    The layer must be written canonically (ASCII digits, no sign, no
+    leading zero), so no two names can denote the same layer.
+    """
+    found = {}
+    for name, blob in tensors.items():
+        if not name.startswith(prefix):
+            continue
+        suffix = name[len(prefix):]
+        try:
+            layer = int(suffix)
+        except ValueError:  # not a number, or more digits than int() parses
+            layer = -1
+        # str() of a non-negative int is the one canonical spelling
+        if layer < 0 or str(layer) != suffix:
+            raise ValidationError(f"tensor name {name!r} is not {prefix}<layer>")
+        found[layer] = blob
+    return dict(sorted(found.items()))
+
+
 # ---------------------------------------------------------------------------
 # token layout
 
@@ -125,17 +148,27 @@ class TokenLayout:
     def image_slice(self) -> slice:
         return slice(self.n_system, self.n_system + self.n_image)
 
-    def grid_position(self, image_index: int) -> tuple[int, int]:
-        if not 0 <= image_index < self.n_image:
-            raise ValidationError(
-                f"image index {image_index} outside [0, {self.n_image})"
-            )
-        return divmod(image_index, self.grid_cols)
+    def image_mask(self, positions) -> np.ndarray:
+        """Which of the sequence ``positions`` fall in the image segment."""
+        positions = np.asarray(positions)
+        return (positions >= self.n_system) & (positions < self.n_system + self.n_image)
 
-    def grid_coordinates(self) -> np.ndarray:
-        """(row, col) coordinates of every image token, shape [n_image, 2]."""
-        rows, cols = np.divmod(np.arange(self.n_image), self.grid_cols)
-        return np.stack([rows, cols], axis=1).astype(np.float64)
+    def image_rows(self, mat: np.ndarray, name: str) -> np.ndarray:
+        """View of the image rows of tensor ``name``.
+
+        ``mat`` is [n_image, d] (returned as is) or the whole sequence
+        [total, d], from which the image segment is sliced; no copy is made.
+        """
+        if mat.ndim != 2:
+            raise ValidationError(f"tensor {name!r}: expected a matrix, got shape {mat.shape}")
+        if mat.shape[0] == self.total():
+            return mat[self.image_slice]
+        if mat.shape[0] != self.n_image:
+            raise ValidationError(
+                f"tensor {name!r}: {mat.shape[0]} rows, want n_image={self.n_image} "
+                f"or the full sequence {self.total()}"
+            )
+        return mat
 
     def to_json_dict(self) -> dict:
         return {
@@ -367,7 +400,17 @@ class TensorSpec:
     file: str = ""
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "shape", tuple(int(s) for s in self.shape))
+        if not self.name:
+            raise ValidationError("tensor name must be non-empty")
+        shape = tuple(self.shape)
+        if not shape or not all(
+            isinstance(s, numbers.Integral) and not isinstance(s, bool) and s >= 1
+            for s in shape
+        ):
+            raise ValidationError(
+                f"tensor {self.name!r}: shape must be integers >= 1, got {list(shape)}"
+            )
+        object.__setattr__(self, "shape", tuple(int(s) for s in shape))
         if not self.file:
             object.__setattr__(self, "file", f"{self.name}.bin")
         _check_tensor_filename(self.name, self.file)
@@ -420,47 +463,41 @@ def make_manifest(
 
 
 def _manifest_from_json(obj, where: str) -> TraceManifest:
+    """Parse a manifest object; every malformed field is a ``TraceError``."""
     if not isinstance(obj, dict):
         raise TraceError(f"{where}: manifest root must be an object")
     try:
         version = str(obj["version"])
-        dims_obj = obj["model_dims"]
-        layout_obj = obj["layout"]
-        tensors_obj = obj["tensors"]
-    except KeyError as exc:
-        raise TraceError(f"{where}: manifest is missing field {exc.args[0]!r}") from exc
-    if version != TRACE_VERSION:
-        raise TraceError(f"{where}: unsupported trace version {version!r}")
-    try:
-        dims = ModelShape(
-            layers=int(dims_obj["layers"]),
-            d=int(dims_obj["d"]),
-            heads=int(dims_obj["heads"]),
-            m=int(dims_obj["m"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise TraceError(f"{where}: malformed model_dims: {exc}") from exc
-    try:
-        layout = TokenLayout.from_json_dict(layout_obj)
-    except ValidationError as exc:
-        raise TraceError(f"{where}: malformed layout: {exc}") from exc
-    specs = []
-    for entry in tensors_obj:
-        try:
-            spec = TensorSpec(
+        if version != TRACE_VERSION:
+            raise TraceError(f"unsupported trace version {version!r}")
+        dims = obj["model_dims"]
+        specs = tuple(
+            TensorSpec(
                 name=str(entry["name"]),
-                shape=tuple(int(s) for s in entry["shape"]),
+                shape=tuple(entry["shape"]),
                 dtype=str(entry["dtype"]),
                 file=str(entry["file"]),
             )
-        except (KeyError, TypeError) as exc:
-            raise TraceError(f"{where}: malformed tensor entry {entry!r}: {exc}") from exc
-        if spec.dtype not in _DTYPE_TAGS:
-            raise TraceError(
-                f"{where}: tensor {spec.name!r}: unknown dtype tag {spec.dtype!r}"
-            )
-        specs.append(spec)
-    return TraceManifest(version=version, model_dims=dims, layout=layout, tensors=tuple(specs))
+            for entry in obj["tensors"]
+        )
+        for spec in specs:
+            if spec.dtype not in _DTYPE_TAGS:
+                raise TraceError(f"tensor {spec.name!r}: unknown dtype tag {spec.dtype!r}")
+        return TraceManifest(
+            version=version,
+            model_dims=ModelShape(
+                layers=int(dims["layers"]),
+                d=int(dims["d"]),
+                heads=int(dims["heads"]),
+                m=int(dims["m"]),
+            ),
+            layout=TokenLayout.from_json_dict(obj["layout"]),
+            tensors=specs,
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        # ValidationError and TraceError are ValueErrors too
+        detail = f"missing field {exc.args[0]!r}" if isinstance(exc, KeyError) else exc
+        raise TraceError(f"{where}: malformed manifest: {detail}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -40,10 +40,11 @@ def _write_calib_trace(tmp_path, name, seed, planted, num_layers=12, n_image=12,
     return str(path)
 
 
-def _write_select_trace(tmp_path, seed=0, nan_in=None):
+def _write_select_trace(tmp_path, seed=0, nan_in=None, alias=None):
     """Trace with attn/hidden tensors at layers 1 and 3; ``nan_in`` names a
     tensor whose flat element 2 (an image column of an attention row)
-    becomes NaN."""
+    becomes NaN, and ``alias`` maps extra tensor names to the tensor whose
+    reversed copy they hold."""
     rng = np.random.default_rng(seed)
     layout = TokenLayout(n_system=2, n_image=12, n_text=3, grid_rows=3, grid_cols=4)
     dims = ModelShape(layers=6, d=8, heads=2, m=16)
@@ -55,6 +56,8 @@ def _write_select_trace(tmp_path, seed=0, nan_in=None):
         arrays[f"hidden_l{layer}"] = rng.standard_normal((layout.n_image, 8)).astype(np.float32)
     if nan_in is not None:
         arrays[nan_in].flat[2] = np.nan
+    for name, source in (alias or {}).items():
+        arrays[name] = arrays[source][::-1].copy()
     blobs = {name: TensorBlob.from_array(name, arr) for name, arr in arrays.items()}
     path = tmp_path / "trace"
     write_trace(path, make_manifest(layout, dims, blobs), blobs)
@@ -130,6 +133,25 @@ def test_cost_bad_layout_string(capsys):
 # calibrate
 
 
+CALIBRATE_TABLE = """\
+shift profile over 3 trace(s), tau=0.93
+layer  shifted
+    0        0
+    1        0
+    2        0
+    3       27 <- prune next layer
+    4        0
+    5        0
+    6        0
+    7       33 <- prune next layer
+    8        0
+    9        0
+   10        0
+   11        0
+pruning layers: [4, 8]
+"""
+
+
 def test_calibrate_places_stages_after_peaks(tmp_path, capsys):
     traces = [
         _write_calib_trace(tmp_path, f"t{i}", seed=i, planted={3: 9, 7: 11})
@@ -138,7 +160,8 @@ def test_calibrate_places_stages_after_peaks(tmp_path, capsys):
     out_path = tmp_path / "sched.json"
     argv = ["calibrate", *traces, "--lambdas", "0.6,1.0", "--out", str(out_path)]
     code, out, err = _run(capsys, argv)
-    assert code == 0 and err == ""
+    assert code == 0 and out == ""
+    assert err == CALIBRATE_TABLE
     payload = json.loads(out_path.read_text())
     assert [s["layer"] for s in payload["stages"]] == [4, 8]
     assert [s["balance"] for s in payload["stages"]] == [0.6, 1.0]
@@ -146,22 +169,28 @@ def test_calibrate_places_stages_after_peaks(tmp_path, capsys):
     assert payload["fallback"] is False
     counts = {p["layer"]: p["shifted_count"] for p in payload["profile"]}
     assert counts[3] == 27 and counts[7] == 33
-    assert "pruning layers: [4, 8]" in out
-    marked = [line for line in out.splitlines() if "<- prune next layer" in line]
+    assert "pruning layers: [4, 8]" in err
+    marked = [line for line in err.splitlines() if "<- prune next layer" in line]
     assert len(marked) == 2 and marked[0].split()[0] == "3"
 
     first_bytes = out_path.read_bytes()
-    rerun_code, rerun_out, _ = _run(capsys, argv)
-    assert rerun_code == 0 and rerun_out == out
+    rerun_code, rerun_out, rerun_err = _run(capsys, argv)
+    assert rerun_code == 0 and rerun_out == out and rerun_err == err
     assert out_path.read_bytes() == first_bytes
+
+    # without --out, stdout is exactly the file's JSON
+    code, out, err = _run(capsys, argv[:-2])
+    assert code == 0 and out.encode() == first_bytes and err == CALIBRATE_TABLE
+    assert json.loads(out)["stages"] == payload["stages"]
 
 
 def test_calibrate_flat_profile_warns_and_fails(tmp_path, capsys):
     trace = _write_calib_trace(tmp_path, "flat", seed=9, planted={})
     code, out, err = _run(capsys, ["calibrate", trace, "--lambdas", "0.6,1.0"])
     assert code == 1
-    assert "flat shift profile" in err
-    payload = json.loads(out[out.index("{"):])
+    assert err.endswith("warning: flat shift profile, fell back to even subdivision\n")
+    assert "pruning layers: [4, 8]" in err
+    payload = json.loads(out)
     assert payload["fallback"] is True
     assert [s["layer"] for s in payload["stages"]] == [4, 8]
 
@@ -173,12 +202,12 @@ def test_calibrate_thread_env(tmp_path, capsys, monkeypatch):
     ]
     serial_out = tmp_path / "serial.json"
     monkeypatch.delenv("BTP_THREADS", raising=False)
-    code, serial_table, _ = _run(capsys, ["calibrate", *traces, "--out", str(serial_out)])
-    assert code == 0
+    code, _, serial_table = _run(capsys, ["calibrate", *traces, "--out", str(serial_out)])
+    assert code == 0 and "pruning layers:" in serial_table
 
     threaded_out = tmp_path / "threaded.json"
     monkeypatch.setenv("BTP_THREADS", "3")
-    code, threaded_table, _ = _run(capsys, ["calibrate", *traces, "--out", str(threaded_out)])
+    code, _, threaded_table = _run(capsys, ["calibrate", *traces, "--out", str(threaded_out)])
     assert code == 0
     assert threaded_table == serial_table
     assert threaded_out.read_bytes() == serial_out.read_bytes()
@@ -211,15 +240,37 @@ def test_calibrate_missing_trace_is_io_error(tmp_path, capsys):
     assert code == 2 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("shapes,message", [
+    ({"hidden_l0": (12, 8), "hidden_l2": (12, 8)},
+     "hidden snapshots must be contiguous from 0, got hidden_l0, hidden_l2"),
+    ({"hidden_l0": (12, 8), "hidden_l1": (96,)},
+     "tensor 'hidden_l1': expected a matrix, got shape (96,)"),
+    ({"hidden_l0": (12, 8), "hidden_l1": (7, 8)},
+     "tensor 'hidden_l1': 7 rows, want n_image=12 or the full sequence 15"),
+], ids=["non-contiguous", "vector", "row-count"])
+def test_calibrate_rejects_bad_hidden_tensors(tmp_path, capsys, shapes, message):
+    rng = np.random.default_rng(3)
+    layout = TokenLayout(n_system=1, n_image=12, n_text=2, grid_rows=3, grid_cols=4)
+    blobs = {
+        name: TensorBlob.from_array(name, rng.standard_normal(shape))
+        for name, shape in shapes.items()
+    }
+    trace = tmp_path / "t"
+    write_trace(trace, make_manifest(layout, ModelShape(2, 8, 1, 16), blobs), blobs)
+    code, out, err = _run(capsys, ["calibrate", str(trace)])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.endswith(message + "\n")
+
+
 def test_calibrate_calib_size_limits_traces(tmp_path, capsys):
     traces = [
         _write_calib_trace(tmp_path, f"s{i}", seed=20 + i, planted={5: 8})
         for i in range(3)
     ]
-    code, out, _ = _run(capsys, ["calibrate", *traces, "--calib-size", "2"])
+    code, out, err = _run(capsys, ["calibrate", *traces, "--calib-size", "2"])
     assert code == 0
-    assert "over 2 trace(s)" in out
-    payload = json.loads(out[out.index("{"):])
+    assert "over 2 trace(s)" in err
+    payload = json.loads(out)
     assert payload["config"]["traces"] == traces[:2]
 
 
@@ -233,8 +284,12 @@ def test_select_reports_nested_stages(tmp_path, capsys):
     out_path = tmp_path / "selection.json"
     argv = ["select", "--trace", trace, "--schedule", sched, "--out", str(out_path)]
     code, out, err = _run(capsys, argv)
-    assert code == 0 and err == ""
-    assert out.splitlines()[0] == "layer  kept  attn_mass  min_dist   sum_dist"
+    assert code == 0 and out == ""
+    assert err == (
+        "layer  kept  attn_mass  min_dist   sum_dist\n"
+        "    1     6     0.4846    0.4508     16.268\n"
+        "    3     3     0.3425    0.5030      1.764\n"
+    )
     payload = json.loads(out_path.read_text())
     stages = payload["stages"]
     assert [s["layer"] for s in stages] == [1, 3]
@@ -243,9 +298,14 @@ def test_select_reports_nested_stages(tmp_path, capsys):
     assert payload["config"]["seed_rule"] == "farthest_from_centroid"
 
     first_bytes = out_path.read_bytes()
-    rerun_code, rerun_out, _ = _run(capsys, argv)
-    assert rerun_code == 0 and rerun_out == out
+    rerun_code, rerun_out, rerun_err = _run(capsys, argv)
+    assert rerun_code == 0 and rerun_out == out and rerun_err == err
     assert out_path.read_bytes() == first_bytes
+
+    # without --out, stdout is exactly the file's JSON
+    code, out, rerun_err = _run(capsys, argv[:-2])
+    assert code == 0 and out.encode() == first_bytes and rerun_err == err
+    assert json.loads(out) == payload
 
 
 def test_select_depth_mismatch(tmp_path, capsys):
@@ -266,6 +326,47 @@ def test_select_rejects_non_finite_stage_inputs(tmp_path, capsys, tensor, what):
     layer = tensor.rsplit("_l", 1)[1]
     assert code == 1 and out == ""
     assert err == f"error: layer {layer}: {what} contain non-finite values\n"
+
+
+@pytest.mark.parametrize("alias,message", [
+    ({"attn_l01": "attn_l1"}, "tensor name 'attn_l01' is not attn_l<layer>"),
+    ({"hidden_l-1": "hidden_l1"}, "tensor name 'hidden_l-1' is not hidden_l<layer>"),
+], ids=["leading-zero", "negative"])
+def test_select_rejects_non_canonical_layer_names(tmp_path, capsys, alias, message):
+    # attn_l01 beside attn_l1 would name layer 1 twice
+    trace = _write_select_trace(tmp_path, alias=alias)
+    sched = _write_schedule(tmp_path, [(1, 0.5, 0.5), (3, 0.5, 1.0)], num_layers=6)
+    code, out, err = _run(capsys, ["select", "--trace", trace, "--schedule", sched])
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
+# each edit turns the valid manifest of _write_select_trace (tensors attn_l1
+# [17], hidden_l1 [12, 8], attn_l3, hidden_l3) into a malformed one
+MANIFEST_EDITS = {
+    "tensors-not-a-list": lambda m: m.update(tensors=5),
+    "shape-string": lambda m: m["tensors"][0].update(shape="ab"),
+    "layout-string": lambda m: m.update(layout="x"),
+    "n_image-string": lambda m: m["layout"].update(n_image="q"),
+    "zero-layers": lambda m: m["model_dims"].update(layers=0),
+    "empty-name": lambda m: m["tensors"][0].update(name=""),
+    "float-extent": lambda m: m["tensors"][1].update(shape=[12.7, 8]),
+    "bool-extent": lambda m: m["tensors"][0].update(shape=[True, 17]),
+}
+
+
+@pytest.mark.parametrize("edit", list(MANIFEST_EDITS))
+def test_select_rejects_malformed_manifest(tmp_path, capsys, edit):
+    trace = _write_select_trace(tmp_path)
+    manifest_path = tmp_path / "trace" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    MANIFEST_EDITS[edit](manifest)
+    manifest_path.write_text(json.dumps(manifest))
+    sched = _write_schedule(tmp_path, [(1, 0.5, 0.5), (3, 0.5, 1.0)], num_layers=6)
+    code, out, err = _run(capsys, ["select", "--trace", trace, "--schedule", sched])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {manifest_path}: malformed manifest: ")
+    assert err.count("\n") == 1
 
 
 def test_select_missing_trace(tmp_path, capsys):
@@ -291,31 +392,32 @@ def test_select_malformed_schedule_json(tmp_path, capsys):
 def test_simulate_strategy_csv(tmp_path, capsys):
     sched = _write_schedule(tmp_path, [(1, 0.5, 0.5), (2, 0.5, 1.0)], num_layers=4)
     code, out, err = _run(capsys, ["simulate", "--schedule", sched])
-    assert code == 0 and err == ""
+    assert code == 0
     lines = out.splitlines()
+    assert len(lines) == 4 + 1  # header plus one row per layer, nothing else
     assert lines[0] == "layer,btp,attention_only,diversity_only"
     assert [line.split(",")[0] for line in lines[1:5]] == ["1", "2", "3", "4"]
     for line in lines[1:5]:
         values = [float(v) for v in line.split(",")[1:]]
         assert len(values) == 3
-    assert lines[5].startswith("config: ")
-    config = json.loads(lines[5][len("config: "):])
+    assert err.startswith("config: ") and err.count("\n") == 1
+    config = json.loads(err[len("config: "):])
     assert config["layout"] == "2,16,6,4,4"
     assert config["metric"] == "cosine_similarity"
 
-    rerun_code, rerun_out, _ = _run(capsys, ["simulate", "--schedule", sched])
-    assert rerun_code == 0 and rerun_out == out
+    rerun_code, rerun_out, rerun_err = _run(capsys, ["simulate", "--schedule", sched])
+    assert rerun_code == 0 and rerun_out == out and rerun_err == err
 
 
 def test_simulate_csv_out_file(tmp_path, capsys):
     sched = _write_schedule(tmp_path, [(1, 0.5, 0.5)], num_layers=4)
     out_path = tmp_path / "sim.csv"
-    code, out, _ = _run(capsys, [
+    code, out, err = _run(capsys, [
         "simulate", "--schedule", sched, "--out", str(out_path),
     ])
     assert code == 0
     assert out_path.read_text().splitlines()[0] == "layer,btp,attention_only,diversity_only"
-    assert out.startswith("config: ")  # table goes to the file, config to stdout
+    assert out == "" and err.startswith("config: ")  # CSV to the file, config to stderr
 
 
 def test_simulate_needs_text_tokens(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Closed-form cost model: FLOPs, KV cache, and benchmark-ratio helpers."""
+"""Closed-form cost model: FLOPs and KV cache."""
 
 import numpy as np
 import pytest
@@ -6,11 +6,9 @@ import pytest
 from btp.costs import (
     CostReport,
     ModelDims,
-    empty_schedule,
     kv_cache_bytes,
     layer_flops,
     per_layer_image_counts,
-    performance_gain,
     schedule_flops,
 )
 from btp.errors import ValidationError
@@ -41,13 +39,13 @@ def test_layer_flops_matches_integer_arithmetic():
 
 def test_unpruned_cost_anchors():
     """Known full-precision totals for two common decoder shapes at 576 tokens."""
-    report = schedule_flops(IMAGE_ONLY_576, empty_schedule(32), DIMS_7B)
+    report = schedule_flops(IMAGE_ONLY_576, PruningSchedule(stages=(), num_layers=32), DIMS_7B)
     assert report.tflops == pytest.approx(3.81715218432, rel=1e-12)
     assert report.kv_bytes == 301_989_888
     assert report.avg_tokens == 576.0
     assert report.per_layer_tokens == (576,) * 32
 
-    report13 = schedule_flops(IMAGE_ONLY_576, empty_schedule(40), DIMS_13B)
+    report13 = schedule_flops(IMAGE_ONLY_576, PruningSchedule(stages=(), num_layers=40), DIMS_13B)
     assert report13.tflops == pytest.approx(7.4440507392, rel=1e-12)
 
 
@@ -80,7 +78,7 @@ def test_retention_one_schedule_is_free():
         stages=(PruningStage(3, 1.0, 0.5), PruningStage(9, 1.0, 0.5)), num_layers=32
     )
     a = schedule_flops(IMAGE_ONLY_576, sched, DIMS_7B)
-    b = schedule_flops(IMAGE_ONLY_576, empty_schedule(32), DIMS_7B)
+    b = schedule_flops(IMAGE_ONLY_576, PruningSchedule(stages=(), num_layers=32), DIMS_7B)
     assert a == b
 
 
@@ -88,7 +86,7 @@ def test_pruning_never_costs_more():
     rng = np.random.default_rng(30)
     layout = TokenLayout(n_system=4, n_image=64, n_text=16, grid_rows=8, grid_cols=8)
     dims = ModelDims(num_layers=16, d=128, m=512)
-    base = schedule_flops(layout, empty_schedule(16), dims)
+    base = schedule_flops(layout, PruningSchedule(stages=(), num_layers=16), dims)
     for _ in range(10):
         layers = sorted(rng.choice(range(1, 15), size=2, replace=False).tolist())
         sched = PruningSchedule(
@@ -107,9 +105,9 @@ def test_pruning_never_costs_more():
 
 def test_dims_schedule_depth_must_agree():
     with pytest.raises(ValidationError):
-        schedule_flops(IMAGE_ONLY_576, empty_schedule(16), DIMS_7B)
+        schedule_flops(IMAGE_ONLY_576, PruningSchedule(stages=(), num_layers=16), DIMS_7B)
     with pytest.raises(ValidationError):
-        kv_cache_bytes(IMAGE_ONLY_576, empty_schedule(16), DIMS_7B)
+        kv_cache_bytes(IMAGE_ONLY_576, PruningSchedule(stages=(), num_layers=16), DIMS_7B)
 
 
 def test_cost_report_json_shape():
@@ -117,14 +115,3 @@ def test_cost_report_json_shape():
     assert report.to_json_dict() == {
         "tflops": 1.5, "kv_bytes": 10, "avg_tokens": 2.0, "per_layer_tokens": [3, 4],
     }
-
-
-def test_performance_gain():
-    assert performance_gain({"a": 80.0, "b": 30.0}, {"a": 100.0, "b": 40.0}) == pytest.approx(77.5)
-    assert performance_gain({"a": 50.0}, {"a": 50.0}) == pytest.approx(100.0)
-    with pytest.raises(ValidationError, match="mismatched keys"):
-        performance_gain({"a": 1.0}, {"a": 1.0, "b": 2.0})
-    with pytest.raises(ValidationError):
-        performance_gain({"a": 1.0}, {"a": 0.0})
-    with pytest.raises(ValidationError):
-        performance_gain({}, {})

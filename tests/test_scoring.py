@@ -1,18 +1,10 @@
-"""Importance estimators and the position-rebalanced top-k."""
+"""Last-token importance scores and the position-rebalanced top-k."""
 
 import numpy as np
 import pytest
 
 from btp.errors import ValidationError
-from btp.scoring import (
-    ImportanceScores,
-    attention_mass_ratio,
-    importance_averaged,
-    importance_last_token,
-    importance_similarity,
-    rebalanced_topk,
-    value_norm_dispersion,
-)
+from btp.scoring import ImportanceScores, importance_last_token, rebalanced_topk
 from btp.trace import TensorBlob, TokenLayout
 
 
@@ -72,63 +64,6 @@ def test_last_token_rejects_bad_rows():
         importance_last_token(bad, lay)
     with pytest.raises(ValidationError):
         importance_last_token(np.zeros((2, 2, lay.total())), lay)
-
-
-def test_averaged_is_row_mean():
-    lay = _layout()
-    rng = np.random.default_rng(1)
-    rows = _softmax_rows(rng, 5, lay.total())
-    got = importance_averaged(rows, lay)
-    np.testing.assert_allclose(got.scores, rows.mean(axis=0)[lay.image_slice])
-    assert got.method == "averaged_tokens"
-    with pytest.raises(ValidationError):
-        importance_averaged(rows[:0], lay)
-    with pytest.raises(ValidationError):
-        importance_averaged(rows[0], lay)
-
-
-def test_similarity_picks_best_matching_text_row():
-    lay = _layout(n_system=1, n_image=2, n_text=2, rows=1, cols=2)
-    text = np.array([[1.0, 0.0], [0.6, 0.8]])
-    image = np.array([[1.0, 0.0], [0.0, 1.0]])
-    rows = np.array([
-        [0.1, 0.1, 0.4, 0.2, 0.2],
-        [0.0, 0.2, 0.1, 0.3, 0.4],
-    ])
-    got = importance_similarity(text, image, rows, lay, top_t=1)
-    # text row 0 matches image token 0 exactly (cos 1.0 > 0.8)
-    np.testing.assert_allclose(got.scores, [0.1, 0.4])
-    assert got.method == "similarity_based"
-
-
-def test_similarity_with_all_rows_equals_averaged():
-    lay = _layout()
-    rng = np.random.default_rng(2)
-    text = rng.standard_normal((4, 6))
-    image = rng.standard_normal((lay.n_image, 6))
-    rows = _softmax_rows(rng, 4, lay.total())
-    a = importance_similarity(text, image, rows, lay, top_t=4)
-    b = importance_averaged(rows, lay)
-    np.testing.assert_allclose(a.scores, b.scores)
-
-
-def test_similarity_validation():
-    lay = _layout()
-    text = np.ones((2, 3))
-    image = np.ones((4, 3))
-    rows = _softmax_rows(np.random.default_rng(3), 2, lay.total())
-    with pytest.raises(ValidationError):
-        importance_similarity(text, np.ones((4, 5)), rows, lay, top_t=1)
-    with pytest.raises(ValidationError):
-        importance_similarity(text, image, rows[:1], lay, top_t=1)
-    with pytest.raises(ValidationError):
-        importance_similarity(text, image, rows, lay, top_t=0)
-    with pytest.raises(ValidationError):
-        importance_similarity(text, image, rows, lay, top_t=3)
-    zero = text.copy()
-    zero[1] = 0.0
-    with pytest.raises(ValidationError, match="zero-norm"):
-        importance_similarity(zero, image, rows, lay, top_t=1)
 
 
 # ---------------------------------------------------------------------------
@@ -209,48 +144,3 @@ def test_rebalanced_bounds():
         rebalanced_topk(scores, 3, k_prime=2)
     with pytest.raises(ValidationError):
         rebalanced_topk(scores, 3, k_prime=7)
-
-
-# ---------------------------------------------------------------------------
-# diagnostics
-
-
-def test_attention_mass_ratio_hand_case():
-    scores = np.array([0.1, 0.5, 0.2, 0.2])
-    assert attention_mass_ratio(scores, 2) == pytest.approx(0.7)
-    assert attention_mass_ratio(scores, 0) == 0.0
-    assert attention_mass_ratio(scores, 4) == pytest.approx(1.0)
-
-
-def test_attention_mass_ratio_monotone_in_k():
-    rng = np.random.default_rng(8)
-    scores = rng.random(20)
-    ratios = [attention_mass_ratio(scores, k) for k in range(21)]
-    assert all(a <= b + 1e-12 for a, b in zip(ratios, ratios[1:]))
-
-
-def test_attention_mass_ratio_rejects_zero_mass():
-    with pytest.raises(ValidationError):
-        attention_mass_ratio(np.zeros(4), 2)
-    with pytest.raises(ValidationError):
-        attention_mass_ratio(np.ones(4), 5)
-
-
-def test_value_norm_dispersion_hand_case():
-    mat = np.array([[1.0, 0.0], [3.0, 0.0]])
-    # norms 1 and 3: mean 2, population std 1
-    assert value_norm_dispersion(mat) == pytest.approx(0.5)
-
-
-def test_value_norm_dispersion_zero_for_equal_norms():
-    rng = np.random.default_rng(9)
-    mat = rng.standard_normal((6, 4))
-    mat /= np.linalg.norm(mat, axis=1, keepdims=True)
-    assert value_norm_dispersion(mat) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_value_norm_dispersion_validation():
-    with pytest.raises(ValidationError):
-        value_norm_dispersion(np.ones((1, 3)))
-    with pytest.raises(ValidationError):
-        value_norm_dispersion(np.zeros((3, 2)))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -79,8 +80,14 @@ def test_stage_inputs_validation():
 
 
 def test_grid_positions_follow_original_indices():
-    inputs = _inputs(1, survivors=[0, 5, 11])
-    np.testing.assert_array_equal(inputs.grid_positions(), [[0, 0], [1, 1], [2, 3]])
+    # the skeleton is laid on the full grid: its second cell, the far corner
+    # 11, seeds the greedy through its original index, not its survivor rank
+    survivors = np.array([1, 3, 4, 6, 8, 10, 11])
+    inputs = _inputs(1, survivors=survivors)
+    kept = select_stage(inputs, PruningStage(layer=1, retention=0.75, balance=0.0))
+    assert spatial_init(LAYOUT.grid_rows, LAYOUT.grid_cols, 2).tolist() == [0, 11]
+    sel = greedy_maxmin(inputs.hidden, 5, "cosine_distance", initial=[6])
+    np.testing.assert_array_equal(kept, np.sort(survivors[sel]))
 
 
 # ---------------------------------------------------------------------------
@@ -276,11 +283,15 @@ def test_trace_provider_parses_tensor_names():
 def test_trace_provider_rejects_bad_tensors():
     rng = np.random.default_rng(15)
     row = np.full(LAYOUT.total(), 1.0 / LAYOUT.total())
-    bad_name = {"attn_lX": TensorBlob.from_array("attn_lX", row)}
-    with pytest.raises(ValidationError):
-        trace_stage_provider(
-            make_manifest(LAYOUT, ModelShape(8, 4, 1, 8), bad_name), bad_name
-        )
+    # one spelling per layer: no sign, no leading zero, ASCII digits only
+    for name in ("attn_lX", "attn_l", "attn_l01", "attn_l+1", "attn_l-1", "attn_l 1",
+                 "attn_l1_0", "attn_l\u0661", "attn_l" + "1" * 5000):
+        bad_name = {"attn_l1": TensorBlob.from_array("attn_l1", row),
+                    name: TensorBlob.from_array(name, row)}
+        with pytest.raises(ValidationError, match=re.escape(f"name {name!r} is not attn_l<")):
+            trace_stage_provider(
+                make_manifest(LAYOUT, ModelShape(8, 4, 1, 8), bad_name), bad_name
+            )
     wrong_rows = {
         "hidden_l1": TensorBlob.from_array("hidden_l1", rng.standard_normal((7, 4)))
     }

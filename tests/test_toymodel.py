@@ -14,8 +14,6 @@ from btp.toymodel import (
     local_prune_error,
     single_layer_optimality_check,
     sinusoidal_encoding,
-    weights_from_blobs,
-    weights_to_blobs,
 )
 from btp.trace import PruningSchedule, PruningStage, TokenLayout
 
@@ -49,16 +47,6 @@ def test_weights_deterministic_in_seed():
         for l in range(CFG.num_layers):
             np.testing.assert_array_equal(getattr(a, field)[l], getattr(b, field)[l])
     assert not np.array_equal(other.wq[0], a.wq[0])
-
-
-def test_weights_blob_roundtrip_preserves_forward():
-    weights = init_weights(CFG)
-    restored = weights_from_blobs(CFG, weights_to_blobs(weights))
-    x = _inputs(0)
-    a = forward(x, LAYOUT, CFG, weights=weights)
-    b = forward(x, LAYOUT, CFG, weights=restored)
-    for ha, hb in zip(a.hidden, b.hidden):
-        assert ha.tobytes() == hb.tobytes()
 
 
 def test_sinusoidal_encoding_basics():

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from btp.diversity import grid_coordinates
 from btp.errors import TraceError, ValidationError
 from btp.trace import (
     ModelShape,
@@ -71,18 +72,31 @@ def test_layout_accessors():
     lay = TokenLayout(n_system=2, n_image=6, n_text=3, grid_rows=2, grid_cols=3)
     assert lay.total() == 11
     assert lay.image_slice == slice(2, 8)
-    assert lay.grid_position(0) == (0, 0)
-    assert lay.grid_position(5) == (1, 2)
-    with pytest.raises(ValidationError):
-        lay.grid_position(6)
-    coords = lay.grid_coordinates()
-    assert coords.shape == (6, 2)
+    coords = grid_coordinates(lay.grid_rows, lay.grid_cols)
+    assert coords.shape == (6, 2) and coords.dtype == np.float64
+    np.testing.assert_array_equal(coords[0], [0.0, 0.0])
     np.testing.assert_array_equal(coords[4], [1.0, 1.0])
+    np.testing.assert_array_equal(coords[5], [1.0, 2.0])
+    np.testing.assert_array_equal(
+        lay.image_mask([0, 1, 2, 7, 8, 10]), [False, False, True, True, False, False]
+    )
+    full = np.arange(11 * 4, dtype=np.float32).reshape(11, 4)
+    rows = lay.image_rows(full, "h")
+    np.testing.assert_array_equal(rows, full[2:8])
+    assert np.shares_memory(rows, full)
+    image = full[2:8]
+    assert lay.image_rows(image, "h") is image
+    with pytest.raises(ValidationError, match="tensor 'h'.*matrix"):
+        lay.image_rows(full[0], "h")
+    with pytest.raises(ValidationError, match="tensor 'h'.*7 rows"):
+        lay.image_rows(full[:7], "h")
 
 
 def test_layout_non_square_grid_allowed():
     lay = TokenLayout(n_system=0, n_image=12, n_text=0, grid_rows=3, grid_cols=4)
-    assert lay.grid_position(11) == (2, 3)
+    coords = grid_coordinates(lay.grid_rows, lay.grid_cols)
+    assert coords.shape == (12, 2)
+    np.testing.assert_array_equal(coords[11], [2.0, 3.0])
 
 
 def test_layout_json_roundtrip():
