@@ -20,6 +20,9 @@ from .trace import PruningSchedule, PruningStage, TensorBlob
 
 DEFAULT_TAU = 0.93
 DEFAULT_CALIBRATION_SIZE = 64
+# shift_profile's float64 row blocks hold about this many bytes each, so
+# they stay in cache
+_BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -56,15 +59,30 @@ class ShiftProfile:
         return len(self.per_layer)
 
 
-def _stack_array(hidden_stack) -> np.ndarray:
-    arr = hidden_stack.view() if isinstance(hidden_stack, TensorBlob) else np.asarray(hidden_stack)
-    if arr.ndim != 3:
-        raise ValidationError(f"hidden stack must be [L+1, N, d], got shape {arr.shape}")
-    if arr.shape[0] < 3:
+def _snapshots(hidden_stack) -> list[np.ndarray]:
+    """The snapshots of a hidden stack as [N, d] arrays, copying nothing."""
+    if isinstance(hidden_stack, TensorBlob):
+        hidden_stack = hidden_stack.view()
+    if isinstance(hidden_stack, np.ndarray) and hidden_stack.ndim != 3:
         raise ValidationError(
-            f"hidden stack needs at least 3 snapshots (2 layers), got {arr.shape[0]}"
+            f"hidden stack must be [L+1, N, d], got shape {hidden_stack.shape}"
         )
-    return arr.astype(np.float64)
+    snaps = [np.asarray(snap) for snap in hidden_stack]
+    for s, snap in enumerate(snaps):
+        if snap.ndim != 2:
+            raise ValidationError(
+                f"hidden stack must be [L+1, N, d], got snapshot {s} of shape {snap.shape}"
+            )
+    if len(snaps) < 3:
+        raise ValidationError(
+            f"hidden stack needs at least 3 snapshots (2 layers), got {len(snaps)}"
+        )
+    for s, snap in enumerate(snaps):
+        if snap.shape != snaps[0].shape:
+            raise ValidationError(
+                f"hidden snapshot {s} has shape {snap.shape}, snapshot 0 has {snaps[0].shape}"
+            )
+    return snaps
 
 
 def shift_profile(hidden_stack, tau: float = DEFAULT_TAU,
@@ -72,32 +90,50 @@ def shift_profile(hidden_stack, tau: float = DEFAULT_TAU,
     """Count image tokens whose cosine to the next snapshot falls below tau.
 
     ``hidden_stack`` holds image hidden states for snapshots 0..L (layer
-    inputs plus the final output), shape [L+1, N, d]; entry l of the result
-    counts tokens with cos(X^(l)_i, X^(l+1)_i) < tau.  The optional
-    ``attention_to_image`` curve (one value per layer) is carried through
-    as a diagnostic.
+    inputs plus the final output): an [L+1, N, d] array or a sequence of
+    L+1 [N, d] arrays, such as memory-mapped trace tensors.  Entry l of the
+    result counts tokens with cos(X^(l)_i, X^(l+1)_i) < tau, computed in
+    float64.  The snapshots are walked pair by pair, one block of rows at a
+    time, so the float64 working set is three row blocks plus the [L+1, N]
+    norms and [L, N] dot products; the sums run over d for each row exactly
+    as on a whole float64 stack.  The optional ``attention_to_image`` curve
+    (one value per layer) is carried through as a diagnostic.
     """
     if not 0.0 < tau < 1.0:
         raise ValidationError(f"tau must be in (0, 1), got {tau}")
-    stack = _stack_array(hidden_stack)
-    norms = np.linalg.norm(stack, axis=2)
+    snaps = _snapshots(hidden_stack)
+    n, d = snaps[0].shape
+    norms = np.empty((len(snaps), n))
+    dots = np.empty((len(snaps) - 1, n))
+    rows = max(1, min(n, _BLOCK_BYTES // max(1, 8 * d)))
+    prev, cur, prod = (np.empty((rows, d)) for _ in range(3))
+    for start in range(0, n, rows):
+        block = slice(start, min(n, start + rows))
+        k = block.stop - start
+        for s, snap in enumerate(snaps):
+            np.copyto(cur[:k], snap[block], casting="unsafe")
+            np.multiply(cur[:k], cur[:k], out=prod[:k])
+            norms[s, block] = np.sqrt(np.add.reduce(prod[:k], axis=1))
+            if s:
+                np.multiply(prev[:k], cur[:k], out=prod[:k])
+                dots[s - 1, block] = np.add.reduce(prod[:k], axis=1)
+            prev, cur = cur, prev
     zero = np.argwhere(norms == 0)
     if zero.size:
         snap, tok = zero[0]
         raise ValidationError(
             f"zero-norm hidden state at snapshot {snap}, image token {tok}"
         )
-    num_pairs = stack.shape[0] - 1
+    num_pairs = len(dots)
     if attention_to_image is not None and len(attention_to_image) != num_pairs:
         raise ValidationError(
             f"attention curve has {len(attention_to_image)} entries, want {num_pairs}"
         )
+    counts = np.count_nonzero(dots / (norms[:-1] * norms[1:]) < tau, axis=1)
     entries = []
     for l in range(num_pairs):
-        cos = (stack[l] * stack[l + 1]).sum(axis=1) / (norms[l] * norms[l + 1])
-        count = int(np.count_nonzero(cos < tau))
         att = float(attention_to_image[l]) if attention_to_image is not None else None
-        entries.append(ShiftEntry(layer=l, shifted_count=count, attention_to_image=att))
+        entries.append(ShiftEntry(layer=l, shifted_count=int(counts[l]), attention_to_image=att))
     return ShiftProfile(per_layer=tuple(entries))
 
 

@@ -90,7 +90,7 @@ def _load_schedule(path: str) -> PruningSchedule:
         obj = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise TraceError(f"{path}: malformed schedule JSON: {exc}") from exc
-    return PruningSchedule.from_json_dict(obj)
+    return PruningSchedule.from_json_dict(obj, where=path)
 
 
 def _thread_count(n_jobs: int) -> int:
@@ -132,6 +132,18 @@ def _fmt(value: float) -> str:
 # calibrate
 
 
+class _Snapshots(list):
+    """Image-row views of one trace's hidden snapshots, uncopied.
+
+    ``shape`` is that of the [L+1, N, d] stack they form, as for an array
+    (perfbench/traced_cli.py records it for each ``shift_profile`` call).
+    """
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return (len(self), *self[0].shape)
+
+
 def _profile_one_trace(trace_dir: str, tau: float):
     manifest, tensors = read_trace(trace_dir)
     hidden = layer_tensors(tensors, "hidden_l")
@@ -143,8 +155,8 @@ def _profile_one_trace(trace_dir: str, tau: float):
             f"{', '.join(blob.name for blob in hidden.values())}"
         )
     layout = manifest.layout
-    mats = [layout.image_rows(blob.view(), blob.name) for blob in hidden.values()]
-    return shift_profile(np.stack(mats), tau=tau)
+    mats = _Snapshots(layout.image_rows(blob.view(), blob.name) for blob in hidden.values())
+    return shift_profile(mats, tau=tau)
 
 
 def cmd_calibrate(args) -> int:

@@ -40,6 +40,16 @@ def _as_array(x) -> np.ndarray:
     return np.asarray(x)
 
 
+def check_attention_row_shape(shape: tuple[int, ...], layout: TokenLayout) -> None:
+    """Reject an attention row shape ``importance_last_token`` cannot score."""
+    if len(shape) not in (1, 2):
+        raise ValidationError(f"attention row must be 1-D or [heads, seq], got {shape}")
+    if shape[-1] != layout.total():
+        raise ValidationError(
+            f"last-token attention row: row length {shape[-1]} != sequence length {layout.total()}"
+        )
+
+
 def importance_last_token(attn_row, layout: TokenLayout, layer: int = 0) -> ImportanceScores:
     """Importance from the last prompt position's attention row.
 
@@ -50,14 +60,9 @@ def importance_last_token(attn_row, layout: TokenLayout, layer: int = 0) -> Impo
     on exactly that position's state.
     """
     row = _as_array(attn_row)
+    check_attention_row_shape(row.shape, layout)
     if row.ndim == 2:
         row = row.mean(axis=0)
-    elif row.ndim != 1:
-        raise ValidationError(f"attention row must be 1-D or [heads, seq], got {row.shape}")
-    if row.size != layout.total():
-        raise ValidationError(
-            f"last-token attention row: row length {row.size} != sequence length {layout.total()}"
-        )
     if np.any(row < 0):
         raise ValidationError("last-token attention row: negative entries, expected softmaxed rows")
     return ImportanceScores(

@@ -21,7 +21,7 @@ from .diversity import DiversityConfig, greedy_maxmin, pair_distances, spatial_i
 # not called here; perfbench/traced_cli.py looks these names up on this module
 from .diversity import min_pairwise_distance, sum_of_distances  # noqa: F401
 from .errors import ValidationError
-from .scoring import importance_last_token, rebalanced_topk
+from .scoring import check_attention_row_shape, importance_last_token, rebalanced_topk
 from .trace import (
     PruningSchedule,
     PruningStage,
@@ -216,17 +216,42 @@ class ArrayStageProvider:
                     f"layer {l}: hidden shape {mat.shape} != ({layout.n_image}, d)"
                 )
 
+    def _layer_scores(self, layer: int) -> np.ndarray | None:
+        return self._scores.get(layer)
+
     def stage_inputs(self, layer: int, survivors: np.ndarray) -> StageInputs:
-        if layer not in self._scores or layer not in self._hidden:
+        scores = self._layer_scores(layer)
+        if scores is None or layer not in self._hidden:
             raise ValidationError(f"no stage data recorded for scheduled layer {layer}")
         survivors = np.asarray(survivors, dtype=np.int64)
         return StageInputs(
             layer=layer,
             survivors=survivors,
-            scores=self._scores[layer][survivors],
+            scores=scores[survivors],
             hidden=self._hidden[layer][survivors],
             layout=self.layout,
         )
+
+
+class _TraceStageProvider(ArrayStageProvider):
+    """Scores layer i from ``attn_l{i}`` the first time a stage asks for it."""
+
+    def __init__(
+        self,
+        layout: TokenLayout,
+        attn_by_layer: Mapping[int, TensorBlob],
+        hidden_by_layer: Mapping[int, np.ndarray],
+    ) -> None:
+        super().__init__(layout, {}, hidden_by_layer)
+        self._attn = attn_by_layer
+
+    def _layer_scores(self, layer: int) -> np.ndarray | None:
+        if layer not in self._scores and layer in self._attn:
+            # through the module global, which perfbench/traced_cli.py wraps
+            self._scores[layer] = importance_last_token(
+                self._attn[layer], self.layout, layer=layer
+            ).scores
+        return self._scores.get(layer)
 
 
 def trace_stage_provider(
@@ -237,18 +262,19 @@ def trace_stage_provider(
     ``attn_l{i}`` is the last prompt position's attention row at layer i
     ([seq] or [heads, seq]); ``hidden_l{i}`` holds that layer's input
     hidden states for the image segment ([n_image, d], or [seq, d] from
-    which the image rows are sliced).
+    which the image rows are sliced).  Names and shapes of every layer are
+    checked here; payload values are read, and attention rows scored, only
+    for the layers a schedule runs a stage at.
     """
     layout = manifest.layout
-    scores = {
-        layer: importance_last_token(blob, layout, layer=layer).scores
-        for layer, blob in layer_tensors(tensors, "attn_l").items()
-    }
+    attn = layer_tensors(tensors, "attn_l")
+    for blob in attn.values():
+        check_attention_row_shape(blob.shape, layout)
     hidden = {
         layer: layout.image_rows(blob.view(), blob.name)
         for layer, blob in layer_tensors(tensors, "hidden_l").items()
     }
-    return ArrayStageProvider(layout, scores, hidden)
+    return _TraceStageProvider(layout, attn, hidden)
 
 
 class ScheduleDriver:

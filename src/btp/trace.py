@@ -5,7 +5,8 @@ per tensor.  Tensor payloads are 32-bit little-endian IEEE floats in
 row-major order, nothing else: the format is deliberately dumb so that an
 export script in any framework can produce it with ``json.dump`` and
 ``tofile``.  Reads and writes round-trip payload bytes verbatim, including
-NaN bit patterns.
+NaN bit patterns.  Reads are lazy: each payload is memory-mapped read-only,
+so a command pages in only the bytes it touches.
 
 Manifest layout (format version "1")::
 
@@ -18,9 +19,10 @@ Manifest layout (format version "1")::
                    "dtype": "f32le", "file": "hidden_l0.bin"}]
     }
 
-Rewriting an existing trace directory is atomic at the directory level:
-content is staged in a sibling temp directory which is renamed over the
-target, so readers never observe a half-written trace.
+Rewriting an existing trace directory swaps whole directories: content is
+staged in a sibling temp directory, the old trace is renamed aside, the
+staged one is renamed into place and only then is the old one removed.  A
+write that fails at any step leaves the old trace as it was.
 """
 
 from __future__ import annotations
@@ -46,6 +48,24 @@ MANIFEST_NAME = "manifest.json"
 _DTYPE_TAGS = {"f32le": np.dtype("<f4")}
 
 
+def _is_int(value) -> bool:
+    # JSON booleans are ints to Python, and a float such as 12.9 must be
+    # rejected rather than truncated by int()
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _json_int(value, field: str) -> int:
+    if not _is_int(value):
+        raise TypeError(f"{field} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _json_number(value, field: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{field} must be a number, got {value!r}")
+    return float(value)
+
+
 # ---------------------------------------------------------------------------
 # tensors
 
@@ -67,7 +87,9 @@ class TensorBlob:
             raise ValidationError(
                 f"tensor {self.name!r}: every extent must be >= 1, got {shape}"
             )
-        data = np.ascontiguousarray(self.data, dtype=np.float32).reshape(-1)
+        # np.require keeps a read-only memmap a memmap, and copies nothing
+        # that is already contiguous float32
+        data = np.require(self.data, dtype=np.float32, requirements="C").reshape(-1)
         object.__setattr__(self, "data", data)
         want = math.prod(shape)
         if data.size != want:
@@ -112,6 +134,9 @@ def layer_tensors(tensors: Mapping[str, TensorBlob], prefix: str) -> dict[int, T
 
 # ---------------------------------------------------------------------------
 # token layout
+
+
+_LAYOUT_FIELDS = ("n_system", "n_image", "n_text", "grid_rows", "grid_cols")
 
 
 @dataclass(frozen=True)
@@ -171,24 +196,12 @@ class TokenLayout:
         return mat
 
     def to_json_dict(self) -> dict:
-        return {
-            "n_system": self.n_system,
-            "n_image": self.n_image,
-            "n_text": self.n_text,
-            "grid_rows": self.grid_rows,
-            "grid_cols": self.grid_cols,
-        }
+        return {name: getattr(self, name) for name in _LAYOUT_FIELDS}
 
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "TokenLayout":
         try:
-            return cls(
-                n_system=int(obj["n_system"]),
-                n_image=int(obj["n_image"]),
-                n_text=int(obj["n_text"]),
-                grid_rows=int(obj["grid_rows"]),
-                grid_cols=int(obj["grid_cols"]),
-            )
+            return cls(**{name: _json_int(obj[name], name) for name in _LAYOUT_FIELDS})
         except KeyError as exc:
             raise ValidationError(f"layout is missing field {exc.args[0]!r}") from exc
 
@@ -288,15 +301,25 @@ class PruningSchedule:
         }
 
     @classmethod
-    def from_json_dict(cls, obj: Mapping) -> "PruningSchedule":
+    def from_json_dict(cls, obj: Mapping, where: str = "schedule") -> "PruningSchedule":
+        """Parse a schedule object.
+
+        A field of the wrong JSON type or a missing field is a
+        ``TraceError`` naming ``where``; a well-formed schedule whose values
+        break a rule (retention 1.5, say) is a ``ValidationError``.
+        """
         try:
-            stages = tuple(
-                PruningStage(int(s["layer"]), float(s["retention"]), float(s["balance"]))
+            stages = [
+                (_json_int(s["layer"], "stage layer"),
+                 _json_number(s["retention"], "retention"),
+                 _json_number(s["balance"], "balance"))
                 for s in obj["stages"]
-            )
-            return cls(stages=stages, num_layers=int(obj["num_layers"]))
-        except KeyError as exc:
-            raise ValidationError(f"schedule is missing field {exc.args[0]!r}") from exc
+            ]
+            num_layers = _json_int(obj["num_layers"], "num_layers")
+        except (KeyError, TypeError, ValueError) as exc:
+            detail = f"missing field {exc.args[0]!r}" if isinstance(exc, KeyError) else exc
+            raise TraceError(f"{where}: malformed schedule: {detail}") from exc
+        return cls(stages=tuple(PruningStage(*s) for s in stages), num_layers=num_layers)
 
 
 # ---------------------------------------------------------------------------
@@ -403,10 +426,7 @@ class TensorSpec:
         if not self.name:
             raise ValidationError("tensor name must be non-empty")
         shape = tuple(self.shape)
-        if not shape or not all(
-            isinstance(s, numbers.Integral) and not isinstance(s, bool) and s >= 1
-            for s in shape
-        ):
+        if not shape or not all(_is_int(s) and s >= 1 for s in shape):
             raise ValidationError(
                 f"tensor {self.name!r}: shape must be integers >= 1, got {list(shape)}"
             )
@@ -486,10 +506,7 @@ def _manifest_from_json(obj, where: str) -> TraceManifest:
         return TraceManifest(
             version=version,
             model_dims=ModelShape(
-                layers=int(dims["layers"]),
-                d=int(dims["d"]),
-                heads=int(dims["heads"]),
-                m=int(dims["m"]),
+                **{name: _json_int(dims[name], name) for name in ("layers", "d", "heads", "m")}
             ),
             layout=TokenLayout.from_json_dict(obj["layout"]),
             tensors=specs,
@@ -505,44 +522,71 @@ def _manifest_from_json(obj, where: str) -> TraceManifest:
 
 
 def read_trace(path) -> tuple[TraceManifest, dict[str, TensorBlob]]:
-    """Load a trace directory.
+    """Open a trace directory.
 
-    Returns the parsed manifest and a name-keyed dict of tensors.  Payload
-    bytes are taken verbatim, so NaN payloads survive a round trip.
+    Returns the parsed manifest and a name-keyed dict of tensors.  No payload
+    byte is read here: each payload's length is checked against its shape
+    and the file is mapped read-only, so bytes are paged in as they are
+    used and taken verbatim (NaN payloads survive a round trip).  Each
+    mapped tensor holds one file descriptor until it is garbage collected.
+    Every file is opened relative to one handle on the directory, so a
+    trace replaced by ``write_trace`` mid-read is either read whole or
+    reported missing, never mixed with its successor.
     """
     root = Path(path)
-    manifest_path = root / MANIFEST_NAME
-    if not manifest_path.is_file():
-        raise TraceError(f"{root}: no {MANIFEST_NAME} found")
     try:
-        obj = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise TraceError(f"{manifest_path}: malformed JSON: {exc}") from exc
-    manifest = _manifest_from_json(obj, where=str(manifest_path))
+        dir_fd = os.open(root, os.O_RDONLY | os.O_DIRECTORY)
+    except (FileNotFoundError, NotADirectoryError) as exc:
+        raise TraceError(f"{root}: no {MANIFEST_NAME} found") from exc
 
-    tensors: dict[str, TensorBlob] = {}
-    for spec in manifest.tensors:
-        file_path = root / spec.file
-        if not file_path.is_file():
-            raise TraceError(f"tensor {spec.name!r}: payload file {file_path} missing")
-        dtype = _DTYPE_TAGS[spec.dtype]
-        want = math.prod(spec.shape)
-        raw = np.fromfile(file_path, dtype=dtype)
-        if raw.size != want:
-            raise TraceError(
-                f"tensor {spec.name!r}: shape {spec.shape} needs {want * dtype.itemsize} "
-                f"bytes, file {spec.file!r} holds {raw.size * dtype.itemsize}"
-            )
-        # view as native float32 without touching the bit patterns
-        data = raw.astype("<f4", copy=False).view(np.float32)
-        tensors[spec.name] = TensorBlob(name=spec.name, shape=spec.shape, data=data)
+    def opener(name, flags):
+        return os.open(name, flags, dir_fd=dir_fd)
+
+    try:
+        try:
+            with open(MANIFEST_NAME, "rb", opener=opener) as fh:
+                raw = fh.read()
+        except (FileNotFoundError, IsADirectoryError) as exc:
+            raise TraceError(f"{root}: no {MANIFEST_NAME} found") from exc
+        manifest_path = root / MANIFEST_NAME
+        try:
+            obj = json.loads(raw)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise TraceError(f"{manifest_path}: malformed JSON: {exc}") from exc
+        manifest = _manifest_from_json(obj, where=str(manifest_path))
+
+        tensors: dict[str, TensorBlob] = {}
+        for spec in manifest.tensors:
+            dtype = _DTYPE_TAGS[spec.dtype]
+            want = math.prod(spec.shape)
+            try:
+                with open(spec.file, "rb", opener=opener) as fh:
+                    size = os.fstat(fh.fileno()).st_size
+                    if size != want * dtype.itemsize:
+                        raise TraceError(
+                            f"tensor {spec.name!r}: shape {spec.shape} needs "
+                            f"{want * dtype.itemsize} bytes, file {spec.file!r} holds {size}"
+                        )
+                    data = np.memmap(fh, dtype=dtype, mode="r", shape=(want,))
+            except (FileNotFoundError, IsADirectoryError) as exc:
+                raise TraceError(
+                    f"tensor {spec.name!r}: payload file {root / spec.file} missing"
+                ) from exc
+            tensors[spec.name] = TensorBlob(name=spec.name, shape=spec.shape, data=data)
+    finally:
+        os.close(dir_fd)
     return manifest, tensors
 
 
 def write_trace(path, manifest: TraceManifest, tensors: Mapping[str, TensorBlob]) -> None:
-    """Write a trace directory, staging in a temp dir and renaming over ``path``.
+    """Write a trace directory, staging in a temp dir and swapping it in.
 
-    The manifest must list exactly the tensors provided, with matching shapes.
+    The manifest must list exactly the tensors provided, with matching
+    shapes.  An existing trace at ``path`` is renamed aside, the staged one
+    renamed into place, and the old one removed last; if any step fails the
+    old trace is put back and the staging directory removed.  Payloads are
+    not fsynced, so the guarantee covers failed writes and concurrent
+    readers, not power loss.
     """
     given = set(tensors)
     listed = {t.name for t in manifest.tensors}
@@ -565,7 +609,13 @@ def write_trace(path, manifest: TraceManifest, tensors: Mapping[str, TensorBlob]
 
     root = Path(path)
     root.parent.mkdir(parents=True, exist_ok=True)
-    staging = root.parent / f".{root.name}.tmp-{uuid.uuid4().hex[:12]}"
+    tag = uuid.uuid4().hex[:12]
+    staging = root.parent / f".{root.name}.tmp-{tag}"
+    # only a real directory is swapped out; renaming the staging directory
+    # onto a file or a symlink fails and leaves it alone
+    aside = None
+    if root.is_dir() and not root.is_symlink():
+        aside = root.parent / f".{root.name}.old-{tag}"
     staging.mkdir()
     try:
         (staging / MANIFEST_NAME).write_text(
@@ -574,9 +624,16 @@ def write_trace(path, manifest: TraceManifest, tensors: Mapping[str, TensorBlob]
         for spec in manifest.tensors:
             blob = tensors[spec.name]
             blob.data.astype("<f4", copy=False).tofile(staging / spec.file)
-        if root.exists():
-            shutil.rmtree(root)
-        os.rename(staging, root)
+        if aside is not None:
+            os.rename(root, aside)
+        try:
+            os.rename(staging, root)
+        except BaseException:
+            if aside is not None:
+                os.rename(aside, root)
+            raise
     except BaseException:
         shutil.rmtree(staging, ignore_errors=True)
         raise
+    if aside is not None:
+        shutil.rmtree(aside)

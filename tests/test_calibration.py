@@ -1,5 +1,8 @@
 """Shift profiling, pruning-layer selection, and the synthetic stack builder."""
 
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,7 +17,16 @@ from btp.calibration import (
     synthetic_shift_stack,
 )
 from btp.errors import ValidationError
-from btp.trace import PruningSchedule, PruningStage
+from btp.trace import (
+    ModelShape,
+    PruningSchedule,
+    PruningStage,
+    TensorBlob,
+    TokenLayout,
+    make_manifest,
+    read_trace,
+    write_trace,
+)
 
 
 def _profile(counts, attention=None):
@@ -99,6 +111,113 @@ def test_shift_profile_scale_invariant():
     stack = synthetic_shift_stack(rng, num_layers=6, n_image=10, d=8, shifted={2: 7})
     scaled = stack * rng.uniform(0.1, 10.0, size=stack.shape[:2])[:, :, None].astype(np.float32)
     assert shift_profile(stack).counts.tolist() == shift_profile(scaled).counts.tolist()
+
+
+def _dense_cosines(stack):
+    """Consecutive-snapshot cosines [L, N] the way ``shift_profile`` used to
+    compute them, from one [L+1, N, d] float64 copy: the test oracle, whose
+    counts the streamed computation must match bit for bit."""
+    stack = np.asarray(stack).astype(np.float64)
+    norms = np.linalg.norm(stack, axis=2)
+    assert not (norms == 0).any()
+    return np.stack([
+        (stack[l] * stack[l + 1]).sum(axis=1) / (norms[l] * norms[l + 1])
+        for l in range(stack.shape[0] - 1)
+    ])
+
+
+def _dense_shift_counts(stack, tau):
+    return np.count_nonzero(_dense_cosines(stack) < tau, axis=1)
+
+
+def _assert_counts_match_dense(given, stack):
+    """Counts at tau 0.93 and at taus equal to computed cosines, where a
+    single rounding difference flips a token."""
+    cos = _dense_cosines(stack)
+    inside = np.sort(cos[(cos > 0) & (cos < 1)])
+    taus = [0.93] + list(inside[:: max(1, inside.size // 7)])
+    assert len(taus) > 1
+    for tau in taus:
+        np.testing.assert_array_equal(
+            shift_profile(given, tau=tau).counts, _dense_shift_counts(stack, tau)
+        )
+
+
+def _random_stacks():
+    for i, (n, d) in enumerate([(1, 3), (3, 2), (50, 17), (300, 257), (64, 4096)]):
+        rng = np.random.default_rng([41, i])
+        # a random walk keeps consecutive cosines spread over (0, 1)
+        yield np.cumsum(rng.standard_normal((5, n, d)), axis=0).astype(np.float32)
+    yield synthetic_shift_stack(
+        np.random.default_rng(42), num_layers=6, n_image=64, d=33, shifted={1: 32, 4: 64},
+        tau=0.93, stable_cos=0.93 + 1e-7, shift_cos=0.93 - 1e-7,
+    )
+
+
+def test_shift_profile_matches_dense_reference():
+    for stack in _random_stacks():
+        for given in (stack, list(stack)):
+            _assert_counts_match_dense(given, stack)
+        if stack.size < 10**5:
+            _assert_counts_match_dense([snap.tolist() for snap in stack], stack)
+
+
+def test_shift_profile_reads_memory_mapped_trace_views(tmp_path):
+    stack = list(_random_stacks())[2]  # 5 snapshots of [50, 17]
+    layout = TokenLayout(n_system=1, n_image=50, n_text=2, grid_rows=5, grid_cols=10)
+    full = np.random.default_rng(43).standard_normal((len(stack), layout.total(), 17))
+    full[:, layout.image_slice] = stack
+    blobs = {f"hidden_l{i}": TensorBlob.from_array(f"hidden_l{i}", m) for i, m in enumerate(full)}
+    write_trace(tmp_path / "t", make_manifest(layout, ModelShape(4, 17, 1, 4), blobs), blobs)
+    _, tensors = read_trace(tmp_path / "t")
+    views = [
+        layout.image_rows(tensors[f"hidden_l{i}"].view(), "h") for i in range(len(stack))
+    ]
+    assert all(isinstance(v, np.memmap) and not v.flags.writeable for v in views)
+    _assert_counts_match_dense(views, stack)
+
+
+def test_shift_profile_errors_keep_their_order():
+    ones = np.ones((3, 2, 2))
+    cases = [
+        (np.ones((2, 2)), "hidden stack must be [L+1, N, d], got shape (2, 2)"),
+        ([np.ones(2)] * 3, "hidden stack must be [L+1, N, d], got snapshot 0 of shape (2,)"),
+        # a 2-snapshot list whose shapes differ is short first
+        ([np.ones((2, 2)), np.ones((3, 2))],
+         "hidden stack needs at least 3 snapshots (2 layers), got 2"),
+        ([np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 3))],
+         "hidden snapshot 2 has shape (2, 3), snapshot 0 has (2, 2)"),
+    ]
+    zero_late = ones.copy()
+    zero_late[2, 1] = 0.0
+    zero_late[1, 1, 0] = 0.0  # a zero element alone is no zero norm
+    cases.append((zero_late, "zero-norm hidden state at snapshot 2, image token 1"))
+    for given, message in cases:
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            shift_profile(given)
+    with pytest.raises(ValidationError, match="snapshot 0, image token 0"):
+        shift_profile(np.ones((3, 2, 0)))  # width 0: every norm is zero
+    assert shift_profile(np.ones((3, 0, 4))).counts.tolist() == [0, 0]  # no tokens
+    # the zero-norm check still runs before the attention curve's length check
+    with pytest.raises(ValidationError, match="zero-norm hidden state at snapshot 2"):
+        shift_profile(zero_late, attention_to_image=[0.5])
+    with pytest.raises(ValidationError, match="attention curve has 1 entries, want 2"):
+        shift_profile(ones, attention_to_image=[0.5])
+
+
+def test_shift_profile_memory_is_below_one_snapshot():
+    # 33 snapshots of 512 x 1024: the stacked float64 copy would be 138 MB,
+    # one float64 snapshot is 4 MiB
+    n, d = 512, 1024
+    stack = np.random.default_rng(44).standard_normal((33, n, d), dtype=np.float32)
+    snapshot_bytes = n * d * 8
+    tracemalloc.start()
+    try:
+        shift_profile(stack)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < snapshot_bytes, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_synthetic_stack_plants_exact_counts():

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, exit codes, and output determinism."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -247,7 +248,10 @@ def test_calibrate_missing_trace_is_io_error(tmp_path, capsys):
      "tensor 'hidden_l1': expected a matrix, got shape (96,)"),
     ({"hidden_l0": (12, 8), "hidden_l1": (7, 8)},
      "tensor 'hidden_l1': 7 rows, want n_image=12 or the full sequence 15"),
-], ids=["non-contiguous", "vector", "row-count"])
+    # np.stack used to raise a bare ValueError here
+    ({"hidden_l0": (12, 8), "hidden_l1": (12, 9), "hidden_l2": (12, 8)},
+     "hidden snapshot 1 has shape (12, 9), snapshot 0 has (12, 8)"),
+], ids=["non-contiguous", "vector", "row-count", "width"])
 def test_calibrate_rejects_bad_hidden_tensors(tmp_path, capsys, shapes, message):
     rng = np.random.default_rng(3)
     layout = TokenLayout(n_system=1, n_image=12, n_text=2, grid_rows=3, grid_cols=4)
@@ -352,6 +356,10 @@ MANIFEST_EDITS = {
     "empty-name": lambda m: m["tensors"][0].update(name=""),
     "float-extent": lambda m: m["tensors"][1].update(shape=[12.7, 8]),
     "bool-extent": lambda m: m["tensors"][0].update(shape=[True, 17]),
+    # int() would read these as 12, 6 and 1
+    "float-n_image": lambda m: m["layout"].update(n_image=12.9),
+    "float-layers": lambda m: m["model_dims"].update(layers=6.5),
+    "bool-heads": lambda m: m["model_dims"].update(heads=True),
 }
 
 
@@ -383,6 +391,59 @@ def test_select_malformed_schedule_json(tmp_path, capsys):
     bad.write_text("{not json")
     code, _, err = _run(capsys, ["select", "--trace", trace, "--schedule", str(bad)])
     assert code == 2 and "malformed schedule JSON" in err
+
+
+# each edit turns the valid two-stage schedule of _write_schedule into a
+# malformed one
+SCHEDULE_EDITS = {
+    "stages-not-a-list": lambda s: s.update(stages=5),
+    "stage-string": lambda s: s.update(stages=["x"]),
+    "layer-string": lambda s: s["stages"][0].update(layer="a"),
+    "float-num_layers": lambda s: s.update(num_layers=6.5),
+    "bool-num_layers": lambda s: s.update(num_layers=True),
+    "missing-balance": lambda s: s["stages"][1].pop("balance"),
+}
+
+
+@pytest.mark.parametrize("edit", list(SCHEDULE_EDITS))
+def test_select_rejects_malformed_schedule(tmp_path, capsys, edit):
+    trace = _write_select_trace(tmp_path)
+    sched = _write_schedule(tmp_path, [(1, 0.5, 0.5), (3, 0.5, 1.0)], num_layers=6)
+    obj = json.loads(Path(sched).read_text())
+    SCHEDULE_EDITS[edit](obj)
+    Path(sched).write_text(json.dumps(obj))
+    code, out, err = _run(capsys, ["select", "--trace", trace, "--schedule", sched])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {sched}: malformed schedule: ")
+    assert err.count("\n") == 1
+
+
+def test_select_rejects_out_of_range_schedule(tmp_path, capsys):
+    trace = _write_select_trace(tmp_path)
+    sched = _write_schedule(tmp_path, [(1, 0.5, 0.5), (3, 0.5, 1.0)], num_layers=6)
+    obj = json.loads(Path(sched).read_text())
+    obj["stages"][0]["retention"] = 1.5
+    Path(sched).write_text(json.dumps(obj))
+    code, out, err = _run(capsys, ["select", "--trace", trace, "--schedule", sched])
+    assert code == 1 and out == ""
+    assert err == "error: retention must be in (0, 1], got 1.5\n"
+
+
+def test_select_scores_only_scheduled_layers(tmp_path, capsys, monkeypatch):
+    import btp.selector
+
+    trace = _write_select_trace(tmp_path)  # attn_l1 and attn_l3
+    sched = _write_schedule(tmp_path, [(3, 0.5, 1.0)], num_layers=6)
+    scored = []
+    score = btp.selector.importance_last_token
+
+    def counting(attn_row, layout, layer=0):
+        scored.append(layer)
+        return score(attn_row, layout, layer=layer)
+
+    monkeypatch.setattr(btp.selector, "importance_last_token", counting)
+    code, _, _ = _run(capsys, ["select", "--trace", trace, "--schedule", sched])
+    assert code == 0 and scored == [3]
 
 
 # ---------------------------------------------------------------------------

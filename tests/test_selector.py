@@ -301,6 +301,30 @@ def test_trace_provider_rejects_bad_tensors():
         )
 
 
+def test_trace_provider_checks_shapes_now_and_values_when_used():
+    row = np.full(LAYOUT.total(), 1.0 / LAYOUT.total())
+    hidden = np.ones((LAYOUT.n_image, 4))
+    dims = ModelShape(8, 4, 1, 8)
+    short = {"attn_l1": TensorBlob.from_array("attn_l1", row),
+             "attn_l5": TensorBlob.from_array("attn_l5", row[:-1])}
+    with pytest.raises(ValidationError, match="row length 16 != sequence length 17"):
+        trace_stage_provider(make_manifest(LAYOUT, dims, short), short)
+    cube = {"attn_l5": TensorBlob.from_array("attn_l5", np.ones((1, 1, LAYOUT.total())))}
+    with pytest.raises(ValidationError, match=re.escape("got (1, 1, 17)")):
+        trace_stage_provider(make_manifest(LAYOUT, dims, cube), cube)
+    # a negative entry is a value: found when layer 5 is scored, not before
+    blobs = {
+        "attn_l1": TensorBlob.from_array("attn_l1", row),
+        "hidden_l1": TensorBlob.from_array("hidden_l1", hidden),
+        "attn_l5": TensorBlob.from_array("attn_l5", -row),
+        "hidden_l5": TensorBlob.from_array("hidden_l5", hidden),
+    }
+    provider = trace_stage_provider(make_manifest(LAYOUT, dims, blobs), blobs)
+    assert provider.stage_inputs(1, np.arange(12)).scores.size == 12
+    with pytest.raises(ValidationError, match="negative entries"):
+        provider.stage_inputs(5, np.arange(12))
+
+
 # ---------------------------------------------------------------------------
 # driver hook
 

@@ -2,10 +2,13 @@
 
 import json
 import math
+import os
+import re
 
 import numpy as np
 import pytest
 
+import btp.trace
 from btp.diversity import grid_coordinates
 from btp.errors import TraceError, ValidationError
 from btp.trace import (
@@ -259,9 +262,83 @@ def test_read_rejects_byte_length_mismatch(tmp_path):
     root = tmp_path / "trace"
     _write_simple_trace(root)
     payload = root / "hidden_l0.bin"
-    payload.write_bytes(payload.read_bytes()[:-4])
-    with pytest.raises(TraceError, match="hidden_l0"):
+    raw = payload.read_bytes()
+    # one element short, then one element long
+    for wrong in (raw[:-4], raw + raw[:4]):
+        payload.write_bytes(wrong)
+        message = (f"tensor 'hidden_l0': shape (4, 8) needs 128 bytes, "
+                   f"file 'hidden_l0.bin' holds {len(wrong)}")
+        with pytest.raises(TraceError, match=re.escape(message)):
+            read_trace(root)
+
+
+def test_read_maps_payloads_read_only(tmp_path):
+    root = tmp_path / "trace"
+    _, blobs = _write_simple_trace(root)
+    _, got = read_trace(root)
+    data = got["hidden_l0"].data
+    assert isinstance(data, np.memmap) and data.dtype == np.dtype("<f4")
+    assert not data.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        data[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        got["hidden_l0"].view()[0, 0] = 1.0
+    assert got["hidden_l0"].data.tobytes() == blobs["hidden_l0"].data.tobytes()
+
+
+def test_read_rejects_undecodable_manifest(tmp_path):
+    root = tmp_path / "trace"
+    _write_simple_trace(root)
+    (root / "manifest.json").write_bytes(b"\xff\xfe{")
+    with pytest.raises(TraceError, match="malformed JSON"):
         read_trace(root)
+
+
+def test_read_during_replace_is_never_mixed(tmp_path, monkeypatch):
+    """A trace replaced between the manifest and the payload reads is
+    reported missing, not read as the old manifest over new payloads."""
+    root = tmp_path / "trace"
+    manifest, blobs = _write_simple_trace(root)
+    parse = btp.trace._manifest_from_json
+
+    def parse_then_replace(obj, where):
+        newer = {name: TensorBlob.from_array(name, blob.view() + 1) for name, blob in blobs.items()}
+        write_trace(root, manifest, newer)
+        return parse(obj, where)
+
+    monkeypatch.setattr(btp.trace, "_manifest_from_json", parse_then_replace)
+    with pytest.raises(TraceError, match="missing"):
+        read_trace(root)
+
+
+@pytest.mark.parametrize("step", ["aside", "swap"])
+def test_failed_rename_keeps_old_trace(tmp_path, monkeypatch, step):
+    root = tmp_path / "trace"
+    manifest, blobs = _write_simple_trace(root)
+    before = {p.name: p.read_bytes() for p in root.iterdir()}
+    rename = os.rename
+    # "aside" renames the old trace to .trace.old-*, "swap" renames the
+    # staged .trace.tmp-* into place
+    prefix = {"aside": ".trace.old-", "swap": ".trace.tmp-"}[step]
+
+    def failing_rename(src, dst):
+        if any(os.path.basename(p).startswith(prefix) for p in (src, dst)):
+            raise OSError(f"injected {step} failure")
+        rename(src, dst)
+
+    monkeypatch.setattr(os, "rename", failing_rename)
+    newer = {"only": TensorBlob.from_array("only", np.ones(2, dtype=np.float32))}
+    with pytest.raises(OSError, match=f"injected {step} failure"):
+        write_trace(root, make_manifest(_small_layout(), _small_dims(), newer), newer)
+    monkeypatch.undo()
+
+    assert {p.name: p.read_bytes() for p in root.iterdir()} == before
+    got_manifest, got = read_trace(root)
+    assert got_manifest == manifest
+    assert {n: b.data.tobytes() for n, b in got.items()} == {
+        n: b.data.tobytes() for n, b in blobs.items()
+    }
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["trace"]
 
 
 def test_read_rejects_unknown_version(tmp_path):
