@@ -30,6 +30,10 @@ class ImportanceScores:
         object.__setattr__(self, "scores", scores)
         if scores.size == 0:
             raise ValidationError("importance scores must be non-empty")
+        # worded as StageInputs words it, so a NaN in a trace's attention row
+        # reads the same whichever check meets it first
+        if not np.isfinite(scores).all():
+            raise ValidationError(f"layer {self.layer}: stage scores contain non-finite values")
         if np.any(scores < 0):
             raise ValidationError("importance scores must be non-negative")
 

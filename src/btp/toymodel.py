@@ -11,10 +11,17 @@ deterministic reductions, so repeated runs with a fixed seed are
 bit-identical.  A prune hook may drop image rows after any layer; dropped
 rows leave the sequence (and thus all later keys/values) entirely, while
 surviving rows keep the position encoding of their original index.
+
+The attention softmax runs in place on one float32 [heads, n, n] buffer,
+with the causal mask added as a cached float32 bias (0 / -inf), so the
+attention memory of a layer is one logits buffer plus the bias.  Its
+outputs are bit-identical to the out-of-place softmax with an ``np.where``
+mask, which the tests keep as their reference.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -105,6 +112,21 @@ def _gelu(x: np.ndarray) -> np.ndarray:
     )
 
 
+@functools.lru_cache(maxsize=8)
+def causal_bias(seq: int) -> np.ndarray:
+    """Read-only float32 [seq, seq] additive causal mask.
+
+    0 on and below the diagonal, -inf above it.  Adding it to finite
+    logits leaves the kept ones unchanged (up to the sign of a zero) and
+    makes the masked ones -inf, as an ``np.where`` mask does.  Cached per
+    length: ``forward`` asks for the same few lengths on every
+    layer between two prunes.
+    """
+    bias = np.triu(np.full((seq, seq), -np.inf, dtype=np.float32), k=1)
+    bias.flags.writeable = False
+    return bias
+
+
 def layer_step(
     x: np.ndarray, layer: int, cfg: ToyConfig, weights: ToyWeights
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -129,12 +151,15 @@ def layer_step(
     qh = q.reshape(seq, cfg.heads, hd).transpose(1, 0, 2)
     kh = k.reshape(seq, cfg.heads, hd).transpose(1, 0, 2)
     vh = v.reshape(seq, cfg.heads, hd).transpose(1, 0, 2)
-    logits = (qh @ kh.transpose(0, 2, 1)) * np.float32(1.0 / math.sqrt(hd))
-    mask = np.triu(np.ones((seq, seq), dtype=bool), k=1)
-    logits = np.where(mask[None, :, :], np.float32(-np.inf), logits)
-    logits = logits - logits.max(axis=-1, keepdims=True)
-    expd = np.exp(logits)
-    probs = expd / expd.sum(axis=-1, keepdims=True, dtype=np.float32)
+    # in place on one buffer.  Keep this order (scale, mask, subtract the row
+    # max, exp, divide by the row sum): scaling q instead of the logits, or
+    # multiplying by the reciprocal of the sum, changes the rounding.
+    probs = qh @ kh.transpose(0, 2, 1)
+    probs *= np.float32(1.0 / math.sqrt(hd))
+    probs += causal_bias(seq)
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True, dtype=np.float32)
     attn_out = (probs @ vh).transpose(1, 0, 2).reshape(seq, cfg.d) @ weights.wo[layer]
 
     mid = attn_out + x

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, exit codes, and output determinism."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -479,6 +480,30 @@ def test_simulate_csv_out_file(tmp_path, capsys):
     assert code == 0
     assert out_path.read_text().splitlines()[0] == "layer,btp,attention_only,diversity_only"
     assert out == "" and err.startswith("config: ")  # CSV to the file, config to stderr
+
+
+# SHA-256 of the CSV as the out-of-place softmax wrote it: any later
+# rounding drift in the toy decoder fails here
+SIMULATE_CSV_SHA256 = {
+    ("raw", 1): "f3298ce6f64d9d5b007551f1ff1db425c6ab1a70342f24dbc82d67ee5bdca312",
+    ("raw", 7): "6e956134632cbcf39be45829817d476b70dd00b8a188207963d12949bb827f70",
+    ("unit", 1): "90f4a227834455b3dd2eb314dd9f9509d73ff7a5f7c1d784a758b5289444d6e0",
+    ("unit", 7): "ce1e4c25a499d5edf84a52cec88d08dcf40740407d8db4113b7469527d6fd91a",
+}
+
+
+@pytest.mark.parametrize("value_norm,seed", sorted(SIMULATE_CSV_SHA256))
+def test_simulate_csv_is_pinned(tmp_path, capsys, value_norm, seed):
+    sched = _write_schedule(tmp_path, [(1, 0.5, 0.5), (3, 0.5, 1.0)], num_layers=6)
+    out_path = tmp_path / "sim.csv"
+    code, _, _ = _run(capsys, [
+        "simulate", "--schedule", sched, "--layout", "2,16,6,4,4", "--layers", "6",
+        "--d", "16", "--heads", "2", "--seed", str(seed), "--value-norm", value_norm,
+        "--out", str(out_path),
+    ])
+    assert code == 0
+    digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
+    assert digest == SIMULATE_CSV_SHA256[value_norm, seed]
 
 
 def test_simulate_needs_text_tokens(tmp_path, capsys):

@@ -3,11 +3,17 @@
 ``perfbench/traced_cli.py`` replaces module attributes by name to time
 them, and the other harness files import from ``btp``; a refactor that
 renames or removes one of those names breaks the benchmark without
-touching it.  The harness files are parsed, not imported.
+touching it.  The harness files are parsed, not imported, except for one
+traced ``simulate`` run: the wrappers read attributes off the call's
+arguments, so a changed signature breaks them too.
 """
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -55,3 +61,28 @@ def test_harness_hooks_were_found():
 @pytest.mark.parametrize("module,name", NAMES, ids=[f"{m}.{n}" for m, n in NAMES])
 def test_harness_name_resolves(module, name):
     assert hasattr(importlib.import_module(module), name)
+
+
+def test_traced_simulate_reads_toymodel_call_shapes(tmp_path):
+    schedule = {"num_layers": 6, "stages": [{"layer": 1, "retention": 0.5, "balance": 0.5}]}
+    (tmp_path / "schedule.json").write_text(json.dumps(schedule))
+    spans_path = tmp_path / "spans.json"
+    src = str(PERFBENCH.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "traced_cli.py"), str(spans_path), "0",
+         "simulate", "--schedule", str(tmp_path / "schedule.json"),
+         "--layout", "1,16,2,4,4", "--layers", "6", "--d", "16", "--heads", "2",
+         "--mlp", "32", "--out", str(tmp_path / "out.csv")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    spans = json.loads(spans_path.read_text())
+    steps = [s for s in spans if s["name"] == "toymodel.layer_step"]
+    assert len(steps) == 4 * 6
+    assert all(isinstance(s.get("n"), int) and isinstance(s.get("layer"), int) for s in steps)
+    assert {s["layer"] for s in steps} == set(range(6))
+    forwards = [s["pruned"] for s in spans if s["name"] == "toymodel.forward"]
+    assert sorted(forwards) == [False, True, True, True]

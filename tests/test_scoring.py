@@ -30,6 +30,12 @@ def test_scores_must_be_nonnegative_and_nonempty():
         ImportanceScores(layer=0, scores=np.array([]), method="last_token")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_scores_must_be_finite(bad):
+    with pytest.raises(ValidationError, match="layer 2: stage scores contain non-finite"):
+        ImportanceScores(layer=2, scores=[bad, 1.0], method="last_token")
+
+
 def test_last_token_slices_image_segment():
     lay = _layout()
     row = np.array([0.1, 0.2, 0.05, 0.15, 0.1, 0.25, 0.15])

@@ -1,5 +1,7 @@
 """Deterministic toy decoder: causality, pruning hook behavior, and probes."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,13 @@ from btp.selector import ScheduleDriver
 from btp.toymodel import (
     ForwardRecord,
     ToyConfig,
+    _gelu,
+    _layernorm,
+    causal_bias,
     forward,
     init_weights,
     layer_output_distance,
+    layer_step,
     local_prune_error,
     single_layer_optimality_check,
     sinusoidal_encoding,
@@ -54,6 +60,68 @@ def test_sinusoidal_encoding_basics():
     assert enc.shape == (5, 6) and enc.dtype == np.float32
     np.testing.assert_allclose(enc[0], [0, 1, 0, 1, 0, 1])
     assert np.all(np.abs(enc) <= 1.0)
+
+
+# ---------------------------------------------------------------------------
+# layer step against the out-of-place reference
+
+
+def _reference_layer_step(x, layer, cfg, weights):
+    """``layer_step`` with a boolean ``np.triu`` mask, ``np.where`` and a
+    softmax that allocates each intermediate: the in-place version must
+    give the same bits."""
+    seq = x.shape[0]
+    hd = cfg.d // cfg.heads
+    normed = _layernorm(x)
+    q = normed @ weights.wq[layer]
+    k = normed @ weights.wk[layer]
+    v = normed @ weights.wv[layer]
+    if cfg.value_norm == "unit":
+        norms = np.sqrt((v * v).sum(axis=1, keepdims=True, dtype=np.float32))
+        v = v / norms
+
+    qh = q.reshape(seq, cfg.heads, hd).transpose(1, 0, 2)
+    kh = k.reshape(seq, cfg.heads, hd).transpose(1, 0, 2)
+    vh = v.reshape(seq, cfg.heads, hd).transpose(1, 0, 2)
+    logits = (qh @ kh.transpose(0, 2, 1)) * np.float32(1.0 / math.sqrt(hd))
+    mask = np.triu(np.ones((seq, seq), dtype=bool), k=1)
+    logits = np.where(mask[None, :, :], np.float32(-np.inf), logits)
+    logits = logits - logits.max(axis=-1, keepdims=True)
+    expd = np.exp(logits)
+    probs = expd / expd.sum(axis=-1, keepdims=True, dtype=np.float32)
+    attn_out = (probs @ vh).transpose(1, 0, 2).reshape(seq, cfg.d) @ weights.wo[layer]
+
+    mid = attn_out + x
+    x_next = x + attn_out + _gelu(_layernorm(mid) @ weights.w1[layer]) @ weights.w2[layer]
+    last_row = probs[:, -1, :].mean(axis=0)
+    return x_next, last_row, v
+
+
+# d = 48 keeps 1/sqrt(d/heads) off a power of two for every head count, so
+# scaling q in place of the logits would change bits and fail here
+@pytest.mark.parametrize("value_norm", ["raw", "unit"])
+@pytest.mark.parametrize("heads", [1, 2, 8])
+@pytest.mark.parametrize("seq", [1, 2, 19, 300, 675])
+def test_layer_step_matches_reference_bitwise(seq, heads, value_norm):
+    cfg = ToyConfig(num_layers=2, d=48, heads=heads, mlp=96, seed=seq, value_norm=value_norm)
+    weights = init_weights(cfg)
+    x = np.random.default_rng(seq).standard_normal((seq, cfg.d)).astype(np.float32)
+    for layer in range(cfg.num_layers):
+        got = layer_step(x, layer, cfg, weights)
+        want = _reference_layer_step(x, layer, cfg, weights)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        x = got[0]
+
+
+def test_causal_bias_is_cached_and_read_only():
+    bias = causal_bias(5)
+    assert bias is causal_bias(5)
+    assert bias.dtype == np.float32 and bias.shape == (5, 5)
+    np.testing.assert_array_equal(np.isneginf(bias), np.triu(np.ones((5, 5), dtype=bool), k=1))
+    assert not np.signbit(bias[np.tril_indices(5)]).any()  # +0.0, not -0.0
+    with pytest.raises(ValueError):
+        bias[0, 1] = 0.0
 
 
 # ---------------------------------------------------------------------------
