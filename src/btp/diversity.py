@@ -10,7 +10,9 @@ the exhaustive reference used to check that bound on small instances.
 Manhattan and euclidean distances are computed a block of rows at a time
 (``distance_rows``), so no [N, N, d] difference tensor is ever built: the
 greedy pulls only the row of each point it picks, O(k * N * d) work and
-O(N * d) memory.  Cosine distance is one [N, N] matrix product.
+O(N * d) memory.  Cosine distance is one [N, N] matrix product of float64
+unit rows, which ``unit_rows`` builds once per candidate set, a
+cache-sized block of rows at a time, straight from the caller's rows.
 """
 
 from __future__ import annotations
@@ -31,6 +33,29 @@ ELEMENTWISE_METRICS = ("manhattan", "euclidean")
 # largest [rows, N, d] float64 difference block distance_rows allocates;
 # a single row is computed whole even when it is larger
 BLOCK_BYTES = 32 * 2**20
+# float64 bytes of the block of rows unit_rows normalises at a time, small
+# enough to stay in cache across its passes; a single row is done whole
+UNIT_BLOCK_BYTES = 256 * 2**10
+
+
+class ZeroNormRow(ValidationError):
+    """Cosine distance is undefined for row ``row`` of the points: its norm is 0."""
+
+    def __init__(self, row: int) -> None:
+        super().__init__(f"cosine distance undefined for zero-norm row at index {row}")
+        self.row = row
+
+
+@dataclass(frozen=True)
+class UnitRows:
+    """Float64 unit-norm rows from ``unit_rows``; ``distance_matrix`` takes
+    them as already normalised."""
+
+    array: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.array.shape
 
 
 @dataclass(frozen=True)
@@ -55,11 +80,52 @@ class DiversityConfig:
             raise ValidationError(f"unknown seed rule {self.seed_rule!r}")
 
 
-def _as_points(points) -> np.ndarray:
-    pts = np.asarray(points, dtype=np.float64)
+def _check_points(pts: np.ndarray) -> np.ndarray:
     if pts.ndim != 2:
         raise ValidationError(f"points must be [N, d], got shape {pts.shape}")
     return pts
+
+
+def _as_points(points) -> np.ndarray:
+    return _check_points(np.asarray(points, dtype=np.float64))
+
+
+def _float_rows(src: np.ndarray, index) -> np.ndarray:
+    """``src[index]`` (all of ``src`` when index is None) as float64; indexes first."""
+    return np.asarray(src if index is None else src[index], dtype=np.float64)
+
+
+def unit_rows(points, index=None) -> np.ndarray:
+    """Rows of ``points``, or ``points[index]``, as float64 unit vectors.
+
+    ``points`` may be float32 or float64; each block of rows is cast, squared,
+    summed over d, square-rooted and divided in place in the float64 output,
+    so the result is bit-identical to
+    ``pts / np.linalg.norm(pts, axis=1)[:, None]`` on the float64 rows
+    without their copy.  A zero-norm row raises ``ZeroNormRow`` naming its
+    row of ``points``.
+    """
+    src = _check_points(np.asarray(points))
+    rows = None if index is None else np.asarray(index, dtype=np.int64).reshape(-1)
+    n = src.shape[0] if rows is None else rows.size
+    d = src.shape[1]
+    out = np.empty((n, d))
+    step = max(1, min(n, UNIT_BLOCK_BYTES // max(1, d * 8)))
+    squares = np.empty((step, d))
+    norms = np.empty(step)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        block = out[start:stop]
+        block[...] = src[start:stop] if rows is None else src[rows[start:stop]]
+        sq, norm = squares[:stop - start], norms[:stop - start]
+        np.multiply(block, block, out=sq)
+        np.add.reduce(sq, axis=1, out=norm)
+        np.sqrt(norm, out=norm)
+        if not norm.all():
+            bad = start + int(np.flatnonzero(norm == 0)[0])
+            raise ZeroNormRow(bad if rows is None else int(rows[bad]))
+        np.divide(block, norm[:, None], out=block)
+    return out
 
 
 def distance_rows(points, rows, metric: str) -> np.ndarray:
@@ -89,20 +155,19 @@ def distance_rows(points, rows, metric: str) -> np.ndarray:
 
 
 def distance_matrix(points, metric: str) -> np.ndarray:
-    """Dense pairwise distances, float64, shape [N, N]."""
-    pts = _as_points(points)
+    """Dense pairwise distances, float64, shape [N, N].
+
+    For cosine distance ``points`` may be ``UnitRows``, used as they are;
+    the Gram product is then clipped and subtracted from 1 in place.
+    """
     if metric == "cosine_distance":
-        norms = np.linalg.norm(pts, axis=1)
-        bad = np.flatnonzero(norms == 0)
-        if bad.size:
-            raise ValidationError(
-                f"cosine distance undefined for zero-norm row at index {bad[0]}"
-            )
-        unit = pts / norms[:, None]
-        sim = np.clip(unit @ unit.T, -1.0, 1.0)
-        dmat = 1.0 - sim
+        unit = points.array if isinstance(points, UnitRows) else unit_rows(points)
+        dmat = unit @ unit.T
+        np.clip(dmat, -1.0, 1.0, out=dmat)
+        np.subtract(1.0, dmat, out=dmat)
         np.fill_diagonal(dmat, 0.0)
         return dmat
+    pts = _as_points(points)
     if metric in ELEMENTWISE_METRICS:
         return distance_rows(pts, np.arange(pts.shape[0]), metric)
     raise ValidationError(f"unknown metric {metric!r}")
@@ -111,16 +176,19 @@ def distance_matrix(points, metric: str) -> np.ndarray:
 def pair_distances(points, subset, metric: str) -> np.ndarray:
     """Distances over the unordered pairs of ``subset``, in ``np.triu_indices`` order.
 
-    Elementwise metrics are computed one row of the upper triangle at a
-    time, in O(len(subset) * d) memory.
+    Only the subset's rows are converted to float64.  Elementwise metrics
+    are computed one row of the upper triangle at a time, in
+    O(len(subset) * d) memory.
     """
+    src = _check_points(np.asarray(points))
     idx = np.asarray(list(subset), dtype=np.int64)
-    pts = _as_points(points)[idx]
     m = idx.size
     if m < 2:
         return np.empty(0)
     if metric == "cosine_distance":
-        return distance_matrix(pts, metric)[np.triu_indices(m, k=1)]
+        unit = UnitRows(unit_rows(src, idx))
+        return distance_matrix(unit, metric)[np.triu_indices(m, k=1)]
+    pts = _float_rows(src, idx)
     return np.concatenate(
         [distance_rows(pts[i:], [0], metric)[0, 1:] for i in range(m - 1)]
     )
@@ -138,10 +206,7 @@ def sum_of_distances(points, subset, metric: str) -> float:
 
 
 def _distance_row_source(pts: np.ndarray, metric: str):
-    """Function from a point index to its float64 distance row."""
-    if metric == "cosine_distance":
-        # one GEMM matrix: per-row GEMVs are memory-bound and round differently
-        return distance_matrix(pts, metric).__getitem__
+    """Function from a point index to its float64 manhattan or euclidean distance row."""
     if metric not in ELEMENTWISE_METRICS:
         raise ValidationError(f"unknown metric {metric!r}")
     return lambda s: distance_rows(pts, [s], metric)[0]
@@ -173,21 +238,34 @@ def greedy_maxmin(
     metric: str = "cosine_distance",
     initial=None,
     seed_rule: str = "farthest_from_centroid",
+    rows=None,
 ) -> np.ndarray:
     """Greedy max-min dispersion over candidate vectors.
 
-    Returns k candidate indices in selection order.  ``initial`` pins the
-    first members (it may be any size up to k); otherwise the seed comes
-    from ``seed_rule``: candidate 0, or the candidate farthest from the
-    centroid under ``metric`` (lower index on ties).
+    The candidates are ``candidates[rows]``, or every row when ``rows`` is
+    None; indices into them are positions in ``rows``.  Returns k candidate
+    indices in selection order.  ``initial`` pins the first members (it may
+    be any size up to k); otherwise the seed comes from ``seed_rule``:
+    candidate 0, or the candidate farthest from the centroid under
+    ``metric`` (lower index on ties).  A zero-norm candidate under cosine
+    distance raises ``ZeroNormRow`` naming its row of ``candidates``.
     """
-    pts = np.asarray(candidates, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[0] == 0:
-        raise ValidationError(f"candidates must be [N, d], got shape {pts.shape}")
-    n = pts.shape[0]
+    src = np.asarray(candidates)
+    if rows is not None:
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+    shape = src.shape if rows is None or src.ndim != 2 else (rows.size, src.shape[1])
+    if len(shape) != 2 or shape[0] == 0:
+        raise ValidationError(f"candidates must be [N, d], got shape {shape}")
+    n = shape[0]
     if not 0 < k <= n:
         raise ValidationError(f"k must be in [1, {n}], got {k}")
-    row_of = _distance_row_source(pts, metric)
+    if metric == "cosine_distance":
+        unit = unit_rows(src, rows)
+        # one GEMM matrix: per-row GEMVs are memory-bound and round differently
+        row_of = distance_matrix(UnitRows(unit), metric).__getitem__
+    else:
+        pts = _float_rows(src, rows)
+        row_of = _distance_row_source(pts, metric)
 
     if initial is not None and len(initial) > 0:
         seed = [int(i) for i in initial]
@@ -200,19 +278,20 @@ def greedy_maxmin(
     elif seed_rule == "spatial_first_point":
         seed = [0]
     elif seed_rule == "farthest_from_centroid":
-        centroid = pts.mean(axis=0)
-        if metric == "manhattan":
-            dist = np.abs(pts - centroid).sum(axis=1)
-        elif metric == "euclidean":
-            dist = np.linalg.norm(pts - centroid, axis=1)
-        else:  # cosine_distance; zero rows were rejected by its distance matrix
+        if metric == "cosine_distance":  # the raw rows are needed for the centroid only
+            centroid = _float_rows(src, rows).mean(axis=0)
             cnorm = np.linalg.norm(centroid)
             if cnorm == 0:
                 raise ValidationError(
                     "cosine seed undefined: candidate centroid has zero norm"
                 )
-            unit = pts / np.linalg.norm(pts, axis=1)[:, None]
             dist = 1.0 - np.clip(unit @ (centroid / cnorm), -1.0, 1.0)
+        else:
+            centroid = pts.mean(axis=0)
+            if metric == "manhattan":
+                dist = np.abs(pts - centroid).sum(axis=1)
+            else:
+                dist = np.linalg.norm(pts - centroid, axis=1)
         seed = [int(np.argmax(dist))]
     else:
         raise ValidationError(f"unknown seed rule {seed_rule!r}")

@@ -16,7 +16,13 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .diversity import DiversityConfig, greedy_maxmin, pair_distances, spatial_init
+from .diversity import (
+    DiversityConfig,
+    ZeroNormRow,
+    greedy_maxmin,
+    pair_distances,
+    spatial_init,
+)
 
 # not called here; perfbench/traced_cli.py looks these names up on this module
 from .diversity import min_pairwise_distance, sum_of_distances  # noqa: F401
@@ -91,6 +97,14 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
+def _zero_norm_error(inputs: StageInputs, exc: ZeroNormRow) -> ValidationError:
+    """``exc`` names a row of ``inputs.hidden``; say which layer and image token it is."""
+    return ValidationError(
+        f"layer {inputs.layer}: cosine distance undefined for zero-norm hidden state "
+        f"of image token {inputs.survivors[exc.row]}"
+    )
+
+
 def select_stage(
     inputs: StageInputs,
     stage: PruningStage,
@@ -137,13 +151,17 @@ def select_stage(
         # skeleton cells still among the remaining survivors, in selection order
         pos = np.minimum(np.searchsorted(rem_orig, cells), rem_orig.size - 1)
         initial = pos[rem_orig[pos] == cells][:k_div]
-        div_rel = greedy_maxmin(
-            inputs.hidden[rem_local],
-            k_div,
-            metric=cfg.semantic_metric,
-            initial=initial,
-            seed_rule=cfg.seed_rule,
-        )
+        try:
+            div_rel = greedy_maxmin(
+                inputs.hidden,
+                k_div,
+                metric=cfg.semantic_metric,
+                initial=initial,
+                seed_rule=cfg.seed_rule,
+                rows=rem_local,
+            )
+        except ZeroNormRow as exc:
+            raise _zero_norm_error(inputs, exc) from exc
         div_orig = rem_orig[div_rel]
     else:
         div_orig = np.empty(0, dtype=np.int64)
@@ -159,7 +177,10 @@ def _stage_diagnostics(
     total = float(inputs.scores.sum())
     kept_score = float(inputs.scores[kept_local].sum()) if kept_local.size else 0.0
     mass = kept_score / total if total > 0 else 0.0
-    pairs = pair_distances(inputs.hidden, kept_local, cfg.semantic_metric)
+    try:
+        pairs = pair_distances(inputs.hidden, kept_local, cfg.semantic_metric)
+    except ZeroNormRow as exc:
+        raise _zero_norm_error(inputs, exc) from exc
     min_dist = float(pairs.min()) if pairs.size else 0.0
     dist_sum = float(pairs.sum())
     objective = stage.balance * kept_score + (1.0 - stage.balance) * dist_sum

@@ -60,6 +60,25 @@ def _write_select_trace(tmp_path, seed=0, nan_in=None, alias=None):
         arrays[nan_in].flat[2] = np.nan
     for name, source in (alias or {}).items():
         arrays[name] = arrays[source][::-1].copy()
+    return _write_arrays_trace(tmp_path, layout, dims, arrays)
+
+
+def _grid_trace_arrays(seed, side, layers, d=8):
+    """Layout, shape and seeded attn/hidden arrays of a trace over a side x side
+    image grid, with one system and two text tokens, at the given layers."""
+    rng = np.random.default_rng(seed)
+    layout = TokenLayout(n_system=1, n_image=side * side, n_text=2, grid_rows=side, grid_cols=side)
+    dims = ModelShape(layers=6, d=d, heads=1, m=2 * d)
+    arrays = {}
+    for layer in layers:
+        row = rng.random(layout.total()) + 1e-3
+        row /= row.sum()
+        arrays[f"attn_l{layer}"] = row
+        arrays[f"hidden_l{layer}"] = rng.standard_normal((layout.n_image, d)).astype(np.float32)
+    return layout, dims, arrays
+
+
+def _write_arrays_trace(tmp_path, layout, dims, arrays):
     blobs = {name: TensorBlob.from_array(name, arr) for name, arr in arrays.items()}
     path = tmp_path / "trace"
     write_trace(path, make_manifest(layout, dims, blobs), blobs)
@@ -445,6 +464,74 @@ def test_select_scores_only_scheduled_layers(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(btp.selector, "importance_last_token", counting)
     code, _, _ = _run(capsys, ["select", "--trace", trace, "--schedule", sched])
     assert code == 0 and scored == [3]
+
+
+@pytest.mark.parametrize("balance,attention", [(0.5, 1e-6), (1.0, 0.5)], ids=["greedy", "kept"])
+def test_select_zero_norm_names_layer_and_token(tmp_path, capsys, balance, attention):
+    layout, dims, arrays = _grid_trace_arrays(0, side=4, layers=(1,))
+    arrays["hidden_l1"][13] = 0.0
+    # a candidate of the greedy at balance 0.5; kept by attention at 1.0,
+    # where only the diagnostics meet it
+    arrays["attn_l1"][layout.n_system + 13] = attention
+    trace = _write_arrays_trace(tmp_path, layout, dims, arrays)
+    sched = _write_schedule(tmp_path, [(1, 0.75, balance)], num_layers=6)
+    code, out, err = _run(capsys, ["select", "--trace", trace, "--schedule", sched])
+    assert code == 1 and out == ""
+    assert err == (
+        "error: layer 1: cosine distance undefined for zero-norm hidden state of image token 13\n"
+    )
+
+
+# SHA-256 of the selection JSON as the parent of the blocked cosine
+# normaliser wrote it: any rounding drift in the diversity half fails here
+SELECT_JSON_SHA256 = {
+    ("cosine_distance", "euclidean", "farthest_from_centroid"):
+        "5cd34445b800185540fdbe080b6668e938358649bb13a7701fe395abcc9b98af",
+    ("cosine_distance", "euclidean", "spatial_first_point"):
+        "e485130c161caf98305f20a1c8721e720c95036f981066c2f1ed0011d0e7d21a",
+    ("cosine_distance", "manhattan", "farthest_from_centroid"):
+        "d0d92560334385c03c8f8814506af53fc538c3d3f4126d030fe5d068c4513a0d",
+    ("cosine_distance", "manhattan", "spatial_first_point"):
+        "d8ed0ab431f386211f333bccdac89041a2122008db2ad03e390d7173827d2aa2",
+    ("euclidean", "euclidean", "farthest_from_centroid"):
+        "259d14aa3807d25cfb753e0da60f34fa040f6690aa373b6e14807fce1824cd0d",
+    ("euclidean", "euclidean", "spatial_first_point"):
+        "e4d878c541ac170e7e7549171a07465eb78f1926079a2f3984f8dc4ca6a29f1c",
+    ("euclidean", "manhattan", "farthest_from_centroid"):
+        "e7db584deec313976aae4e9ada05c7e931bb5b844ac15287965def9c1e8a3c08",
+    ("euclidean", "manhattan", "spatial_first_point"):
+        "9af7682e9a8d51479a35ac5906b533c0d99e2c6566a75d6a7db878528497cde1",
+}
+
+
+@pytest.mark.parametrize("semantic,spatial,seed_rule", sorted(SELECT_JSON_SHA256))
+def test_select_json_is_pinned(tmp_path, capsys, monkeypatch, semantic, spatial, seed_rule):
+    import btp.selector
+
+    layout, dims, arrays = _grid_trace_arrays(5, side=6, layers=(1, 2, 4))
+    # attention takes image token 0 at layer 4, so the one-cell skeleton is empty there
+    arrays["attn_l4"][layout.n_system] = 0.5
+    _write_arrays_trace(tmp_path, layout, dims, arrays)
+    _write_schedule(tmp_path, [(1, 0.75, 0.0), (2, 0.5, 0.5), (4, 0.5, 0.5)], num_layers=6)
+    monkeypatch.chdir(tmp_path)  # the payload records the paths as given
+    seeds = []
+    greedy = btp.selector.greedy_maxmin
+
+    def recording(*args, **kwargs):
+        seeds.append(len(kwargs["initial"]))
+        return greedy(*args, **kwargs)
+
+    monkeypatch.setattr(btp.selector, "greedy_maxmin", recording)
+    out_path = tmp_path / "selection.json"
+    code, _, _ = _run(capsys, [
+        "select", "--trace", "trace", "--schedule", "schedule.json",
+        "--semantic-metric", semantic, "--spatial-metric", spatial, "--seed-rule", seed_rule,
+        "--out", str(out_path),
+    ])
+    assert code == 0
+    assert seeds == [7, 2, 0]  # skeleton sizes: the last stage runs the seed rule
+    digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
+    assert digest == SELECT_JSON_SHA256[semantic, spatial, seed_rule]
 
 
 # ---------------------------------------------------------------------------

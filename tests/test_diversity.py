@@ -9,6 +9,7 @@ import pytest
 from btp import diversity
 from btp.diversity import (
     DiversityConfig,
+    ZeroNormRow,
     brute_force_maxmin,
     distance_matrix,
     distance_rows,
@@ -17,6 +18,7 @@ from btp.diversity import (
     pair_distances,
     spatial_init,
     sum_of_distances,
+    unit_rows,
 )
 from btp.errors import ValidationError
 
@@ -174,6 +176,50 @@ def test_distance_matrix_validation():
         distance_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]), "cosine_distance")
 
 
+# ---------------------------------------------------------------------------
+# blocked unit rows
+
+UNIT_BLOCK_ROWS_AT_64 = diversity.UNIT_BLOCK_BYTES // (64 * 8)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("indexed", [False, True], ids=["all-rows", "indexed"])
+@pytest.mark.parametrize("n,d", [
+    (1, 64),
+    (UNIT_BLOCK_ROWS_AT_64 - 1, 64),
+    (UNIT_BLOCK_ROWS_AT_64, 64),
+    (UNIT_BLOCK_ROWS_AT_64 + 1, 64),
+    # one row is wider than a block, so every block holds one row
+    (3, diversity.UNIT_BLOCK_BYTES // 8 + 1),
+])
+def test_unit_rows_match_reference_bitwise(dtype, indexed, n, d):
+    rng = np.random.default_rng([n, d])
+    # row scales over six decades, so the norms round in many ways
+    src = rng.standard_normal((n + 3, d)) * 10.0 ** rng.uniform(-3, 3, size=(n + 3, 1))
+    src = src.astype(dtype)
+    index = rng.permutation(n + 3)[:n] if indexed else None
+    pts = np.asarray(src if index is None else src[index], dtype=np.float64)
+    want = pts / np.linalg.norm(pts, axis=1)[:, None]
+    got = unit_rows(src, index)
+    assert got.dtype == np.float64 and got.flags.c_contiguous
+    assert np.array_equal(got, want)
+
+
+def test_unit_rows_zero_norm_names_the_row_of_points():
+    src = np.ones((5, 3), dtype=np.float32)
+    src[3] = 0.0
+    with pytest.raises(ZeroNormRow) as info:
+        unit_rows(src)
+    assert info.value.row == 3
+    with pytest.raises(ZeroNormRow) as info:
+        unit_rows(src, [4, 0, 3])  # row 3 of the points, not position 2
+    assert info.value.row == 3
+    assert str(info.value) == "cosine distance undefined for zero-norm row at index 3"
+    np.testing.assert_array_equal(unit_rows(src, [4, 0]), np.full((2, 3), 1 / math.sqrt(3)))
+    with pytest.raises(ValidationError, match=r"points must be \[N, d\]"):
+        unit_rows(np.ones(3))
+
+
 def test_subset_statistics():
     pts = np.array([[0.0], [1.0], [3.0]])
     assert min_pairwise_distance(pts, [0, 1, 2], "euclidean") == pytest.approx(1.0)
@@ -269,6 +315,36 @@ def test_greedy_memory_bounded_at_paper_width(metric):
         tracemalloc.stop()
     assert np.unique(sel).size == 16
     assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.parametrize("rule", ["spatial_first_point", "farthest_from_centroid"])
+def test_greedy_rows_match_indexed_candidates(metric, rule):
+    rng = np.random.default_rng(15)
+    src = rng.standard_normal((40, 9)).astype(np.float32)
+    rows = np.sort(rng.choice(40, size=25, replace=False))
+    for k in (1, 7, 25):
+        want = greedy_maxmin(src[rows], k, metric, seed_rule=rule)
+        got = greedy_maxmin(src, k, metric, seed_rule=rule, rows=rows)
+        np.testing.assert_array_equal(got, want)
+        got = greedy_maxmin(src, k, metric, initial=[3], rows=rows)
+        np.testing.assert_array_equal(got, greedy_maxmin(src[rows], k, metric, initial=[3]))
+
+
+def test_greedy_cosine_copies_the_candidates_once():
+    # float32 hidden rows in, one float64 unit-row matrix plus the Gram out:
+    # no float32 gather and no raw float64 copy of the candidates
+    src = np.random.default_rng(16).standard_normal((700, 4096)).astype(np.float32)
+    rows = np.arange(100, 700)
+    n = rows.size
+    tracemalloc.start()
+    try:
+        sel = greedy_maxmin(src, 16, "cosine_distance", seed_rule="spatial_first_point", rows=rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.unique(sel).size == 16
+    assert peak < n * 4096 * 8 + n * n * 8 + 2**20
 
 
 def test_greedy_bounds():

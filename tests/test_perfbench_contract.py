@@ -3,9 +3,10 @@
 ``perfbench/traced_cli.py`` replaces module attributes by name to time
 them, and the other harness files import from ``btp``; a refactor that
 renames or removes one of those names breaks the benchmark without
-touching it.  The harness files are parsed, not imported, except for one
-traced ``simulate`` run: the wrappers read attributes off the call's
-arguments, so a changed signature breaks them too.
+touching it.  The harness files are parsed, not imported, except for a
+traced ``simulate`` and a traced ``select`` run: the wrappers read
+attributes off the call's arguments, so a changed signature breaks them
+too.
 """
 
 import ast
@@ -16,7 +17,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from btp.trace import ModelShape, TensorBlob, TokenLayout, make_manifest, write_trace
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # module aliases bound in traced_cli.main
@@ -63,26 +67,59 @@ def test_harness_name_resolves(module, name):
     assert hasattr(importlib.import_module(module), name)
 
 
-def test_traced_simulate_reads_toymodel_call_shapes(tmp_path):
-    schedule = {"num_layers": 6, "stages": [{"layer": 1, "retention": 0.5, "balance": 0.5}]}
-    (tmp_path / "schedule.json").write_text(json.dumps(schedule))
+def _traced_run(tmp_path, btp_args):
+    """Spans of ``btp_args`` run under traced_cli.py in a fresh interpreter."""
     spans_path = tmp_path / "spans.json"
     src = str(PERFBENCH.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     ))
     proc = subprocess.run(
-        [sys.executable, str(PERFBENCH / "traced_cli.py"), str(spans_path), "0",
-         "simulate", "--schedule", str(tmp_path / "schedule.json"),
-         "--layout", "1,16,2,4,4", "--layers", "6", "--d", "16", "--heads", "2",
-         "--mlp", "32", "--out", str(tmp_path / "out.csv")],
+        [sys.executable, str(PERFBENCH / "traced_cli.py"), str(spans_path), "0", *btp_args],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    spans = json.loads(spans_path.read_text())
+    return json.loads(spans_path.read_text())
+
+
+def _write_tiny_schedule(tmp_path):
+    schedule = {"num_layers": 6, "stages": [{"layer": 1, "retention": 0.5, "balance": 0.5}]}
+    (tmp_path / "schedule.json").write_text(json.dumps(schedule))
+    return str(tmp_path / "schedule.json")
+
+
+def test_traced_simulate_reads_toymodel_call_shapes(tmp_path):
+    spans = _traced_run(tmp_path, [
+        "simulate", "--schedule", _write_tiny_schedule(tmp_path),
+        "--layout", "1,16,2,4,4", "--layers", "6", "--d", "16", "--heads", "2",
+        "--mlp", "32", "--out", str(tmp_path / "out.csv"),
+    ])
     steps = [s for s in spans if s["name"] == "toymodel.layer_step"]
     assert len(steps) == 4 * 6
     assert all(isinstance(s.get("n"), int) and isinstance(s.get("layer"), int) for s in steps)
     assert {s["layer"] for s in steps} == set(range(6))
     forwards = [s["pruned"] for s in spans if s["name"] == "toymodel.forward"]
     assert sorted(forwards) == [False, True, True, True]
+
+
+def test_traced_select_reads_distance_matrix_shapes(tmp_path):
+    rng = np.random.default_rng(0)
+    layout = TokenLayout(n_system=1, n_image=16, n_text=2, grid_rows=4, grid_cols=4)
+    row = rng.random(layout.total()) + 1e-3
+    arrays = {
+        "attn_l1": (row / row.sum()).astype(np.float32),
+        "hidden_l1": rng.standard_normal((16, 8)).astype(np.float32),
+    }
+    blobs = {name: TensorBlob.from_array(name, arr) for name, arr in arrays.items()}
+    dims = ModelShape(layers=6, d=8, heads=1, m=16)
+    write_trace(tmp_path / "trace", make_manifest(layout, dims, blobs), blobs)
+    spans = _traced_run(tmp_path, [
+        "select", "--trace", str(tmp_path / "trace"), "--schedule", _write_tiny_schedule(tmp_path),
+        "--out", str(tmp_path / "selection.json"),
+    ])
+    by_id = {s["id"]: s for s in spans}
+    dists = [s for s in spans if s["name"] == "diversity.distance_matrix"]
+    # keep 8 of 16, 4 by attention: the greedy's Gram over the other 12
+    # candidates, then the diagnostics' Gram over the 8 kept
+    assert [s["shape"] for s in dists] == [[12, 8], [8, 8]]
+    assert [by_id[s["parent"]]["name"] for s in dists] == ["diversity.greedy", "selector.stage"]
