@@ -48,11 +48,7 @@ from .oracles import (
     spatial_grid_exactness,
     unequal_norm_counterexample,
 )
-from .scoring import (
-    ImportanceScores,
-    importance_last_token,
-    rebalanced_topk,
-)
+from .scoring import importance_last_token, rebalanced_topk
 from .selector import (
     ArrayStageProvider,
     ScheduleDriver,

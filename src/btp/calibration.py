@@ -5,18 +5,20 @@ Given per-layer image hidden states from a handful of calibration prompts,
 tokens moved by more than a cosine threshold.  Pruning right after the
 layers where that count peaks is cheap and safe: the representation has
 just been rewritten, so the tokens consumed downstream are already formed.
+The hidden states arrive as plain arrays (a trace's memory-mapped views
+serve as they are), and a profile holds nothing but the per-layer counts.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-from .trace import PruningSchedule, PruningStage, TensorBlob
+from .trace import PruningSchedule, PruningStage
 
 DEFAULT_TAU = 0.93
 DEFAULT_CALIBRATION_SIZE = 64
@@ -31,7 +33,6 @@ class ShiftEntry:
 
     layer: int
     shifted_count: int
-    attention_to_image: float | None = None
 
 
 @dataclass(frozen=True)
@@ -61,8 +62,6 @@ class ShiftProfile:
 
 def _snapshots(hidden_stack) -> list[np.ndarray]:
     """The snapshots of a hidden stack as [N, d] arrays, copying nothing."""
-    if isinstance(hidden_stack, TensorBlob):
-        hidden_stack = hidden_stack.view()
     if isinstance(hidden_stack, np.ndarray) and hidden_stack.ndim != 3:
         raise ValidationError(
             f"hidden stack must be [L+1, N, d], got shape {hidden_stack.shape}"
@@ -85,8 +84,7 @@ def _snapshots(hidden_stack) -> list[np.ndarray]:
     return snaps
 
 
-def shift_profile(hidden_stack, tau: float = DEFAULT_TAU,
-                  attention_to_image: Sequence[float] | None = None) -> ShiftProfile:
+def shift_profile(hidden_stack, tau: float = DEFAULT_TAU) -> ShiftProfile:
     """Count image tokens whose cosine to the next snapshot falls below tau.
 
     ``hidden_stack`` holds image hidden states for snapshots 0..L (layer
@@ -96,8 +94,7 @@ def shift_profile(hidden_stack, tau: float = DEFAULT_TAU,
     float64.  The snapshots are walked pair by pair, one block of rows at a
     time, so the float64 working set is three row blocks plus the [L+1, N]
     norms and [L, N] dot products; the sums run over d for each row exactly
-    as on a whole float64 stack.  The optional ``attention_to_image`` curve
-    (one value per layer) is carried through as a diagnostic.
+    as on a whole float64 stack.
     """
     if not 0.0 < tau < 1.0:
         raise ValidationError(f"tau must be in (0, 1), got {tau}")
@@ -124,24 +121,16 @@ def shift_profile(hidden_stack, tau: float = DEFAULT_TAU,
         raise ValidationError(
             f"zero-norm hidden state at snapshot {snap}, image token {tok}"
         )
-    num_pairs = len(dots)
-    if attention_to_image is not None and len(attention_to_image) != num_pairs:
-        raise ValidationError(
-            f"attention curve has {len(attention_to_image)} entries, want {num_pairs}"
-        )
     counts = np.count_nonzero(dots / (norms[:-1] * norms[1:]) < tau, axis=1)
-    entries = []
-    for l in range(num_pairs):
-        att = float(attention_to_image[l]) if attention_to_image is not None else None
-        entries.append(ShiftEntry(layer=l, shifted_count=int(counts[l]), attention_to_image=att))
-    return ShiftProfile(per_layer=tuple(entries))
+    return ShiftProfile(
+        per_layer=tuple(ShiftEntry(layer=l, shifted_count=int(c)) for l, c in enumerate(counts))
+    )
 
 
 def aggregate_profiles(profiles: Iterable[ShiftProfile]) -> ShiftProfile:
     """Sum per-sample shift counts into one calibration profile.
 
-    Counts add, so the result is invariant to sample order; attention
-    curves are averaged when every profile carries one, else dropped.
+    Counts add, so the result is invariant to sample order.
     """
     profiles = list(profiles)
     if not profiles:
@@ -149,19 +138,10 @@ def aggregate_profiles(profiles: Iterable[ShiftProfile]) -> ShiftProfile:
     length = profiles[0].num_layers
     if any(p.num_layers != length for p in profiles):
         raise ValidationError("profiles cover different layer counts")
-    have_att = all(
-        all(e.attention_to_image is not None for e in p.per_layer) for p in profiles
-    )
-    entries = []
-    for l in range(length):
-        count = sum(p.per_layer[l].shifted_count for p in profiles)
-        att = (
-            sum(p.per_layer[l].attention_to_image for p in profiles) / len(profiles)
-            if have_att
-            else None
-        )
-        entries.append(ShiftEntry(layer=l, shifted_count=count, attention_to_image=att))
-    return ShiftProfile(per_layer=tuple(entries))
+    return ShiftProfile(per_layer=tuple(
+        ShiftEntry(layer=l, shifted_count=sum(p.per_layer[l].shifted_count for p in profiles))
+        for l in range(length)
+    ))
 
 
 @dataclass(frozen=True)
@@ -222,18 +202,12 @@ def select_pruning_layers(profile: ShiftProfile, num_stages: int, min_gap: int =
             chosen.append(emit)
         if len(chosen) == num_stages:
             break
-    if len(chosen) < num_stages:
-        for candidate in _even_subdivision(num_layers, num_stages):
-            if len(chosen) == num_stages:
-                break
-            if all(abs(candidate - c) >= min_gap for c in chosen):
-                chosen.append(candidate)
-        # last resort: any remaining depth positions, earliest first
-        for candidate in range(1, num_layers):
-            if len(chosen) == num_stages:
-                break
-            if all(abs(candidate - c) >= min_gap for c in chosen):
-                chosen.append(candidate)
+    # pad from even subdivision, then from any depth position, earliest first
+    for candidate in chain(_even_subdivision(num_layers, num_stages), range(1, num_layers)):
+        if len(chosen) == num_stages:
+            break
+        if all(abs(candidate - c) >= min_gap for c in chosen):
+            chosen.append(candidate)
     if len(chosen) < num_stages:
         raise ValidationError(
             f"could not place {num_stages} layers with min_gap={min_gap} "

@@ -160,9 +160,10 @@ def _profile_one_trace(trace_dir: str, tau: float):
 
 
 def cmd_calibrate(args) -> int:
+    if args.calib_size < 1:
+        raise ValidationError(f"--calib-size must be >= 1, got {args.calib_size}")
+    # argparse takes one trace at least, so at least one is kept
     traces = list(args.traces)[: args.calib_size]
-    if not traces:
-        raise ValidationError("no calibration traces given")
     balances = _parse_lambdas(args.lambdas)
     retentions = _float_list(args.retentions)
     if len(retentions) == 1 and len(balances) > 1:
@@ -237,7 +238,7 @@ def cmd_select(args) -> int:
         semantic_metric=args.semantic_metric,
         seed_rule=args.seed_rule,
     )
-    provider = trace_stage_provider(manifest, tensors)
+    provider = trace_stage_provider(manifest, tensors, [s.layer for s in schedule.stages])
     result = run_schedule(provider, schedule, cfg)
 
     _note("layer  kept  attn_mass  min_dist   sum_dist")

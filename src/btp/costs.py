@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .trace import ModelShape, PruningSchedule, TokenLayout
+from .trace import PruningSchedule, TokenLayout
 
 
 @dataclass(frozen=True)
@@ -20,11 +20,6 @@ class ModelDims:
     def __post_init__(self) -> None:
         if min(self.num_layers, self.d, self.m, self.kv_bytes_per_elem) < 1:
             raise ValidationError("all model dimensions must be >= 1")
-
-    @classmethod
-    def from_shape(cls, shape: ModelShape, kv_bytes_per_elem: int = 2) -> "ModelDims":
-        return cls(num_layers=shape.layers, d=shape.d, m=shape.m,
-                   kv_bytes_per_elem=kv_bytes_per_elem)
 
 
 @dataclass(frozen=True)

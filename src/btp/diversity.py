@@ -25,10 +25,10 @@ import numpy as np
 
 from .errors import ValidationError
 
+# also the elementwise metrics, which distance_rows computes for any points
 SPATIAL_METRICS = ("manhattan", "euclidean")
 SEMANTIC_METRICS = ("cosine_distance", "euclidean")
 SEED_RULES = ("spatial_first_point", "farthest_from_centroid")
-ELEMENTWISE_METRICS = ("manhattan", "euclidean")
 
 # largest [rows, N, d] float64 difference block distance_rows allocates;
 # a single row is computed whole even when it is larger
@@ -137,7 +137,7 @@ def distance_rows(points, rows, metric: str) -> np.ndarray:
     the values are bit-identical to it.
     """
     pts = _as_points(points)
-    if metric not in ELEMENTWISE_METRICS:
+    if metric not in SPATIAL_METRICS:
         raise ValidationError(f"unknown elementwise metric {metric!r}")
     rows = np.asarray(rows, dtype=np.int64).reshape(-1)
     n, d = pts.shape
@@ -168,7 +168,7 @@ def distance_matrix(points, metric: str) -> np.ndarray:
         np.fill_diagonal(dmat, 0.0)
         return dmat
     pts = _as_points(points)
-    if metric in ELEMENTWISE_METRICS:
+    if metric in SPATIAL_METRICS:
         return distance_rows(pts, np.arange(pts.shape[0]), metric)
     raise ValidationError(f"unknown metric {metric!r}")
 
@@ -207,7 +207,7 @@ def sum_of_distances(points, subset, metric: str) -> float:
 
 def _distance_row_source(pts: np.ndarray, metric: str):
     """Function from a point index to its float64 manhattan or euclidean distance row."""
-    if metric not in ELEMENTWISE_METRICS:
+    if metric not in SPATIAL_METRICS:
         raise ValidationError(f"unknown metric {metric!r}")
     return lambda s: distance_rows(pts, [s], metric)[0]
 

@@ -23,6 +23,7 @@ from .diversity import (
     min_pairwise_distance,
     spatial_init,
 )
+from .errors import ValidationError
 from .toymodel import ForwardRecord, ToyConfig, single_layer_optimality_check
 from .trace import (
     ModelShape,
@@ -61,6 +62,11 @@ class SuiteReport:
         return out
 
 
+def _check_at_least(name: str, value: int, least: int) -> None:
+    if value < least:
+        raise ValidationError(f"{name} must be >= {least}, got {value}")
+
+
 # ---------------------------------------------------------------------------
 # max-min dispersion
 
@@ -75,8 +81,13 @@ def mmdp_suite(
     """Greedy max-min against brute force on random point clouds.
 
     Checks the greedy set's min distance is >= 0.5x the exhaustive optimum
-    under both semantic metrics on every seeded instance.
+    under both semantic metrics on every seeded instance.  Instances have
+    6..max_n points and 2..max_k picks, so max_n >= 6 and max_k >= 2.
     """
+    _check_at_least("instances", instances, 0)
+    _check_at_least("seed", seed, 0)
+    _check_at_least("max_n", max_n, 6)
+    _check_at_least("max_k", max_k, 2)
     report = SuiteReport("mmdp")
     worst = math.inf
     all_ok = True
@@ -207,8 +218,11 @@ def single_layer_suite(instances: int = 20, seed: int = 7, max_n: int = 10) -> S
     Each instance uses equal-norm, mutually orthogonal value rows, the
     setting in which dropping the lowest-attention tokens provably
     minimizes the output perturbation; a fixed unequal-norm counterexample
-    must show a strictly positive gap.
+    must show a strictly positive gap.  Instances have 4..max_n tokens.
     """
+    _check_at_least("instances", instances, 0)
+    _check_at_least("seed", seed, 0)
+    _check_at_least("max_n", max_n, 4)
     report = SuiteReport("single_layer")
     all_ok = True
     detail = ""
@@ -267,6 +281,8 @@ def _random_blob(rng: np.random.Generator, name: str) -> TensorBlob:
 
 def roundtrip_suite(instances: int = 100, seed: int = 11, base_dir=None) -> SuiteReport:
     """Write/read cycles must reproduce payload bytes exactly, NaNs included."""
+    _check_at_least("instances", instances, 0)
+    _check_at_least("seed", seed, 0)
     report = SuiteReport("roundtrip")
     all_ok = True
     detail = ""

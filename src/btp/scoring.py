@@ -1,47 +1,19 @@
 """Attention-derived importance scores and position-rebalanced top-k.
 
 Importance of an image token is the attention it receives from prompt text,
-read off the last prompt position's softmaxed attention row.  Scores feed
-the rebalanced top-k selector, which counteracts the positional skew of
-causal attention (late image tokens absorb more attention mass than early
-ones).
+read off the last prompt position's softmaxed attention row.  Scores are
+plain float64 vectors over the image segment, one entry per image token.
+They feed the rebalanced top-k selector, which counteracts the positional
+skew of causal attention (late image tokens absorb more attention mass than
+early ones).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ValidationError
-from .trace import TensorBlob, TokenLayout
-
-
-@dataclass(frozen=True)
-class ImportanceScores:
-    """Per-image-token importance at one decoder layer."""
-
-    layer: int
-    scores: np.ndarray
-    method: str
-
-    def __post_init__(self) -> None:
-        scores = np.asarray(self.scores, dtype=np.float64).reshape(-1)
-        object.__setattr__(self, "scores", scores)
-        if scores.size == 0:
-            raise ValidationError("importance scores must be non-empty")
-        # worded as StageInputs words it, so a NaN in a trace's attention row
-        # reads the same whichever check meets it first
-        if not np.isfinite(scores).all():
-            raise ValidationError(f"layer {self.layer}: stage scores contain non-finite values")
-        if np.any(scores < 0):
-            raise ValidationError("importance scores must be non-negative")
-
-
-def _as_array(x) -> np.ndarray:
-    if isinstance(x, TensorBlob):
-        return x.view()
-    return np.asarray(x)
+from .trace import TokenLayout
 
 
 def check_attention_row_shape(shape: tuple[int, ...], layout: TokenLayout) -> None:
@@ -54,33 +26,27 @@ def check_attention_row_shape(shape: tuple[int, ...], layout: TokenLayout) -> No
         )
 
 
-def importance_last_token(attn_row, layout: TokenLayout, layer: int = 0) -> ImportanceScores:
-    """Importance from the last prompt position's attention row.
+def importance_last_token(attn_row, layout: TokenLayout, layer: int = 0) -> np.ndarray:
+    """Float64 [n_image] importance from the last prompt position's attention row.
 
     ``attn_row`` is that position's softmaxed attention over the whole
     sequence, either head-averaged ([seq]) or per-head ([heads, seq]); a
     per-head input is averaged over heads here.  "Last" means the final
     prompt position regardless of segment, since generation is conditioned
-    on exactly that position's state.
+    on exactly that position's state.  ``layer`` names the row in errors.
     """
-    row = _as_array(attn_row)
+    row = np.asarray(attn_row)
     check_attention_row_shape(row.shape, layout)
     if row.ndim == 2:
         row = row.mean(axis=0)
     if np.any(row < 0):
         raise ValidationError("last-token attention row: negative entries, expected softmaxed rows")
-    return ImportanceScores(
-        layer=layer, scores=row.astype(np.float64)[layout.image_slice], method="last_token"
-    )
-
-
-def _scores_vector(scores) -> np.ndarray:
-    if isinstance(scores, ImportanceScores):
-        return scores.scores
-    vec = np.asarray(scores, dtype=np.float64).reshape(-1)
-    if vec.size == 0:
-        raise ValidationError("score vector is empty")
-    return vec
+    scores = row.astype(np.float64)[layout.image_slice]
+    # worded as StageInputs words it, so a NaN in a trace's attention row
+    # reads the same whichever check meets it first
+    if not np.isfinite(scores).all():
+        raise ValidationError(f"layer {layer}: stage scores contain non-finite values")
+    return scores
 
 
 def rebalanced_topk(scores, k: int, k_prime: int | None = None) -> np.ndarray:
@@ -94,7 +60,7 @@ def rebalanced_topk(scores, k: int, k_prime: int | None = None) -> np.ndarray:
     ``k_prime == k`` this is a plain top-k as a set.  Default
     ``k_prime = min(2k, N)``.
     """
-    vec = _scores_vector(scores)
+    vec = np.asarray(scores, dtype=np.float64).reshape(-1)
     n = vec.size
     if not 0 < k <= n:
         raise ValidationError(f"k must be in [1, {n}], got {k}")

@@ -5,14 +5,17 @@ attention share goes to positionally rebalanced top-k over importance
 scores, the rest to greedy max-min dispersion over the remaining
 survivors' hidden states, seeded from a spatial grid skeleton.  Both
 halves operate only on tokens that survived every earlier stage, so the
-per-stage survivor sets are nested by construction.
+per-stage survivor sets are nested by construction.  A stage provider holds
+one float64 score vector and one hidden matrix per stage layer;
+``trace_stage_provider`` builds one from a trace, scoring the attention
+rows of the schedule's layers when it is built.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -93,10 +96,6 @@ class StageInputs:
             raise ValidationError(f"layer {self.layer}: hidden states contain non-finite values")
 
 
-def _round_half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
-
-
 def _zero_norm_error(inputs: StageInputs, exc: ZeroNormRow) -> ValidationError:
     """``exc`` names a row of ``inputs.hidden``; say which layer and image token it is."""
     return ValidationError(
@@ -127,10 +126,8 @@ def select_stage(
     k = stage_kept_count(stage.retention, n, final=final)
     if k == 0:
         return np.empty(0, dtype=np.int64)
-    if k > n:
-        raise ValidationError(f"budget {k} exceeds survivor count {n}")
 
-    k_att = min(_round_half_up(stage.balance * k), k)
+    k_att = math.floor(stage.balance * k + 0.5)  # round half up
     k_div = k - k_att
 
     if k_att > 0:
@@ -237,46 +234,21 @@ class ArrayStageProvider:
                     f"layer {l}: hidden shape {mat.shape} != ({layout.n_image}, d)"
                 )
 
-    def _layer_scores(self, layer: int) -> np.ndarray | None:
-        return self._scores.get(layer)
-
     def stage_inputs(self, layer: int, survivors: np.ndarray) -> StageInputs:
-        scores = self._layer_scores(layer)
-        if scores is None or layer not in self._hidden:
+        if layer not in self._scores or layer not in self._hidden:
             raise ValidationError(f"no stage data recorded for scheduled layer {layer}")
         survivors = np.asarray(survivors, dtype=np.int64)
         return StageInputs(
             layer=layer,
             survivors=survivors,
-            scores=scores[survivors],
+            scores=self._scores[layer][survivors],
             hidden=self._hidden[layer][survivors],
             layout=self.layout,
         )
 
 
-class _TraceStageProvider(ArrayStageProvider):
-    """Scores layer i from ``attn_l{i}`` the first time a stage asks for it."""
-
-    def __init__(
-        self,
-        layout: TokenLayout,
-        attn_by_layer: Mapping[int, TensorBlob],
-        hidden_by_layer: Mapping[int, np.ndarray],
-    ) -> None:
-        super().__init__(layout, {}, hidden_by_layer)
-        self._attn = attn_by_layer
-
-    def _layer_scores(self, layer: int) -> np.ndarray | None:
-        if layer not in self._scores and layer in self._attn:
-            # through the module global, which perfbench/traced_cli.py wraps
-            self._scores[layer] = importance_last_token(
-                self._attn[layer], self.layout, layer=layer
-            ).scores
-        return self._scores.get(layer)
-
-
 def trace_stage_provider(
-    manifest: TraceManifest, tensors: Mapping[str, TensorBlob]
+    manifest: TraceManifest, tensors: Mapping[str, TensorBlob], layers: Iterable[int]
 ) -> ArrayStageProvider:
     """Build a provider from trace tensors named ``attn_l{i}``/``hidden_l{i}``.
 
@@ -284,8 +256,9 @@ def trace_stage_provider(
     ([seq] or [heads, seq]); ``hidden_l{i}`` holds that layer's input
     hidden states for the image segment ([n_image, d], or [seq, d] from
     which the image rows are sliced).  Names and shapes of every layer are
-    checked here; payload values are read, and attention rows scored, only
-    for the layers a schedule runs a stage at.
+    checked; attention rows are read and scored only at ``layers``, the
+    layers a schedule runs a stage at.  Hidden payloads stay unread until
+    a stage slices its survivors' rows.
     """
     layout = manifest.layout
     attn = layer_tensors(tensors, "attn_l")
@@ -295,7 +268,13 @@ def trace_stage_provider(
         layer: layout.image_rows(blob.view(), blob.name)
         for layer, blob in layer_tensors(tensors, "hidden_l").items()
     }
-    return _TraceStageProvider(layout, attn, hidden)
+    # through the module global, which perfbench/traced_cli.py wraps
+    scores = {
+        layer: importance_last_token(attn[layer].view(), layout, layer=layer)
+        for layer in layers
+        if layer in attn
+    }
+    return ArrayStageProvider(layout, scores, hidden)
 
 
 class ScheduleDriver:
@@ -309,15 +288,9 @@ class ScheduleDriver:
     ``selection_result()``.
     """
 
-    def __init__(
-        self,
-        schedule: PruningSchedule,
-        cfg: DiversityConfig = DiversityConfig(),
-        k_prime_rule: KPrimeRule | None = None,
-    ) -> None:
+    def __init__(self, schedule: PruningSchedule, cfg: DiversityConfig = DiversityConfig()) -> None:
         self.schedule = schedule
         self.cfg = cfg
-        self.k_prime_rule = k_prime_rule
         self._by_layer = {stage.layer: i for i, stage in enumerate(schedule.stages)}
         self._selections: list[StageSelection] = []
 
@@ -326,10 +299,7 @@ class ScheduleDriver:
         if idx is None:
             return None
         stage = self.schedule.stages[idx]
-        selection = run_stage(
-            inputs, stage, self.cfg, self.k_prime_rule,
-            final=idx == len(self.schedule.stages) - 1,
-        )
+        selection = run_stage(inputs, stage, self.cfg, final=idx == len(self.schedule.stages) - 1)
         self._selections.append(selection)
         return np.asarray(selection.kept_indices, dtype=np.int64)
 
@@ -338,10 +308,7 @@ class ScheduleDriver:
 
 
 def run_schedule(
-    provider,
-    schedule: PruningSchedule,
-    cfg: DiversityConfig = DiversityConfig(),
-    k_prime_rule: KPrimeRule | None = None,
+    provider, schedule: PruningSchedule, cfg: DiversityConfig = DiversityConfig()
 ) -> SelectionResult:
     """Run every stage of ``schedule`` against a stage-input provider.
 
@@ -349,7 +316,7 @@ def run_schedule(
     see ``ArrayStageProvider``.  Scores and hidden states are re-read at
     each stage layer, restricted to the tokens still alive.
     """
-    driver = ScheduleDriver(schedule, cfg, k_prime_rule)
+    driver = ScheduleDriver(schedule, cfg)
     survivors = np.arange(provider.layout.n_image, dtype=np.int64)
     for stage in schedule.stages:
         survivors = driver(provider.stage_inputs(stage.layer, survivors))

@@ -60,6 +60,13 @@ def _json_int(value, field: str) -> int:
     return int(value)
 
 
+def _json_of(kind: type, value, field: str):
+    # str() or tuple() would accept 5 as tensor "5", or "" as no tensors
+    if not isinstance(value, kind):
+        raise TypeError(f"{field} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
 def _json_number(value, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"{field} must be a number, got {value!r}")
@@ -342,10 +349,6 @@ class StageSelection:
                 f"kept indices must be strictly ascending and unique: {kept}"
             )
 
-    @property
-    def drop_all(self) -> bool:
-        return len(self.kept_indices) == 0
-
 
 @dataclass(frozen=True)
 class SelectionResult:
@@ -374,18 +377,6 @@ class SelectionResult:
             ]
         }
 
-    @classmethod
-    def from_json_dict(cls, obj: Mapping) -> "SelectionResult":
-        stages = tuple(
-            StageSelection(
-                layer=int(s["layer"]),
-                kept_indices=tuple(int(i) for i in s["kept_indices"]),
-                diagnostics={str(k): float(v) for k, v in s.get("diagnostics", {}).items()},
-            )
-            for s in obj["stages"]
-        )
-        return cls(per_stage=stages)
-
 
 # ---------------------------------------------------------------------------
 # manifests
@@ -409,8 +400,12 @@ class ModelShape:
 def _check_tensor_filename(name: str, file: str) -> None:
     if not file:
         raise TraceError(f"tensor {name!r}: empty file name")
-    if os.path.isabs(file) or "/" in file or "\\" in file or file in (".", ".."):
+    if os.path.isabs(file) or any(c in file for c in "/\\\0") or file in (".", ".."):
         raise TraceError(f"tensor {name!r}: file name {file!r} must be a plain basename")
+    try:
+        os.fsencode(file)
+    except UnicodeEncodeError as exc:  # an unpaired surrogate names no file
+        raise TraceError(f"tensor {name!r}: file name {file!r} is not encodable") from exc
 
 
 @dataclass(frozen=True)
@@ -475,11 +470,10 @@ def make_manifest(
     layout: TokenLayout,
     model_dims: ModelShape,
     blobs: Mapping[str, TensorBlob],
-    version: str = TRACE_VERSION,
 ) -> TraceManifest:
     """Manifest covering ``blobs`` with default one-file-per-tensor naming."""
     specs = tuple(TensorSpec(name=name, shape=blob.shape) for name, blob in blobs.items())
-    return TraceManifest(version=version, model_dims=model_dims, layout=layout, tensors=specs)
+    return TraceManifest(TRACE_VERSION, model_dims, layout, specs)
 
 
 def _manifest_from_json(obj, where: str) -> TraceManifest:
@@ -487,18 +481,18 @@ def _manifest_from_json(obj, where: str) -> TraceManifest:
     if not isinstance(obj, dict):
         raise TraceError(f"{where}: manifest root must be an object")
     try:
-        version = str(obj["version"])
+        version = _json_of(str, obj["version"], "version")
         if version != TRACE_VERSION:
             raise TraceError(f"unsupported trace version {version!r}")
         dims = obj["model_dims"]
         specs = tuple(
             TensorSpec(
-                name=str(entry["name"]),
-                shape=tuple(entry["shape"]),
-                dtype=str(entry["dtype"]),
-                file=str(entry["file"]),
+                name=_json_of(str, entry["name"], "tensor name"),
+                shape=tuple(_json_of(list, entry["shape"], "shape")),
+                dtype=_json_of(str, entry["dtype"], "dtype"),
+                file=_json_of(str, entry["file"], "file"),
             )
-            for entry in obj["tensors"]
+            for entry in _json_of(list, obj["tensors"], "tensors")
         )
         for spec in specs:
             if spec.dtype not in _DTYPE_TAGS:

@@ -29,16 +29,10 @@ from btp.trace import (
 )
 
 
-def _profile(counts, attention=None):
-    entries = tuple(
-        ShiftEntry(
-            layer=l,
-            shifted_count=int(c),
-            attention_to_image=None if attention is None else float(attention[l]),
-        )
-        for l, c in enumerate(counts)
+def _profile(counts):
+    return ShiftProfile(
+        per_layer=tuple(ShiftEntry(layer=l, shifted_count=int(c)) for l, c in enumerate(counts))
     )
-    return ShiftProfile(per_layer=entries)
 
 
 # ---------------------------------------------------------------------------
@@ -95,14 +89,6 @@ def test_shift_profile_input_validation():
     bad[1, 0] = 0.0
     with pytest.raises(ValidationError, match="snapshot 1, image token 0"):
         shift_profile(bad)
-
-
-def test_shift_profile_attention_curve():
-    stack = np.ones((3, 2, 2))
-    prof = shift_profile(stack, attention_to_image=[0.5, 0.25])
-    assert [e.attention_to_image for e in prof.per_layer] == [0.5, 0.25]
-    with pytest.raises(ValidationError):
-        shift_profile(stack, attention_to_image=[0.5])
 
 
 def test_shift_profile_scale_invariant():
@@ -198,11 +184,6 @@ def test_shift_profile_errors_keep_their_order():
     with pytest.raises(ValidationError, match="snapshot 0, image token 0"):
         shift_profile(np.ones((3, 2, 0)))  # width 0: every norm is zero
     assert shift_profile(np.ones((3, 0, 4))).counts.tolist() == [0, 0]  # no tokens
-    # the zero-norm check still runs before the attention curve's length check
-    with pytest.raises(ValidationError, match="zero-norm hidden state at snapshot 2"):
-        shift_profile(zero_late, attention_to_image=[0.5])
-    with pytest.raises(ValidationError, match="attention curve has 1 entries, want 2"):
-        shift_profile(ones, attention_to_image=[0.5])
 
 
 def test_shift_profile_memory_is_below_one_snapshot():
@@ -252,15 +233,6 @@ def test_aggregate_sums_counts_and_ignores_order():
     backward = aggregate_profiles([c, b, a])
     np.testing.assert_array_equal(forward.counts, [3, 3, 5])
     assert forward == backward
-
-
-def test_aggregate_attention_curves():
-    a = _profile([1, 0], attention=[0.5, 0.3])
-    b = _profile([0, 2], attention=[0.7, 0.1])
-    agg = aggregate_profiles([a, b])
-    assert [e.attention_to_image for e in agg.per_layer] == pytest.approx([0.6, 0.2])
-    partial = aggregate_profiles([a, _profile([0, 2])])
-    assert all(e.attention_to_image is None for e in partial.per_layer)
 
 
 def test_aggregate_validation():

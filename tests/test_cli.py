@@ -298,6 +298,15 @@ def test_calibrate_calib_size_limits_traces(tmp_path, capsys):
     assert payload["config"]["traces"] == traces[:2]
 
 
+@pytest.mark.parametrize("size", ["0", "-1"])
+def test_calibrate_rejects_calib_size_below_one(tmp_path, capsys, size):
+    # a slice by -1 would silently drop the last trace
+    traces = [_write_calib_trace(tmp_path, f"s{i}", seed=20 + i, planted={5: 8}) for i in range(2)]
+    code, out, err = _run(capsys, ["calibrate", *traces, "--calib-size", size])
+    assert code == 1 and out == ""
+    assert err == f"error: --calib-size must be >= 1, got {size}\n"
+
+
 # ---------------------------------------------------------------------------
 # select
 
@@ -352,6 +361,19 @@ def test_select_rejects_non_finite_stage_inputs(tmp_path, capsys, tensor, what):
     assert err == f"error: layer {layer}: {what} contain non-finite values\n"
 
 
+def test_select_scores_every_scheduled_layer_before_the_first_stage(tmp_path, capsys):
+    # faults at two scheduled layers: the attention row of the later one is
+    # scored when the stage provider is built, before any stage reads hidden states
+    layout, dims, arrays = _grid_trace_arrays(0, side=4, layers=(1, 3))
+    arrays["hidden_l1"][0, 0] = np.nan
+    arrays["attn_l3"][layout.n_system] = np.nan
+    trace = _write_arrays_trace(tmp_path, layout, dims, arrays)
+    sched = _write_schedule(tmp_path, [(1, 0.5, 0.5), (3, 0.5, 1.0)], num_layers=6)
+    code, out, err = _run(capsys, ["select", "--trace", trace, "--schedule", sched])
+    assert code == 1 and out == ""
+    assert err == "error: layer 3: stage scores contain non-finite values\n"
+
+
 @pytest.mark.parametrize("alias,message", [
     ({"attn_l01": "attn_l1"}, "tensor name 'attn_l01' is not attn_l<layer>"),
     ({"hidden_l-1": "hidden_l1"}, "tensor name 'hidden_l-1' is not hidden_l<layer>"),
@@ -380,6 +402,12 @@ MANIFEST_EDITS = {
     "float-n_image": lambda m: m["layout"].update(n_image=12.9),
     "float-layers": lambda m: m["model_dims"].update(layers=6.5),
     "bool-heads": lambda m: m["model_dims"].update(heads=True),
+    # str() would read these as "1" and tensor "5"
+    "int-version": lambda m: m.update(version=1),
+    "int-name": lambda m: m["tensors"][0].update(name=5),
+    "list-file": lambda m: m["tensors"][0].update(file=["attn_l1.bin"]),
+    # the OS takes no NUL byte in a path
+    "nul-file": lambda m: m["tensors"][0].update(file="attn_l1\u0000.bin"),
 }
 
 
@@ -622,6 +650,24 @@ def test_oracle_suites_pass(capsys, kind):
 def test_oracle_guard_refusal(capsys):
     code, _, err = _run(capsys, ["oracle", "mmdp", "--guard", "1"])
     assert code == 1 and "guard" in err
+
+
+@pytest.mark.parametrize("kind,flags,message", [
+    ("mmdp", ["--max-n", "5"], "max_n must be >= 6, got 5"),
+    ("mmdp", ["--max-k", "1"], "max_k must be >= 2, got 1"),
+    ("mmdp", ["--instances", "-5"], "instances must be >= 0, got -5"),
+    ("single_layer", ["--instances", "-5"], "instances must be >= 0, got -5"),
+    ("roundtrip", ["--instances", "-5"], "instances must be >= 0, got -5"),
+    # numpy seeds no generator from a negative number
+    ("mmdp", ["--seed", "-1"], "seed must be >= 0, got -1"),
+    ("single_layer", ["--seed", "-1"], "seed must be >= 0, got -1"),
+    ("roundtrip", ["--seed", "-1"], "seed must be >= 0, got -1"),
+], ids=["mmdp-max-n", "mmdp-max-k", "mmdp-instances", "single_layer-instances",
+        "roundtrip-instances", "mmdp-seed", "single_layer-seed", "roundtrip-seed"])
+def test_oracle_rejects_out_of_range_sizes(capsys, kind, flags, message):
+    code, out, err = _run(capsys, ["oracle", kind, *flags])
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_oracle_unknown_kind(capsys):

@@ -12,20 +12,19 @@ from btp.costs import (
     schedule_flops,
 )
 from btp.errors import ValidationError
-from btp.trace import ModelShape, PruningSchedule, PruningStage, TokenLayout
+from btp.trace import PruningSchedule, PruningStage, TokenLayout
 
 DIMS_7B = ModelDims(num_layers=32, d=4096, m=11008)
 DIMS_13B = ModelDims(num_layers=40, d=5120, m=13824)
 IMAGE_ONLY_576 = TokenLayout(n_system=0, n_image=576, n_text=0, grid_rows=24, grid_cols=24)
 
 
-def test_dims_validation_and_from_shape():
+def test_dims_validation():
     with pytest.raises(ValidationError):
         ModelDims(num_layers=0, d=8, m=16)
     with pytest.raises(ValidationError):
         ModelDims(num_layers=2, d=8, m=16, kv_bytes_per_elem=0)
-    dims = ModelDims.from_shape(ModelShape(layers=4, d=8, heads=2, m=16))
-    assert (dims.num_layers, dims.d, dims.m, dims.kv_bytes_per_elem) == (4, 8, 16, 2)
+    assert ModelDims(num_layers=4, d=8, m=16).kv_bytes_per_elem == 2
 
 
 def test_layer_flops_matches_integer_arithmetic():

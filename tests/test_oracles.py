@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from btp.errors import ValidationError
 from btp.oracles import (
     SuiteReport,
     mmdp_suite,
@@ -82,3 +83,12 @@ def test_counterexample_shows_strict_gap():
     record, k = unequal_norm_counterexample()
     err_topk, err_best = single_layer_optimality_check(record, layer=0, k=k)
     assert err_topk > err_best * 1.5
+
+
+def test_suites_reject_sizes_they_cannot_draw():
+    # the CLI checks mmdp's bounds and every instance count; single_layer
+    # draws 4..max_n tokens, and its max_n has no flag
+    with pytest.raises(ValidationError, match="max_n must be >= 4, got 3"):
+        single_layer_suite(max_n=3)
+    assert single_layer_suite(instances=2, max_n=4).ok
+    assert mmdp_suite(instances=2, max_n=6, max_k=2).ok

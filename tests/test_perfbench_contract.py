@@ -105,11 +105,11 @@ def test_traced_simulate_reads_toymodel_call_shapes(tmp_path):
 def test_traced_select_reads_distance_matrix_shapes(tmp_path):
     rng = np.random.default_rng(0)
     layout = TokenLayout(n_system=1, n_image=16, n_text=2, grid_rows=4, grid_cols=4)
-    row = rng.random(layout.total()) + 1e-3
-    arrays = {
-        "attn_l1": (row / row.sum()).astype(np.float32),
-        "hidden_l1": rng.standard_normal((16, 8)).astype(np.float32),
-    }
+    arrays = {}
+    for layer in (1, 3):  # the schedule runs a stage at layer 1 only
+        row = rng.random(layout.total()) + 1e-3
+        arrays[f"attn_l{layer}"] = (row / row.sum()).astype(np.float32)
+        arrays[f"hidden_l{layer}"] = rng.standard_normal((16, 8)).astype(np.float32)
     blobs = {name: TensorBlob.from_array(name, arr) for name, arr in arrays.items()}
     dims = ModelShape(layers=6, d=8, heads=1, m=16)
     write_trace(tmp_path / "trace", make_manifest(layout, dims, blobs), blobs)
@@ -123,3 +123,5 @@ def test_traced_select_reads_distance_matrix_shapes(tmp_path):
     # candidates, then the diagnostics' Gram over the 8 kept
     assert [s["shape"] for s in dists] == [[12, 8], [8, 8]]
     assert [by_id[s["parent"]]["name"] for s in dists] == ["diversity.greedy", "selector.stage"]
+    # scoring.used_ratio counts scored layers a stage then runs at
+    assert [s["layer"] for s in spans if s["name"] == "scoring.importance"] == [1]

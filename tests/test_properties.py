@@ -1,14 +1,29 @@
-"""Property tests: invariants of the stage selector over generated inputs."""
+"""Property tests: invariants of the stage selector and the trace manifest
+reader over generated inputs."""
+
+import json
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from btp.diversity import SEED_RULES, SEMANTIC_METRICS, SPATIAL_METRICS, DiversityConfig
-from btp.errors import ValidationError
+from btp.errors import TraceError, ValidationError
 from btp.selector import ArrayStageProvider, StageInputs, run_schedule, select_stage
-from btp.trace import PruningSchedule, PruningStage, TokenLayout, stage_kept_count
+from btp.trace import (
+    MANIFEST_NAME,
+    ModelShape,
+    PruningSchedule,
+    PruningStage,
+    TensorBlob,
+    TokenLayout,
+    make_manifest,
+    read_trace,
+    stage_kept_count,
+    write_trace,
+)
 
 # float32, as hidden states are stored in traces; every finite value
 HIDDEN_VALUES = st.floats(width=32, allow_nan=False, allow_infinity=False)
@@ -105,3 +120,77 @@ def test_run_schedule_stages_are_nested(case, cfg):
         assert kept == sorted(set(kept)) and len(kept) == want
         assert set(kept) <= alive
         alive = set(kept)
+
+
+# ---------------------------------------------------------------------------
+# trace manifests
+
+MANIFEST_LAYOUT = TokenLayout(n_system=1, n_image=4, n_text=1, grid_rows=2, grid_cols=2)
+MANIFEST_BLOBS = {
+    "attn_l0": TensorBlob.from_array("attn_l0", np.full(MANIFEST_LAYOUT.total(), 1 / 6)),
+    "hidden_l0": TensorBlob.from_array("hidden_l0", np.ones((MANIFEST_LAYOUT.n_image, 3))),
+}
+VALID_MANIFEST = make_manifest(MANIFEST_LAYOUT, ModelShape(2, 3, 1, 6), MANIFEST_BLOBS)
+
+
+def _json_paths(obj, prefix=()):
+    """The path of ``obj`` and of every value nested in it."""
+    yield prefix
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        items = ()
+    for key, value in items:
+        yield from _json_paths(value, prefix + (key,))
+
+
+VALID_JSON = VALID_MANIFEST.to_json_dict()
+MANIFEST_PATHS = list(_json_paths(VALID_JSON))
+# values the manifest itself holds, so that a mutation can be a near miss
+NEAR_MISSES = ["1", "f32le", "attn_l0", "hidden_l0", "attn_l0.bin", "hidden_l0.bin",
+               [6], [4, 3], []]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 8) | st.integers()
+    | st.floats(allow_nan=False) | st.text(max_size=8) | st.sampled_from(NEAR_MISSES),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def manifest_mutations(draw):
+    """The valid manifest with one value replaced, or one field or item removed."""
+    mutated = json.loads(json.dumps(VALID_JSON))
+    path = draw(st.sampled_from(MANIFEST_PATHS))
+    if not path:
+        return draw(JSON_VALUES)
+    parent = mutated
+    for key in path[:-1]:
+        parent = parent[key]
+    if draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(JSON_VALUES)
+    return mutated
+
+
+@pytest.fixture(scope="module")
+def trace_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("manifest") / "trace"
+    write_trace(root, VALID_MANIFEST, MANIFEST_BLOBS)
+    return root
+
+
+@PROPERTY_SETTINGS
+@given(mutated=manifest_mutations())
+def test_mutated_manifest_is_rejected_or_read_back_equal(trace_dir, mutated):
+    (trace_dir / MANIFEST_NAME).write_text(json.dumps(mutated))
+    try:
+        manifest, _ = read_trace(trace_dir)
+    except TraceError:
+        return
+    # accepted as written: nothing coerced, defaulted or dropped
+    assert manifest.to_json_dict() == mutated

@@ -1,10 +1,12 @@
 """Last-token importance scores and the position-rebalanced top-k."""
 
+import re
+
 import numpy as np
 import pytest
 
 from btp.errors import ValidationError
-from btp.scoring import ImportanceScores, importance_last_token, rebalanced_topk
+from btp.scoring import importance_last_token, rebalanced_topk
 from btp.trace import TensorBlob, TokenLayout
 
 
@@ -24,24 +26,39 @@ def _softmax_rows(rng, m, seq):
 
 
 def test_scores_must_be_nonnegative_and_nonempty():
-    with pytest.raises(ValidationError):
-        ImportanceScores(layer=0, scores=np.array([0.1, -0.2]), method="last_token")
-    with pytest.raises(ValidationError):
-        ImportanceScores(layer=0, scores=np.array([]), method="last_token")
+    lay = _layout()
+    row = np.full(lay.total(), 0.1)
+    row[lay.n_system + 1] = -0.2
+    with pytest.raises(ValidationError, match="negative entries"):
+        importance_last_token(row, lay)
+    # importance_last_token cannot return an empty vector: a layout has at
+    # least one image token; rebalanced_topk takes no empty one either
+    with pytest.raises(ValidationError, match="grid 1x1 does not cover 0"):
+        _layout(n_image=0, rows=1, cols=1)
+    with pytest.raises(ValidationError, match=re.escape("k must be in [1, 0]")):
+        rebalanced_topk(np.array([]), 1)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_scores_must_be_finite(bad):
-    with pytest.raises(ValidationError, match="layer 2: stage scores contain non-finite"):
-        ImportanceScores(layer=2, scores=[bad, 1.0], method="last_token")
+@pytest.mark.parametrize("bad,message", [
+    (np.nan, "layer 2: stage scores contain non-finite values"),
+    (np.inf, "layer 2: stage scores contain non-finite values"),
+    # below zero before it is infinite
+    (-np.inf, "negative entries"),
+], ids=["nan", "inf", "-inf"])
+def test_scores_must_be_finite(bad, message):
+    lay = _layout()
+    row = np.full(lay.total(), 0.1)
+    row[lay.n_system] = bad
+    with pytest.raises(ValidationError, match=message):
+        importance_last_token(row, lay, layer=2)
 
 
 def test_last_token_slices_image_segment():
     lay = _layout()
     row = np.array([0.1, 0.2, 0.05, 0.15, 0.1, 0.25, 0.15])
     got = importance_last_token(row, lay, layer=3)
-    np.testing.assert_allclose(got.scores, [0.2, 0.05, 0.15, 0.1])
-    assert got.layer == 3 and got.method == "last_token"
+    assert got.dtype == np.float64 and got.shape == (4,)
+    np.testing.assert_allclose(got, [0.2, 0.05, 0.15, 0.1])
 
 
 def test_last_token_averages_heads():
@@ -49,15 +66,15 @@ def test_last_token_averages_heads():
     rng = np.random.default_rng(0)
     per_head = _softmax_rows(rng, 3, lay.total())
     got = importance_last_token(per_head, lay)
-    np.testing.assert_allclose(got.scores, per_head.mean(axis=0)[lay.image_slice])
+    np.testing.assert_allclose(got, per_head.mean(axis=0)[lay.image_slice])
 
 
 def test_last_token_accepts_blob_input():
     lay = _layout()
     row = np.full(lay.total(), 1.0 / lay.total(), dtype=np.float32)
     blob = TensorBlob.from_array("attn_l0", row)
-    got = importance_last_token(blob, lay)
-    assert got.scores.shape == (4,)
+    got = importance_last_token(blob.view(), lay)
+    assert got.dtype == np.float64 and got.shape == (4,)
 
 
 def test_last_token_rejects_bad_rows():
@@ -135,9 +152,12 @@ def test_rebalanced_ties_prefer_lower_index():
 
 
 def test_rebalanced_accepts_importance_scores():
-    s = ImportanceScores(layer=0, scores=np.array([0.1, 0.9, 0.2, 0.3]), method="last_token")
-    got = rebalanced_topk(s, 2, k_prime=2)
+    lay = _layout()
+    row = np.array([0.1, 0.1, 0.9, 0.2, 0.3, 0.2, 0.2])
+    got = rebalanced_topk(importance_last_token(row, lay), 2, k_prime=2)
     assert set(got.tolist()) == {1, 3}
+    # any sequence of numbers does as well
+    assert set(rebalanced_topk([0.1, 0.9, 0.2, 0.3], 2, k_prime=2).tolist()) == {1, 3}
 
 
 def test_rebalanced_bounds():

@@ -244,7 +244,7 @@ def test_run_schedule_drop_all_final_stage():
         num_layers=8,
     )
     result = run_schedule(_provider(11), sched)
-    assert result.per_stage[-1].drop_all
+    assert result.per_stage[-1].kept_indices == ()
     assert len(result.per_stage[0].kept_indices) == 6
 
 
@@ -272,7 +272,7 @@ def test_trace_provider_parses_tensor_names():
         "hidden_l3": TensorBlob.from_array("hidden_l3", image_hidden),
     }
     manifest = make_manifest(LAYOUT, ModelShape(layers=8, d=5, heads=1, m=10), blobs)
-    provider = trace_stage_provider(manifest, blobs)
+    provider = trace_stage_provider(manifest, blobs, [1, 3])
     inputs = provider.stage_inputs(1, np.arange(12))
     np.testing.assert_allclose(inputs.scores, row[LAYOUT.image_slice])
     np.testing.assert_allclose(inputs.hidden, full_hidden[LAYOUT.image_slice])
@@ -290,14 +290,14 @@ def test_trace_provider_rejects_bad_tensors():
                     name: TensorBlob.from_array(name, row)}
         with pytest.raises(ValidationError, match=re.escape(f"name {name!r} is not attn_l<")):
             trace_stage_provider(
-                make_manifest(LAYOUT, ModelShape(8, 4, 1, 8), bad_name), bad_name
+                make_manifest(LAYOUT, ModelShape(8, 4, 1, 8), bad_name), bad_name, [1]
             )
     wrong_rows = {
         "hidden_l1": TensorBlob.from_array("hidden_l1", rng.standard_normal((7, 4)))
     }
     with pytest.raises(ValidationError):
         trace_stage_provider(
-            make_manifest(LAYOUT, ModelShape(8, 4, 1, 8), wrong_rows), wrong_rows
+            make_manifest(LAYOUT, ModelShape(8, 4, 1, 8), wrong_rows), wrong_rows, [1]
         )
 
 
@@ -307,21 +307,26 @@ def test_trace_provider_checks_shapes_now_and_values_when_used():
     dims = ModelShape(8, 4, 1, 8)
     short = {"attn_l1": TensorBlob.from_array("attn_l1", row),
              "attn_l5": TensorBlob.from_array("attn_l5", row[:-1])}
+    # shapes are checked at every layer, scheduled or not
     with pytest.raises(ValidationError, match="row length 16 != sequence length 17"):
-        trace_stage_provider(make_manifest(LAYOUT, dims, short), short)
+        trace_stage_provider(make_manifest(LAYOUT, dims, short), short, [1])
     cube = {"attn_l5": TensorBlob.from_array("attn_l5", np.ones((1, 1, LAYOUT.total())))}
     with pytest.raises(ValidationError, match=re.escape("got (1, 1, 17)")):
-        trace_stage_provider(make_manifest(LAYOUT, dims, cube), cube)
-    # a negative entry is a value: found when layer 5 is scored, not before
+        trace_stage_provider(make_manifest(LAYOUT, dims, cube), cube, [1])
+    # a negative entry is a value: found when a scheduled layer is scored,
+    # which is when the provider is built; an unscheduled layer is never read
     blobs = {
         "attn_l1": TensorBlob.from_array("attn_l1", row),
         "hidden_l1": TensorBlob.from_array("hidden_l1", hidden),
         "attn_l5": TensorBlob.from_array("attn_l5", -row),
         "hidden_l5": TensorBlob.from_array("hidden_l5", hidden),
     }
-    provider = trace_stage_provider(make_manifest(LAYOUT, dims, blobs), blobs)
-    assert provider.stage_inputs(1, np.arange(12)).scores.size == 12
+    manifest = make_manifest(LAYOUT, dims, blobs)
     with pytest.raises(ValidationError, match="negative entries"):
+        trace_stage_provider(manifest, blobs, [1, 5])
+    provider = trace_stage_provider(manifest, blobs, [1])
+    assert provider.stage_inputs(1, np.arange(12)).scores.size == 12
+    with pytest.raises(ValidationError, match="no stage data recorded for scheduled layer 5"):
         provider.stage_inputs(5, np.arange(12))
 
 
