@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import ctypes
+import functools
 import json
 import os
 import sys
@@ -93,7 +95,9 @@ def _load_schedule(path: str) -> PruningSchedule:
     return PruningSchedule.from_json_dict(obj, where=path)
 
 
-def _thread_count(n_jobs: int) -> int:
+def _thread_count(n_jobs: int, default: int = 1) -> int:
+    """Threads for ``n_jobs`` independent jobs: ``BTP_THREADS`` if set, else
+    ``default``, and never more than ``n_jobs``."""
     raw = os.environ.get("BTP_THREADS", "").strip()
     if raw:
         try:
@@ -103,8 +107,44 @@ def _thread_count(n_jobs: int) -> int:
         if cap < 1:
             raise ValidationError(f"BTP_THREADS must be >= 1, got {cap}")
     else:
-        cap = 1
+        cap = default
     return max(1, min(cap, n_jobs))
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+@functools.cache
+def _openblas_thread_setter():
+    """``openblas_set_num_threads_local`` of the OpenBLAS numpy loaded, or None.
+
+    The call takes a thread count and returns the previous one.  Its name
+    promises the calling thread only, but in pthreads builds (numpy's wheels
+    among them) it sets the count of the whole process.  The library is
+    found among the files this process has mapped; None when there is no
+    such list (not Linux), no OpenBLAS, or an OpenBLAS older than the call
+    (0.3.27).
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            fields = [line.split(None, 5) for line in fh]
+    except OSError:
+        return None
+    paths = {f[5].rstrip("\n") for f in fields if len(f) == 6}
+    for path in sorted(p for p in paths if "openblas" in os.path.basename(p).lower()):
+        try:
+            # RTLD_NOLOAD: only a library already loaded, never a second copy
+            setter = ctypes.CDLL(path, mode=os.RTLD_NOLOAD).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes = [ctypes.c_int]
+        setter.restype = ctypes.c_int
+        return setter
+    return None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -293,7 +333,6 @@ def cmd_simulate(args) -> int:
     weights = init_weights(cfg)
     rng = np.random.default_rng([cfg.seed, 1])
     inputs = rng.standard_normal((layout.total(), cfg.d)).astype(np.float32)
-    baseline = forward(inputs, layout, cfg, weights)
 
     def variant(balance: float | None) -> PruningSchedule:
         if balance is None:
@@ -309,10 +348,36 @@ def cmd_simulate(args) -> int:
         "attention_only": variant(1.0),
         "diversity_only": variant(0.0),
     }
-    records = {}
-    for name, sched in strategies.items():
-        driver = ScheduleDriver(sched, dcfg)
-        records[name] = forward(inputs, layout, cfg, weights, prune_hook=driver)
+    # The four forwards are independent, so they run on a pool of threads
+    # whose BLAS is pinned to one thread: the CSV then depends neither on the
+    # worker count nor on OPENBLAS_NUM_THREADS.  The pin is set here as well
+    # as in each worker, so it holds whether the setter acts on the calling
+    # thread or on the process, and the count it replaced is put back at the
+    # end.  Without the setter there is one worker and BLAS is left alone.
+    cpus = _usable_cpus()
+    workers = min(cpus, _thread_count(1 + len(strategies), default=cpus))
+    setter = _openblas_thread_setter()
+    if setter is None:
+        workers = 1
+    previous = setter(1) if setter else None
+    pool = concurrent.futures.ThreadPoolExecutor(
+        max_workers=workers, initializer=setter, initargs=(1,) if setter else ()
+    )
+    try:
+        # baseline first, as it is the longest; results are read in
+        # submission order, so the first failure raised is the serial one
+        jobs = [pool.submit(forward, inputs, layout, cfg, weights)]
+        jobs += [
+            pool.submit(forward, inputs, layout, cfg, weights,
+                        prune_hook=ScheduleDriver(sched, dcfg))
+            for sched in strategies.values()
+        ]
+        baseline, *pruned = [job.result() for job in jobs]
+    finally:
+        pool.shutdown(cancel_futures=True)
+        if setter:
+            setter(previous)
+    records = dict(zip(strategies, pruned))
 
     text_positions = list(range(layout.n_system + layout.n_image, layout.total()))
     lines = ["layer," + ",".join(strategies)]

@@ -51,6 +51,8 @@ class ToyConfig:
             raise ValidationError(f"d={self.d} not divisible by heads={self.heads}")
         if self.value_norm not in VALUE_NORM_MODES:
             raise ValidationError(f"value_norm must be one of {VALUE_NORM_MODES}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -176,7 +178,8 @@ class ForwardRecord:
     (index num_layers holds the final output); ``attn_last[l]`` and
     ``values[l]`` were computed during layer l and align with
     ``positions[l]``.  ``image_survivors[l]`` are the image indices alive
-    entering layer l.
+    entering layer l.  ``values`` is empty unless ``forward`` was asked to
+    keep them.
     """
 
     config: ToyConfig
@@ -194,6 +197,7 @@ def forward(
     cfg: ToyConfig,
     weights: ToyWeights | None = None,
     prune_hook=None,
+    keep_values: bool = False,
 ) -> ForwardRecord:
     """Run the decoder, optionally pruning image rows between layers.
 
@@ -201,7 +205,9 @@ def forward(
     (survivor indices, their scores from this layer's last-row attention,
     and this layer's input hidden states); it returns the image indices to
     keep, or None to keep everything.  Rows pruned at layer l are gone
-    before layer l+1: later layers never see their keys or values.
+    before layer l+1: later layers never see their keys or values.  Each
+    layer's [n, d] value matrix is recorded only with ``keep_values``;
+    ``local_prune_error`` and ``single_layer_optimality_check`` need them.
     """
     x = np.asarray(inputs, dtype=np.float32)
     if x.ndim != 2 or x.shape != (layout.total(), cfg.d):
@@ -228,7 +234,8 @@ def forward(
         if not np.isfinite(x_next).all():
             raise ValidationError(f"non-finite activations after layer {layer}")
         attn_rows.append(last_row)
-        value_mats.append(v)
+        if keep_values:
+            value_mats.append(v)
 
         if prune_hook is not None and alive.size > 0:
             image_mask = layout.image_mask(positions)
@@ -317,13 +324,21 @@ def layer_output_distance(
     return float(((va * vb).sum(axis=1) / (na * nb)).mean())
 
 
+def _image_values(record: ForwardRecord, layer: int, mask: np.ndarray) -> np.ndarray:
+    """float64 value rows of ``layer`` under ``mask``; the record must hold values."""
+    if len(record.values) != len(record.attn_last):
+        raise ValidationError("record holds no value matrices: run forward with keep_values=True")
+    return record.values[layer][mask].astype(np.float64)
+
+
 def local_prune_error(record: ForwardRecord, layer: int, kept) -> float:
     """Perturbation of the layer's last-row attention output if only the
     ``kept`` image tokens (original image indices, subset of the tokens
     alive at ``layer``) contribute: L2 norm of sum_{i dropped} a_i v_i.
 
     This is the local cost a pruning decision at ``layer`` inflicts on that
-    same layer's output, before any downstream compounding.
+    same layer's output, before any downstream compounding.  The record
+    must come from ``forward(..., keep_values=True)``.
     """
     if not 0 <= layer < len(record.attn_last):
         raise ValidationError(f"layer {layer} outside recorded range")
@@ -333,7 +348,7 @@ def local_prune_error(record: ForwardRecord, layer: int, kept) -> float:
     if kept.size and not np.isin(kept, alive).all():
         raise ValidationError(f"kept indices not alive at layer {layer}")
     a = record.attn_last[layer][mask].astype(np.float64)
-    v = record.values[layer][mask].astype(np.float64)
+    v = _image_values(record, layer, mask)
     drop = ~np.isin(alive, kept)
     return float(np.linalg.norm((a[drop, None] * v[drop]).sum(axis=0)))
 
@@ -345,7 +360,8 @@ def single_layer_optimality_check(
 
     The perturbation of keeping set S is the L2 norm of the dropped
     attention mass sum_{i not in S} a_i v_i, where a is the last row's
-    attention over image positions and v the recorded value rows.  Returns
+    attention over image positions and v the recorded value rows (so the
+    record must come from ``forward(..., keep_values=True)``).  Returns
     (top-k error, exhaustive minimum).  With equal-norm mutually orthogonal
     value rows the two coincide; with unequal norms top-k can be strictly
     worse.  Refuses more than ``max_image_tokens`` image tokens.
@@ -364,7 +380,7 @@ def single_layer_optimality_check(
         raise ValidationError(f"k must be in [1, {n}], got {k}")
 
     a = record.attn_last[layer][mask].astype(np.float64)
-    v = record.values[layer][mask].astype(np.float64)
+    v = _image_values(record, layer, mask)
     weighted = a[:, None] * v
     total = weighted.sum(axis=0)
 

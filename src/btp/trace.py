@@ -402,6 +402,8 @@ def _check_tensor_filename(name: str, file: str) -> None:
         raise TraceError(f"tensor {name!r}: empty file name")
     if os.path.isabs(file) or any(c in file for c in "/\\\0") or file in (".", ".."):
         raise TraceError(f"tensor {name!r}: file name {file!r} must be a plain basename")
+    if file == MANIFEST_NAME:
+        raise TraceError(f"tensor {name!r}: file name {file!r} is the manifest's")
     try:
         os.fsencode(file)
     except UnicodeEncodeError as exc:  # an unpaired surrogate names no file
@@ -443,6 +445,13 @@ class TraceManifest:
         names = [t.name for t in self.tensors]
         if len(names) != len(set(names)):
             raise TraceError("manifest lists duplicate tensor names")
+        owner: dict[str, str] = {}
+        for t in self.tensors:
+            if t.file in owner:
+                raise TraceError(
+                    f"tensors {owner[t.file]!r} and {t.name!r} share payload file {t.file!r}"
+                )
+            owner[t.file] = t.name
 
     def to_json_dict(self) -> dict:
         return {

@@ -283,7 +283,7 @@ def test_criterion_8_first_stage_divergence():
         cfg = ToyConfig(num_layers=4, d=64, heads=4, mlp=128, seed=seed, value_norm="unit")
         rng = np.random.default_rng([seed, 1])
         x = rng.standard_normal((layout.total(), cfg.d)).astype(np.float32)
-        rec = forward(x, layout, cfg)
+        rec = forward(x, layout, cfg, keep_values=True)
         image_mask = (rec.positions[1] >= 2) & (rec.positions[1] < 38)
         inputs = StageInputs(
             layer=1,

@@ -2,13 +2,18 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import btp.cli
 from btp.calibration import synthetic_shift_stack
 from btp.cli import main
+from btp.selector import ScheduleDriver
 from btp.trace import (
     ModelShape,
     PruningSchedule,
@@ -408,6 +413,9 @@ MANIFEST_EDITS = {
     "list-file": lambda m: m["tensors"][0].update(file=["attn_l1.bin"]),
     # the OS takes no NUL byte in a path
     "nul-file": lambda m: m["tensors"][0].update(file="attn_l1\u0000.bin"),
+    # a later write to a shared file, or to the manifest, wins silently
+    "shared-file": lambda m: m["tensors"][1].update(file=m["tensors"][0]["file"]),
+    "manifest-file": lambda m: m["tensors"][0].update(file="manifest.json"),
 }
 
 
@@ -633,6 +641,101 @@ def test_simulate_depth_mismatch(tmp_path, capsys):
     sched = _write_schedule(tmp_path, [(1, 0.5, 0.5)], num_layers=6)
     code, _, err = _run(capsys, ["simulate", "--schedule", sched, "--layers", "4"])
     assert code == 1 and "model has 4" in err
+
+
+def test_simulate_rejects_negative_seed(tmp_path, capsys):
+    sched = _write_schedule(tmp_path, [(1, 0.5, 0.5)], num_layers=4)
+    code, out, err = _run(capsys, ["simulate", "--schedule", sched, "--seed", "-1"])
+    assert (code, out, err) == (1, "", "error: seed must be >= 0, got -1\n")
+
+
+def test_simulate_csv_does_not_depend_on_thread_counts(tmp_path):
+    # at this shape the K = 688 down-projection rounds differently on two
+    # BLAS threads than on one: one forward after another gave CSV digest
+    # 261689b9... under OPENBLAS_NUM_THREADS=1 and 6697c66d... under 2
+    if btp.cli._openblas_thread_setter() is None:
+        pytest.skip("numpy's BLAS has no openblas_set_num_threads_local")
+    sched = _write_schedule(tmp_path, [(1, 0.5, 0.5), (3, 0.5, 1.0)], num_layers=6)
+    src = str(Path(btp.cli.__file__).resolve().parents[1])
+    argv = [
+        sys.executable, "-m", "btp.cli", "simulate", "--schedule", sched,
+        "--layout", "2,64,8,8,8", "--layers", "6", "--d", "256", "--heads", "8",
+        "--mlp", "688",
+    ]
+    outputs = {}
+    for blas in ("1", "2"):
+        for workers in ("1", None):
+            env = {k: v for k, v in os.environ.items() if k != "BTP_THREADS"}
+            env["OPENBLAS_NUM_THREADS"] = blas
+            env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+            if workers:
+                env["BTP_THREADS"] = workers
+            proc = subprocess.run(argv, env=env, capture_output=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs[blas, workers] = proc.stdout
+    assert len(set(outputs.values())) == 1, {
+        key: hashlib.sha256(out).hexdigest()[:8] for key, out in outputs.items()
+    }
+
+
+def test_simulate_pool_with_more_workers_than_cores(tmp_path, capsys, monkeypatch):
+    # four workers on any machine, switching threads every microsecond: the
+    # CSV must be the one-worker CSV byte for byte
+    sched = _write_schedule(tmp_path, [(1, 0.5, 0.5), (3, 0.5, 1.0)], num_layers=6)
+    argv = ["simulate", "--schedule", sched, "--layers", "6", "--seed", "7"]
+    monkeypatch.setenv("BTP_THREADS", "1")
+    code, serial, _ = _run(capsys, argv)
+    assert code == 0
+    monkeypatch.setenv("BTP_THREADS", "4")
+    monkeypatch.setattr(btp.cli, "_usable_cpus", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            code, pooled, _ = _run(capsys, argv)
+            assert code == 0 and pooled == serial
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class _FaultyDriver(ScheduleDriver):
+    """The btp schedule's stage returns duplicates, diversity_only's a
+    token that is not alive; attention_only runs as it should."""
+
+    def __call__(self, inputs):
+        kept = super().__call__(inputs)
+        balances = {stage.balance for stage in self.schedule.stages}
+        if kept is None or balances == {1.0}:
+            return kept
+        if balances == {0.0}:
+            return kept + inputs.layout.n_image
+        return np.repeat(kept[:1], 2)
+
+
+@pytest.mark.parametrize("workers", ["1", "4"])
+def test_simulate_reports_the_first_failing_forward(tmp_path, capsys, monkeypatch, workers):
+    # one forward after another, the btp forward failed first; on a pool the
+    # error is still that of the first failing job in submission order
+    monkeypatch.setattr(btp.cli, "ScheduleDriver", _FaultyDriver)
+    monkeypatch.setenv("BTP_THREADS", workers)
+    sched = _write_schedule(tmp_path, [(1, 0.5, 0.5), (3, 0.5, 1.0)], num_layers=4)
+    code, out, err = _run(capsys, ["simulate", "--schedule", sched])
+    assert (code, out, err) == (1, "", "error: prune hook returned duplicates at layer 1\n")
+
+
+def test_simulate_restores_the_blas_thread_count(tmp_path, capsys):
+    setter = btp.cli._openblas_thread_setter()
+    if setter is None:
+        pytest.skip("numpy's BLAS has no openblas_set_num_threads_local")
+    sched = _write_schedule(tmp_path, [(1, 0.5, 0.5)], num_layers=4)
+    # simulate runs its forwards with a count of 1 and must put back this 2
+    before = setter(2)
+    try:
+        code, _, _ = _run(capsys, ["simulate", "--schedule", sched])
+        assert code == 0
+        assert setter(before) == 2
+    finally:
+        setter(before)
 
 
 # ---------------------------------------------------------------------------

@@ -377,6 +377,51 @@ def test_write_rejects_manifest_blob_mismatch(tmp_path):
         write_trace(tmp_path / "t", manifest, wrong)
 
 
+# payload file names per tensor that make one write clobber another; an
+# empty name stands for the default, "<name>.bin"
+COLLIDING_FILES = {
+    "shared": ({"a": "x.bin", "b": "x.bin"}, "tensors 'a' and 'b' share payload file 'x.bin'"),
+    "shared-default": ({"a": "x.bin", "x": ""}, "tensors 'a' and 'x' share payload file 'x.bin'"),
+    "manifest": ({"a": "manifest.json"}, "file name 'manifest.json' is the manifest's"),
+}
+
+
+def _colliding_manifest_json(files):
+    blobs = {
+        name: TensorBlob.from_array(name, np.full(3, i, dtype=np.float32))
+        for i, name in enumerate(files)
+    }
+    obj = make_manifest(_small_layout(), _small_dims(), blobs).to_json_dict()
+    for entry in obj["tensors"]:
+        entry["file"] = files[entry["name"]] or entry["file"]
+    return obj, blobs
+
+
+@pytest.mark.parametrize("case", list(COLLIDING_FILES))
+def test_write_rejects_colliding_payload_files(tmp_path, case):
+    files, message = COLLIDING_FILES[case]
+    obj, blobs = _colliding_manifest_json(files)
+    with pytest.raises(TraceError, match=re.escape(message)):
+        specs = [TensorSpec(e["name"], e["shape"], file=e["file"]) for e in obj["tensors"]]
+        write_trace(tmp_path / "t", TraceManifest("1", _small_dims(), _small_layout(), specs), blobs)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("case", list(COLLIDING_FILES))
+def test_read_rejects_colliding_payload_files(tmp_path, case):
+    # as a writer that did not check would leave them: x.bin holds the later
+    # payload, which read back for both tensors
+    files, message = COLLIDING_FILES[case]
+    obj, blobs = _colliding_manifest_json(files)
+    root = tmp_path / "t"
+    root.mkdir()
+    for entry in obj["tensors"]:
+        blobs[entry["name"]].data.tofile(root / entry["file"])
+    (root / "manifest.json").write_text(json.dumps(obj))
+    with pytest.raises(TraceError, match=re.escape(message)):
+        read_trace(root)
+
+
 def test_overwrite_is_atomic_replacement(tmp_path):
     """Rewriting replaces the directory wholesale; stale tensors vanish."""
     root = tmp_path / "trace"
