@@ -36,6 +36,7 @@ from .diversity import SEED_RULES, SEMANTIC_METRICS, SPATIAL_METRICS, DiversityC
 from .errors import TraceError, ValidationError
 from .oracles import mmdp_suite, roundtrip_suite, single_layer_suite
 from .selector import ScheduleDriver, run_schedule, trace_stage_provider
+from . import toymodel
 from .toymodel import (
     DISTANCE_METRICS,
     VALUE_NORM_MODES,
@@ -95,9 +96,7 @@ def _load_schedule(path: str) -> PruningSchedule:
     return PruningSchedule.from_json_dict(obj, where=path)
 
 
-def _thread_count(n_jobs: int, default: int = 1) -> int:
-    """Threads for ``n_jobs`` independent jobs: ``BTP_THREADS`` if set, else
-    ``default``, and never more than ``n_jobs``."""
+def _thread_count(n_jobs: int) -> int:
     raw = os.environ.get("BTP_THREADS", "").strip()
     if raw:
         try:
@@ -107,7 +106,7 @@ def _thread_count(n_jobs: int, default: int = 1) -> int:
         if cap < 1:
             raise ValidationError(f"BTP_THREADS must be >= 1, got {cap}")
     else:
-        cap = default
+        cap = 1
     return max(1, min(cap, n_jobs))
 
 
@@ -353,12 +352,16 @@ def cmd_simulate(args) -> int:
     # worker count nor on OPENBLAS_NUM_THREADS.  The pin is set here as well
     # as in each worker, so it holds whether the setter acts on the calling
     # thread or on the process, and the count it replaced is put back at the
-    # end.  Without the setter there is one worker and BLAS is left alone.
-    cpus = _usable_cpus()
-    workers = min(cpus, _thread_count(1 + len(strategies), default=cpus))
+    # end.  There is a worker per usable CPU, at most one per forward;
+    # without the setter there is one worker and BLAS is left alone.
+    # ``forward`` is looked up in this module so that a caller can replace
+    # it, say to trace its calls; a replacement need not be thread-safe (a
+    # tracer with one span stack files spans under the wrong forward), so
+    # it gets one worker too and its calls do not overlap.
     setter = _openblas_thread_setter()
-    if setter is None:
-        workers = 1
+    workers = 1
+    if setter and forward is toymodel.forward:
+        workers = min(1 + len(strategies), _usable_cpus())
     previous = setter(1) if setter else None
     pool = concurrent.futures.ThreadPoolExecutor(
         max_workers=workers, initializer=setter, initargs=(1,) if setter else ()

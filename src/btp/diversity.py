@@ -33,10 +33,9 @@ SEED_RULES = ("spatial_first_point", "farthest_from_centroid")
 # largest [rows, N, d] float64 difference block distance_rows allocates;
 # a single row is computed whole even when it is larger
 BLOCK_BYTES = 32 * 2**20
-# float64 bytes of the block of rows unit_rows normalises, and of the
-# difference block pair_distances reduces, at a time: small enough to stay in
-# cache across their passes; a single row is done whole
-CACHE_BLOCK_BYTES = 256 * 2**10
+# float64 bytes of the block of rows unit_rows normalises at a time, small
+# enough to stay in cache across its passes; a single row is done whole
+UNIT_BLOCK_BYTES = 256 * 2**10
 
 
 class ZeroNormRow(ValidationError):
@@ -111,7 +110,7 @@ def unit_rows(points, index=None) -> np.ndarray:
     n = src.shape[0] if rows is None else rows.size
     d = src.shape[1]
     out = np.empty((n, d))
-    step = max(1, min(n, CACHE_BLOCK_BYTES // max(1, d * 8)))
+    step = max(1, min(n, UNIT_BLOCK_BYTES // max(1, d * 8)))
     squares = np.empty((step, d))
     norms = np.empty(step)
     for start in range(0, n, step):
@@ -178,11 +177,8 @@ def pair_distances(points, subset, metric: str) -> np.ndarray:
     """Distances over the unordered pairs of ``subset``, in ``np.triu_indices`` order.
 
     Only the subset's rows are converted to float64.  Elementwise metrics
-    are computed a block of upper-triangle rows at a time: rows i..j-1
-    against the points from i on, one ``distance_rows`` call whose
-    difference temporary stays within ``CACHE_BLOCK_BYTES``.  Each distance
-    reduces the same d values as the one-row-per-call loop did, so the
-    result is bit-identical to it.
+    are computed one row of the upper triangle at a time, in
+    O(len(subset) * d) memory.
     """
     src = _check_points(np.asarray(points))
     idx = np.asarray(list(subset), dtype=np.int64)
@@ -193,18 +189,9 @@ def pair_distances(points, subset, metric: str) -> np.ndarray:
         unit = UnitRows(unit_rows(src, idx))
         return distance_matrix(unit, metric)[np.triu_indices(m, k=1)]
     pts = _float_rows(src, idx)
-    out = np.empty(m * (m - 1) // 2)
-    filled = start = 0
-    while start < m - 1:
-        step = max(1, CACHE_BLOCK_BYTES // max(1, 8 * (m - start) * pts.shape[1]))
-        stop = min(start + step, m - 1)
-        block = distance_rows(pts[start:], np.arange(stop - start), metric)
-        # row r of the block is point start + r; its pairs are the columns after r
-        for r, row in enumerate(block):
-            out[filled:filled + row.size - r - 1] = row[r + 1:]
-            filled += row.size - r - 1
-        start = stop
-    return out
+    return np.concatenate(
+        [distance_rows(pts[i:], [0], metric)[0, 1:] for i in range(m - 1)]
+    )
 
 
 def min_pairwise_distance(points, subset, metric: str) -> float:

@@ -178,8 +178,9 @@ class ForwardRecord:
     (index num_layers holds the final output); ``attn_last[l]`` and
     ``values[l]`` were computed during layer l and align with
     ``positions[l]``.  ``image_survivors[l]`` are the image indices alive
-    entering layer l.  ``values`` is empty unless ``forward`` was asked to
-    keep them.
+    entering layer l.  ``forward`` leaves ``values`` empty: a layer's value
+    rows are the third output of ``layer_step`` on ``hidden[l]``, and only
+    records built for the local-error probes carry them.
     """
 
     config: ToyConfig
@@ -197,7 +198,6 @@ def forward(
     cfg: ToyConfig,
     weights: ToyWeights | None = None,
     prune_hook=None,
-    keep_values: bool = False,
 ) -> ForwardRecord:
     """Run the decoder, optionally pruning image rows between layers.
 
@@ -205,9 +205,8 @@ def forward(
     (survivor indices, their scores from this layer's last-row attention,
     and this layer's input hidden states); it returns the image indices to
     keep, or None to keep everything.  Rows pruned at layer l are gone
-    before layer l+1: later layers never see their keys or values.  Each
-    layer's [n, d] value matrix is recorded only with ``keep_values``;
-    ``local_prune_error`` and ``single_layer_optimality_check`` need them.
+    before layer l+1: later layers never see their keys or values.  The
+    record holds no value matrices (see ``ForwardRecord``).
     """
     x = np.asarray(inputs, dtype=np.float32)
     if x.ndim != 2 or x.shape != (layout.total(), cfg.d):
@@ -227,15 +226,12 @@ def forward(
     pos_hist = [positions]
     alive_hist = [alive]
     attn_rows: list[np.ndarray] = []
-    value_mats: list[np.ndarray] = []
 
     for layer in range(cfg.num_layers):
-        x_next, last_row, v = layer_step(x, layer, cfg, weights)
+        x_next, last_row, _ = layer_step(x, layer, cfg, weights)
         if not np.isfinite(x_next).all():
             raise ValidationError(f"non-finite activations after layer {layer}")
         attn_rows.append(last_row)
-        if keep_values:
-            value_mats.append(v)
 
         if prune_hook is not None and alive.size > 0:
             image_mask = layout.image_mask(positions)
@@ -274,7 +270,7 @@ def forward(
         hidden=tuple(hidden),
         positions=tuple(pos_hist),
         attn_last=tuple(attn_rows),
-        values=tuple(value_mats),
+        values=(),
         image_survivors=tuple(alive_hist),
     )
 
@@ -327,7 +323,7 @@ def layer_output_distance(
 def _image_values(record: ForwardRecord, layer: int, mask: np.ndarray) -> np.ndarray:
     """float64 value rows of ``layer`` under ``mask``; the record must hold values."""
     if len(record.values) != len(record.attn_last):
-        raise ValidationError("record holds no value matrices: run forward with keep_values=True")
+        raise ValidationError("record holds no value matrices")
     return record.values[layer][mask].astype(np.float64)
 
 
@@ -338,7 +334,7 @@ def local_prune_error(record: ForwardRecord, layer: int, kept) -> float:
 
     This is the local cost a pruning decision at ``layer`` inflicts on that
     same layer's output, before any downstream compounding.  The record
-    must come from ``forward(..., keep_values=True)``.
+    must carry ``values``.
     """
     if not 0 <= layer < len(record.attn_last):
         raise ValidationError(f"layer {layer} outside recorded range")
@@ -360,8 +356,7 @@ def single_layer_optimality_check(
 
     The perturbation of keeping set S is the L2 norm of the dropped
     attention mass sum_{i not in S} a_i v_i, where a is the last row's
-    attention over image positions and v the recorded value rows (so the
-    record must come from ``forward(..., keep_values=True)``).  Returns
+    attention over image positions and v the record's ``values`` rows.  Returns
     (top-k error, exhaustive minimum).  With equal-norm mutually orthogonal
     value rows the two coincide; with unequal norms top-k can be strictly
     worse.  Refuses more than ``max_image_tokens`` image tokens.

@@ -7,6 +7,7 @@ that clause is expected to fail; see the oracle regression list for the
 exact instances.
 """
 
+import dataclasses
 import json
 import math
 
@@ -42,6 +43,7 @@ from btp.toymodel import (
     ToyConfig,
     forward,
     init_weights,
+    layer_step,
     local_prune_error,
     single_layer_optimality_check,
 )
@@ -283,7 +285,11 @@ def test_criterion_8_first_stage_divergence():
         cfg = ToyConfig(num_layers=4, d=64, heads=4, mlp=128, seed=seed, value_norm="unit")
         rng = np.random.default_rng([seed, 1])
         x = rng.standard_normal((layout.total(), cfg.d)).astype(np.float32)
-        rec = forward(x, layout, cfg, keep_values=True)
+        weights = init_weights(cfg)
+        rec = forward(x, layout, cfg, weights)
+        # forward keeps no value rows; local_prune_error reads layer 1's
+        values = tuple(layer_step(h, l, cfg, weights)[2] for l, h in enumerate(rec.hidden[:-1]))
+        rec = dataclasses.replace(rec, values=values)
         image_mask = (rec.positions[1] >= 2) & (rec.positions[1] < 38)
         inputs = StageInputs(
             layer=1,

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -657,20 +658,23 @@ def test_simulate_csv_does_not_depend_on_thread_counts(tmp_path):
         pytest.skip("numpy's BLAS has no openblas_set_num_threads_local")
     sched = _write_schedule(tmp_path, [(1, 0.5, 0.5), (3, 0.5, 1.0)], num_layers=6)
     src = str(Path(btp.cli.__file__).resolve().parents[1])
-    argv = [
-        sys.executable, "-m", "btp.cli", "simulate", "--schedule", sched,
-        "--layout", "2,64,8,8,8", "--layers", "6", "--d", "256", "--heads", "8",
-        "--mlp", "688",
+    # the worker count is one per usable CPU, at most four: force 1 and 4
+    launcher = (
+        "import sys, btp.cli\n"
+        "btp.cli._usable_cpus = lambda: int(sys.argv[1])\n"
+        "sys.exit(btp.cli.main(sys.argv[2:]))\n"
+    )
+    args = [
+        "simulate", "--schedule", sched, "--layout", "2,64,8,8,8", "--layers", "6",
+        "--d", "256", "--heads", "8", "--mlp", "688",
     ]
     outputs = {}
     for blas in ("1", "2"):
-        for workers in ("1", None):
-            env = {k: v for k, v in os.environ.items() if k != "BTP_THREADS"}
-            env["OPENBLAS_NUM_THREADS"] = blas
+        for workers in ("1", "4"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas)
             env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-            if workers:
-                env["BTP_THREADS"] = workers
-            proc = subprocess.run(argv, env=env, capture_output=True, timeout=120)
+            proc = subprocess.run([sys.executable, "-c", launcher, workers, *args],
+                                  env=env, capture_output=True, timeout=120)
             assert proc.returncode == 0, proc.stderr
             outputs[blas, workers] = proc.stdout
     assert len(set(outputs.values())) == 1, {
@@ -683,10 +687,9 @@ def test_simulate_pool_with_more_workers_than_cores(tmp_path, capsys, monkeypatc
     # CSV must be the one-worker CSV byte for byte
     sched = _write_schedule(tmp_path, [(1, 0.5, 0.5), (3, 0.5, 1.0)], num_layers=6)
     argv = ["simulate", "--schedule", sched, "--layers", "6", "--seed", "7"]
-    monkeypatch.setenv("BTP_THREADS", "1")
+    monkeypatch.setattr(btp.cli, "_usable_cpus", lambda: 1)
     code, serial, _ = _run(capsys, argv)
     assert code == 0
-    monkeypatch.setenv("BTP_THREADS", "4")
     monkeypatch.setattr(btp.cli, "_usable_cpus", lambda: 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -696,6 +699,32 @@ def test_simulate_pool_with_more_workers_than_cores(tmp_path, capsys, monkeypatc
             assert code == 0 and pooled == serial
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_simulate_runs_a_replaced_forward_one_call_at_a_time(tmp_path, capsys, monkeypatch):
+    # a tracer wraps btp.cli.forward and keeps one span stack: its calls
+    # must not overlap, whatever the worker count would have been
+    sched = _write_schedule(tmp_path, [(1, 0.5, 0.5), (3, 0.5, 1.0)], num_layers=6)
+    argv = ["simulate", "--schedule", sched, "--layers", "6", "--seed", "7"]
+    monkeypatch.setattr(btp.cli, "_usable_cpus", lambda: 4)
+    code, pooled, _ = _run(capsys, argv)
+    assert code == 0
+    running, overlaps = [], []
+    original = btp.cli.forward
+
+    def wrapped(*args, **kwargs):
+        running.append(None)
+        overlaps.append(len(running))
+        try:
+            time.sleep(0.01)
+            return original(*args, **kwargs)
+        finally:
+            running.pop()
+
+    monkeypatch.setattr(btp.cli, "forward", wrapped)
+    code, serial, _ = _run(capsys, argv)
+    assert code == 0 and serial == pooled
+    assert overlaps == [1, 1, 1, 1]
 
 
 class _FaultyDriver(ScheduleDriver):
@@ -712,12 +741,12 @@ class _FaultyDriver(ScheduleDriver):
         return np.repeat(kept[:1], 2)
 
 
-@pytest.mark.parametrize("workers", ["1", "4"])
+@pytest.mark.parametrize("workers", [1, 4])
 def test_simulate_reports_the_first_failing_forward(tmp_path, capsys, monkeypatch, workers):
     # one forward after another, the btp forward failed first; on a pool the
     # error is still that of the first failing job in submission order
     monkeypatch.setattr(btp.cli, "ScheduleDriver", _FaultyDriver)
-    monkeypatch.setenv("BTP_THREADS", workers)
+    monkeypatch.setattr(btp.cli, "_usable_cpus", lambda: workers)
     sched = _write_schedule(tmp_path, [(1, 0.5, 0.5), (3, 0.5, 1.0)], num_layers=4)
     code, out, err = _run(capsys, ["simulate", "--schedule", sched])
     assert (code, out, err) == (1, "", "error: prune hook returned duplicates at layer 1\n")

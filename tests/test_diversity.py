@@ -150,30 +150,6 @@ def test_subset_statistics_match_dense_reference():
                 assert sum_of_distances(pts, subset, metric) == float(want.sum())
 
 
-def _per_row_pair_distances(points, subset, metric):
-    """The one-``distance_rows``-call-per-triangle-row loop blocks replaced."""
-    pts = np.asarray(points, dtype=np.float64)[np.asarray(subset)]
-    return np.concatenate(
-        [distance_rows(pts[i:], [0], metric)[0, 1:] for i in range(len(pts) - 1)]
-    )
-
-
-@pytest.mark.parametrize("block_bytes", [1, 4096, diversity.CACHE_BLOCK_BYTES, 2**30])
-def test_blocked_pair_distances_match_per_row_loop(monkeypatch, block_bytes):
-    # 1 byte gives one triangle row per block, 4096 a few, 2**30 one block
-    monkeypatch.setattr(diversity, "CACHE_BLOCK_BYTES", block_bytes)
-    rng, sets = _corpus()
-    sets.append(rng.standard_normal((97, 256)).astype(np.float32))
-    for pts in sets:
-        n = pts.shape[0]
-        for metric in ("manhattan", "euclidean"):
-            for size in sorted({2, min(3, n), n // 2, n} - {0, 1}):
-                subset = rng.choice(n, size=size, replace=False)
-                got = pair_distances(pts, subset, metric)
-                want = _per_row_pair_distances(pts, subset, metric)
-                assert got.tobytes() == want.tobytes(), (pts.shape, metric, size)
-
-
 # ---------------------------------------------------------------------------
 # distances
 
@@ -203,7 +179,7 @@ def test_distance_matrix_validation():
 # ---------------------------------------------------------------------------
 # blocked unit rows
 
-UNIT_BLOCK_ROWS_AT_64 = diversity.CACHE_BLOCK_BYTES // (64 * 8)
+UNIT_BLOCK_ROWS_AT_64 = diversity.UNIT_BLOCK_BYTES // (64 * 8)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -214,7 +190,7 @@ UNIT_BLOCK_ROWS_AT_64 = diversity.CACHE_BLOCK_BYTES // (64 * 8)
     (UNIT_BLOCK_ROWS_AT_64, 64),
     (UNIT_BLOCK_ROWS_AT_64 + 1, 64),
     # one row is wider than a block, so every block holds one row
-    (3, diversity.CACHE_BLOCK_BYTES // 8 + 1),
+    (3, diversity.UNIT_BLOCK_BYTES // 8 + 1),
 ])
 def test_unit_rows_match_reference_bitwise(dtype, indexed, n, d):
     rng = np.random.default_rng([n, d])
