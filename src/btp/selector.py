@@ -196,9 +196,15 @@ def run_stage(
     cfg: DiversityConfig = DiversityConfig(),
     k_prime_rule: KPrimeRule | None = None,
     final: bool = False,
+    kept: np.ndarray | None = None,
 ) -> StageSelection:
-    """``select_stage`` plus the per-stage diagnostics bundle."""
-    kept = select_stage(inputs, stage, cfg, k_prime_rule, final=final)
+    """``select_stage`` plus the per-stage diagnostics bundle.
+
+    ``kept``, when given, is this stage's ``select_stage`` result, which is
+    then not computed again.
+    """
+    if kept is None:
+        kept = select_stage(inputs, stage, cfg, k_prime_rule, final=final)
     return StageSelection(
         layer=stage.layer,
         kept_indices=tuple(int(i) for i in kept),
@@ -284,8 +290,9 @@ class ScheduleDriver:
     Feed it to ``toymodel.forward``: at each scheduled layer it runs the
     stage on the live ``StageInputs`` and returns the kept indices, keeping
     everything elsewhere.  Only the schedule's last stage may drop every
-    token.  Collected selections are available afterwards via
-    ``selection_result()``.
+    token.  A stage's diagnostics are computed only when
+    ``selection_result()`` asks for the selections collected so far; until
+    then the driver holds that stage's inputs.
     """
 
     def __init__(self, schedule: PruningSchedule, cfg: DiversityConfig = DiversityConfig()) -> None:
@@ -293,17 +300,25 @@ class ScheduleDriver:
         self.cfg = cfg
         self._by_layer = {stage.layer: i for i, stage in enumerate(schedule.stages)}
         self._selections: list[StageSelection] = []
+        # stages run since the last selection_result(): (inputs, stage, kept)
+        self._pending: list[tuple[StageInputs, PruningStage, np.ndarray]] = []
 
     def __call__(self, inputs: StageInputs) -> np.ndarray | None:
         idx = self._by_layer.get(inputs.layer)
         if idx is None:
             return None
         stage = self.schedule.stages[idx]
-        selection = run_stage(inputs, stage, self.cfg, final=idx == len(self.schedule.stages) - 1)
-        self._selections.append(selection)
-        return np.asarray(selection.kept_indices, dtype=np.int64)
+        kept = select_stage(inputs, stage, self.cfg, final=idx == len(self.schedule.stages) - 1)
+        self._pending.append((inputs, stage, kept))
+        return kept
 
     def selection_result(self) -> SelectionResult:
+        """The selections so far, with the diagnostics of the stages run
+        since the last call computed now (through the module's ``run_stage``,
+        which perfbench/traced_cli.py wraps)."""
+        pending, self._pending = self._pending, []
+        for inputs, stage, kept in pending:
+            self._selections.append(run_stage(inputs, stage, self.cfg, kept=kept))
         return SelectionResult(per_stage=tuple(self._selections))
 
 
@@ -314,10 +329,13 @@ def run_schedule(
 
     ``provider`` exposes ``layout`` and ``stage_inputs(layer, survivors)``;
     see ``ArrayStageProvider``.  Scores and hidden states are re-read at
-    each stage layer, restricted to the tokens still alive.
+    each stage layer, restricted to the tokens still alive.  Each stage's
+    diagnostics are computed before the next stage's inputs are built, so
+    one stage's inputs are alive at a time.
     """
     driver = ScheduleDriver(schedule, cfg)
     survivors = np.arange(provider.layout.n_image, dtype=np.int64)
     for stage in schedule.stages:
         survivors = driver(provider.stage_inputs(stage.layer, survivors))
+        driver.selection_result()  # this stage's diagnostics; drops its inputs
     return driver.selection_result()

@@ -485,6 +485,21 @@ def make_manifest(
     return TraceManifest(TRACE_VERSION, model_dims, layout, specs)
 
 
+def _spec_from_json(entry) -> TensorSpec:
+    spec = TensorSpec(
+        name=_json_of(str, entry["name"], "tensor name"),
+        shape=tuple(_json_of(list, entry["shape"], "shape")),
+        dtype=_json_of(str, entry["dtype"], "dtype"),
+        file=_json_of(str, entry["file"], "file"),
+    )
+    if spec.dtype not in _DTYPE_TAGS:
+        raise TraceError(f"tensor {spec.name!r}: unknown dtype tag {spec.dtype!r}")
+    # TensorSpec names an empty file after its tensor; a manifest must name it
+    if not entry["file"]:
+        raise TraceError(f"tensor {spec.name!r}: empty file name")
+    return spec
+
+
 def _manifest_from_json(obj, where: str) -> TraceManifest:
     """Parse a manifest object; every malformed field is a ``TraceError``."""
     if not isinstance(obj, dict):
@@ -494,18 +509,7 @@ def _manifest_from_json(obj, where: str) -> TraceManifest:
         if version != TRACE_VERSION:
             raise TraceError(f"unsupported trace version {version!r}")
         dims = obj["model_dims"]
-        specs = tuple(
-            TensorSpec(
-                name=_json_of(str, entry["name"], "tensor name"),
-                shape=tuple(_json_of(list, entry["shape"], "shape")),
-                dtype=_json_of(str, entry["dtype"], "dtype"),
-                file=_json_of(str, entry["file"], "file"),
-            )
-            for entry in _json_of(list, obj["tensors"], "tensors")
-        )
-        for spec in specs:
-            if spec.dtype not in _DTYPE_TAGS:
-                raise TraceError(f"tensor {spec.name!r}: unknown dtype tag {spec.dtype!r}")
+        specs = tuple(_spec_from_json(entry) for entry in _json_of(list, obj["tensors"], "tensors"))
         return TraceManifest(
             version=version,
             model_dims=ModelShape(

@@ -417,6 +417,8 @@ MANIFEST_EDITS = {
     # a later write to a shared file, or to the manifest, wins silently
     "shared-file": lambda m: m["tensors"][1].update(file=m["tensors"][0]["file"]),
     "manifest-file": lambda m: m["tensors"][0].update(file="manifest.json"),
+    # a reader that named the file after the tensor would read attn_l1.bin
+    "empty-file": lambda m: m["tensors"][0].update(file=""),
 }
 
 
@@ -628,6 +630,17 @@ def test_simulate_csv_is_pinned(tmp_path, capsys, value_norm, seed):
     assert code == 0
     digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
     assert digest == SIMULATE_CSV_SHA256[value_norm, seed]
+
+
+def test_simulate_computes_no_stage_diagnostics(tmp_path, capsys, monkeypatch):
+    # the CSV reads no stage diagnostics, so simulate must not compute them
+    import btp.selector
+
+    def unread(*args, **kwargs):
+        raise AssertionError("simulate computed stage diagnostics")
+
+    monkeypatch.setattr(btp.selector, "_stage_diagnostics", unread)
+    test_simulate_csv_is_pinned(tmp_path, capsys, "raw", 7)
 
 
 def test_simulate_needs_text_tokens(tmp_path, capsys):

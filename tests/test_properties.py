@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -186,6 +186,10 @@ def trace_dir(tmp_path_factory):
 
 @PROPERTY_SETTINGS
 @given(mutated=manifest_mutations())
+# a manifest that names no file was once read as naming hidden_l0.bin
+@example(mutated={**VALID_JSON, "tensors": [
+    VALID_JSON["tensors"][0], {**VALID_JSON["tensors"][1], "file": ""},
+]})
 def test_mutated_manifest_is_rejected_or_read_back_equal(trace_dir, mutated):
     (trace_dir / MANIFEST_NAME).write_text(json.dumps(mutated))
     try:

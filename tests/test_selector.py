@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -332,6 +333,25 @@ def test_trace_provider_checks_shapes_now_and_values_when_used():
 
 # ---------------------------------------------------------------------------
 # driver hook
+
+
+def test_run_schedule_releases_each_stage_inputs():
+    # diagnostics wait for selection_result(): run_schedule must ask after
+    # every stage, or it would hold every stage's hidden rows at once
+    provider = _provider(17)
+    handed_out = []
+
+    class Watching:
+        layout = provider.layout
+
+        def stage_inputs(self, layer, survivors):
+            assert [ref() for ref in handed_out] == [None] * len(handed_out)
+            inputs = provider.stage_inputs(layer, survivors)
+            handed_out.append(weakref.ref(inputs))
+            return inputs
+
+    assert run_schedule(Watching(), _schedule()) == run_schedule(provider, _schedule())
+    assert len(handed_out) == 3
 
 
 def test_driver_skips_unscheduled_layers():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from btp.selector import ScheduleDriver
 from btp.toymodel import (
     ForwardRecord,
     ToyConfig,
+    ToyWeights,
     _gelu,
     _layernorm,
     causal_bias,
@@ -67,6 +69,40 @@ def test_weights_deterministic_in_seed():
     assert not np.array_equal(other.wq[0], a.wq[0])
 
 
+def _serial_init_weights(cfg):
+    """One generator drawing every layer in turn: the reference for
+    ``init_weights``, which draws each layer from its own offset."""
+    rng = np.random.default_rng(cfg.seed)
+    bound = 1.0 / math.sqrt(cfg.d)
+
+    def draw(rows, cols):
+        return rng.uniform(-bound, bound, size=(rows, cols)).astype(np.float32)
+
+    layers = [
+        [draw(cfg.d, cfg.d) for _ in range(4)] + [draw(cfg.d, cfg.mlp), draw(cfg.mlp, cfg.d)]
+        for _ in range(cfg.num_layers)
+    ]
+    return ToyWeights(*(tuple(matrices) for matrices in zip(*layers)))
+
+
+@pytest.mark.parametrize("workers", [None, 1, 2, 4])
+@pytest.mark.parametrize(
+    "layers,d,mlp,seed", [(1, 4, 4, 0), (3, 16, 32, 5), (5, 8, 20, 11), (6, 12, 6, 2**40)]
+)
+def test_init_weights_matches_serial_draw(layers, d, mlp, seed, workers):
+    cfg = ToyConfig(num_layers=layers, d=d, heads=2, mlp=mlp, seed=seed)
+    want = _serial_init_weights(cfg)
+    if workers is None:
+        got = init_weights(cfg)
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            got = init_weights(cfg, pool.map)
+    for field in dataclasses.fields(ToyWeights):
+        pairs = zip(getattr(got, field.name), getattr(want, field.name), strict=True)
+        for g, w in pairs:
+            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
 def test_sinusoidal_encoding_basics():
     enc = sinusoidal_encoding(np.arange(5), 6)
     assert enc.shape == (5, 6) and enc.dtype == np.float32
@@ -110,10 +146,12 @@ def _reference_layer_step(x, layer, cfg, weights):
 
 
 # d = 48 keeps 1/sqrt(d/heads) off a power of two for every head count, so
-# scaling q in place of the logits would change bits and fail here
+# scaling q in place of the logits would change bits and fail here; at
+# seq 993 the softmax's 1 MiB blocks hold 263, 131 and 32 rows, the last
+# of them leaving a one-row block
 @pytest.mark.parametrize("value_norm", ["raw", "unit"])
 @pytest.mark.parametrize("heads", [1, 2, 8])
-@pytest.mark.parametrize("seq", [1, 2, 19, 300, 675])
+@pytest.mark.parametrize("seq", [1, 2, 19, 300, 675, 993])
 def test_layer_step_matches_reference_bitwise(seq, heads, value_norm):
     cfg = ToyConfig(num_layers=2, d=48, heads=heads, mlp=96, seed=seq, value_norm=value_norm)
     weights = init_weights(cfg)
