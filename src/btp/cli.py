@@ -329,6 +329,7 @@ def cmd_simulate(args) -> int:
         seed_rule=args.seed_rule,
     )
 
+    weights = init_weights(cfg)
     rng = np.random.default_rng([cfg.seed, 1])
     inputs = rng.standard_normal((layout.total(), cfg.d)).astype(np.float32)
 
@@ -346,18 +347,17 @@ def cmd_simulate(args) -> int:
         "attention_only": variant(1.0),
         "diversity_only": variant(0.0),
     }
-    # The weights are drawn a layer per job, and the four independent
-    # forwards run a job each, on a pool of threads whose BLAS is pinned to
-    # one thread: the CSV then depends neither on the worker count nor on
-    # OPENBLAS_NUM_THREADS.  The pin is set here as well as in each worker,
-    # so it holds whether the setter acts on the calling thread or on the
-    # process, and the count it replaced is put back at the end.  There is a
-    # worker per usable CPU, at most one per forward; without the setter
-    # there is one worker and BLAS is left alone.  ``init_weights`` and
-    # ``forward`` are looked up in this module so that a caller can replace
-    # them, say to trace their calls; a replaced ``forward`` need not be
-    # thread-safe (a tracer with one span stack files spans under the wrong
-    # forward), so it gets one worker too and its calls do not overlap.
+    # The four forwards are independent, so they run on a pool of threads
+    # whose BLAS is pinned to one thread: the CSV then depends neither on the
+    # worker count nor on OPENBLAS_NUM_THREADS.  The pin is set here as well
+    # as in each worker, so it holds whether the setter acts on the calling
+    # thread or on the process, and the count it replaced is put back at the
+    # end.  There is a worker per usable CPU, at most one per forward;
+    # without the setter there is one worker and BLAS is left alone.
+    # ``forward`` is looked up in this module so that a caller can replace
+    # it, say to trace its calls; a replacement need not be thread-safe (a
+    # tracer with one span stack files spans under the wrong forward), so
+    # it gets one worker too and its calls do not overlap.
     setter = _openblas_thread_setter()
     workers = 1
     if setter and forward is toymodel.forward:
@@ -367,7 +367,6 @@ def cmd_simulate(args) -> int:
         max_workers=workers, initializer=setter, initargs=(1,) if setter else ()
     )
     try:
-        weights = init_weights(cfg, pool.map)
         # baseline first, as it is the longest; results are read in
         # submission order, so the first failure raised is the serial one
         jobs = [pool.submit(forward, inputs, layout, cfg, weights)]

@@ -292,7 +292,10 @@ class ScheduleDriver:
     everything elsewhere.  Only the schedule's last stage may drop every
     token.  A stage's diagnostics are computed only when
     ``selection_result()`` asks for the selections collected so far; until
-    then the driver holds that stage's inputs.
+    then the driver holds that stage's inputs.  Errors of the diagnostics,
+    such as the cosine distance of a zero-norm hidden state at a kept token,
+    are therefore raised by ``selection_result()``, not by the forward, and
+    again by each later call.
     """
 
     def __init__(self, schedule: PruningSchedule, cfg: DiversityConfig = DiversityConfig()) -> None:
@@ -316,9 +319,10 @@ class ScheduleDriver:
         """The selections so far, with the diagnostics of the stages run
         since the last call computed now (through the module's ``run_stage``,
         which perfbench/traced_cli.py wraps)."""
-        pending, self._pending = self._pending, []
-        for inputs, stage, kept in pending:
+        while self._pending:
+            inputs, stage, kept = self._pending[0]
             self._selections.append(run_stage(inputs, stage, self.cfg, kept=kept))
+            del self._pending[0]
         return SelectionResult(per_stage=tuple(self._selections))
 
 

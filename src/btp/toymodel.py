@@ -15,14 +15,8 @@ surviving rows keep the position encoding of their original index.
 The attention softmax runs in place on one float32 [heads, n, n] buffer,
 with the causal mask added as a cached float32 bias (0 / -inf), so the
 attention memory of a layer is one logits buffer plus the bias.  Its
-scale, mask, max, subtract, exp, sum and divide passes run over blocks of
-query rows holding about ``SOFTMAX_BLOCK_BYTES`` (1 MiB) of logits, all
-heads and whole rows, so that each block stays in cache across the seven
-passes; a buffer smaller than that is one block.  No key is cut off: each
-row still reduces its whole length-n axis, and ``q @ k.T`` and
-``probs @ v`` run on the whole buffer.  The outputs are bit-identical to
-the out-of-place softmax with an ``np.where`` mask, which the tests keep
-as their reference.
+outputs are bit-identical to the out-of-place softmax with an ``np.where``
+mask, which the tests keep as their reference.
 """
 
 from __future__ import annotations
@@ -39,8 +33,6 @@ from .selector import StageInputs
 from .trace import TokenLayout
 
 VALUE_NORM_MODES = ("raw", "unit")
-# logits per softmax block in ``layer_step``: all heads, whole rows
-SOFTMAX_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -75,33 +67,21 @@ class ToyWeights:
     w2: tuple[np.ndarray, ...]
 
 
-def init_weights(cfg: ToyConfig, mapper=map) -> ToyWeights:
+def init_weights(cfg: ToyConfig) -> ToyWeights:
     """Seeded uniform(-1/sqrt(d), 1/sqrt(d)) weights.
 
-    The values are those of one PCG64 stream seeded with ``cfg.seed`` and
-    drawn in a fixed order (per layer: wq, wk, wv, wo, w1, w2), so a seed
-    pins every parameter bit.  Each float64 draw takes one 64-bit output,
-    so layer l starts ``l * (4 d^2 + 2 d mlp)`` outputs into the stream and
-    is drawn from a generator advanced that far: its bits depend only on
-    the seed and the layer.  The layers are independent jobs, run through
-    ``mapper`` (``map``, or an executor's ``map`` to draw them in
-    parallel), that write into [layers, rows, cols] stacks allocated by the
-    calling thread.
+    Draw order is fixed (per layer: wq, wk, wv, wo, w1, w2) so a seed pins
+    every parameter bit.  Each matrix is written into a float32
+    [layers, rows, cols] stack; ``ToyWeights`` holds per-layer views of them.
     """
+    rng = np.random.default_rng(cfg.seed)
     d, mlp = cfg.d, cfg.mlp
     bound = 1.0 / math.sqrt(d)
     shapes = [(d, d)] * 4 + [(d, mlp), (mlp, d)]
     stacks = [np.empty((cfg.num_layers, rows, cols), dtype=np.float32) for rows, cols in shapes]
-
-    def draw(layer: int) -> None:
-        bits = np.random.PCG64(cfg.seed)  # as np.random.default_rng(cfg.seed)
-        bits.advance(layer * (4 * d * d + 2 * d * mlp))
-        rng = np.random.Generator(bits)
+    for layer in range(cfg.num_layers):
         for stack in stacks:
             stack[layer] = rng.uniform(-bound, bound, size=stack.shape[1:])
-
-    for _ in mapper(draw, range(cfg.num_layers)):
-        pass
     return ToyWeights(*(tuple(stack) for stack in stacks))
 
 
@@ -170,20 +150,13 @@ def layer_step(
     vh = v.reshape(seq, cfg.heads, hd).transpose(1, 0, 2)
     # in place on one buffer.  Keep this order (scale, mask, subtract the row
     # max, exp, divide by the row sum): scaling q instead of the logits, or
-    # multiplying by the reciprocal of the sum, changes the rounding.  The
-    # passes run over blocks of whole rows: each row still reduces its whole
-    # length-seq axis, so the bits do not depend on the block size.
+    # multiplying by the reciprocal of the sum, changes the rounding.
     probs = qh @ kh.transpose(0, 2, 1)
-    scale = np.float32(1.0 / math.sqrt(hd))
-    bias = causal_bias(seq)
-    block_rows = max(1, SOFTMAX_BLOCK_BYTES // (cfg.heads * seq * probs.itemsize))
-    for start in range(0, seq, block_rows):
-        block = probs[:, start : start + block_rows]
-        block *= scale
-        block += bias[start : start + block_rows]
-        block -= block.max(axis=-1, keepdims=True)
-        np.exp(block, out=block)
-        block /= block.sum(axis=-1, keepdims=True, dtype=np.float32)
+    probs *= np.float32(1.0 / math.sqrt(hd))
+    probs += causal_bias(seq)
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True, dtype=np.float32)
     attn_out = (probs @ vh).transpose(1, 0, 2).reshape(seq, cfg.d) @ weights.wo[layer]
 
     mid = attn_out + x
