@@ -19,6 +19,7 @@ import functools
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -358,6 +359,13 @@ def cmd_simulate(args) -> int:
     # it, say to trace its calls; a replacement need not be thread-safe (a
     # tracer with one span stack files spans under the wrong forward), so
     # it gets one worker too and its calls do not overlap.
+    #
+    # Up to and including the first stage's layer the pruned forwards compute
+    # what the baseline computes, so a head job runs those layers once and
+    # each pruned forward starts from its record.  The head calls
+    # ``toymodel.forward`` itself, so the four forwards stay the only calls
+    # of ``forward``.  The pool's queue is first in, first out, so the head
+    # starts before any job that waits for it.
     setter = _openblas_thread_setter()
     workers = 1
     if setter and forward is toymodel.forward:
@@ -370,11 +378,18 @@ def cmd_simulate(args) -> int:
         # baseline first, as it is the longest; results are read in
         # submission order, so the first failure raised is the serial one
         jobs = [pool.submit(forward, inputs, layout, cfg, weights)]
-        jobs += [
-            pool.submit(forward, inputs, layout, cfg, weights,
-                        prune_hook=ScheduleDriver(sched, dcfg))
-            for sched in strategies.values()
-        ]
+        head = None
+        if schedule.stages:
+            head_cfg = replace(cfg, num_layers=schedule.stages[0].layer + 1)
+            head = pool.submit(toymodel.forward, inputs, layout, head_cfg, weights)
+
+        def pruned_forward(sched: PruningSchedule):
+            prefix = head.result() if head else None
+            # prefix goes in by position: a tracer reads prune_hook alone
+            return forward(inputs, layout, cfg, weights, prefix,
+                           prune_hook=ScheduleDriver(sched, dcfg))
+
+        jobs += [pool.submit(pruned_forward, sched) for sched in strategies.values()]
         baseline, *pruned = [job.result() for job in jobs]
     finally:
         pool.shutdown(cancel_futures=True)

@@ -15,8 +15,19 @@ surviving rows keep the position encoding of their original index.
 The attention softmax runs in place on one float32 [heads, n, n] buffer,
 with the causal mask added as a cached float32 bias (0 / -inf), so the
 attention memory of a layer is one logits buffer plus the bias.  Its
-outputs are bit-identical to the out-of-place softmax with an ``np.where``
-mask, which the tests keep as their reference.
+scale, mask, max, subtract, exp, sum and divide passes run over blocks of
+query rows holding about ``SOFTMAX_BLOCK_BYTES`` (1 MiB) of logits, all
+heads and whole rows, so that each block stays in cache across the seven
+passes; a buffer smaller than that is one block.  No key is cut off: each
+row still reduces its whole length-n axis, and ``q @ k.T`` and
+``probs @ v`` run on the whole buffer.  The outputs are bit-identical to
+the out-of-place softmax with an ``np.where`` mask, which the tests keep
+as their reference.
+
+``forward`` can start from the record of a shallower unpruned forward of
+the same inputs and weights (its ``prefix``): until the first prune, the
+layers that record holds are read from it instead of being run again.
+The outputs are the bits a full run gives.
 """
 
 from __future__ import annotations
@@ -24,7 +35,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,6 +44,8 @@ from .selector import StageInputs
 from .trace import TokenLayout
 
 VALUE_NORM_MODES = ("raw", "unit")
+# logits per softmax block in ``layer_step``: all heads, whole rows
+SOFTMAX_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -150,13 +163,20 @@ def layer_step(
     vh = v.reshape(seq, cfg.heads, hd).transpose(1, 0, 2)
     # in place on one buffer.  Keep this order (scale, mask, subtract the row
     # max, exp, divide by the row sum): scaling q instead of the logits, or
-    # multiplying by the reciprocal of the sum, changes the rounding.
+    # multiplying by the reciprocal of the sum, changes the rounding.  The
+    # passes run over blocks of whole rows: each row still reduces its whole
+    # length-seq axis, so the bits do not depend on the block size.
     probs = qh @ kh.transpose(0, 2, 1)
-    probs *= np.float32(1.0 / math.sqrt(hd))
-    probs += causal_bias(seq)
-    probs -= probs.max(axis=-1, keepdims=True)
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True, dtype=np.float32)
+    scale = np.float32(1.0 / math.sqrt(hd))
+    bias = causal_bias(seq)
+    block_rows = max(1, SOFTMAX_BLOCK_BYTES // (cfg.heads * seq * probs.itemsize))
+    for start in range(0, seq, block_rows):
+        block = probs[:, start : start + block_rows]
+        block *= scale
+        block += bias[start : start + block_rows]
+        block -= block.max(axis=-1, keepdims=True)
+        np.exp(block, out=block)
+        block /= block.sum(axis=-1, keepdims=True, dtype=np.float32)
     attn_out = (probs @ vh).transpose(1, 0, 2).reshape(seq, cfg.d) @ weights.wo[layer]
 
     mid = attn_out + x
@@ -192,6 +212,7 @@ def forward(
     layout: TokenLayout,
     cfg: ToyConfig,
     weights: ToyWeights | None = None,
+    prefix: ForwardRecord | None = None,
     prune_hook=None,
 ) -> ForwardRecord:
     """Run the decoder, optionally pruning image rows between layers.
@@ -202,6 +223,16 @@ def forward(
     keep, or None to keep everything.  Rows pruned at layer l are gone
     before layer l+1: later layers never see their keys or values.  The
     record holds no value matrices (see ``ForwardRecord``).
+
+    ``prefix`` is the record of an unpruned forward of the same inputs
+    through the first layers of this model, computed with the same
+    weights (which cannot be checked here).  While no image row has been
+    pruned, each layer it holds takes its output and last-row attention
+    from it instead of running ``layer_step``; the hook is still called at
+    every layer with the same view, and the record is the one a run
+    without ``prefix`` gives.  A prefix with another layout, a config that
+    differs in more than ``num_layers``, more layers than ``cfg``, any
+    pruned token, or another positioned input raises ``ValidationError``.
     """
     x = np.asarray(inputs, dtype=np.float32)
     if x.ndim != 2 or x.shape != (layout.total(), cfg.d):
@@ -216,6 +247,10 @@ def forward(
     positions = np.arange(layout.total(), dtype=np.int64)
     x = x + sinusoidal_encoding(positions, cfg.d)
     alive = np.arange(layout.n_image, dtype=np.int64)
+    reused = 0
+    if prefix is not None:
+        _check_prefix(prefix, x, layout, cfg)
+        reused = prefix.config.num_layers
 
     hidden = [x]
     pos_hist = [positions]
@@ -223,9 +258,12 @@ def forward(
     attn_rows: list[np.ndarray] = []
 
     for layer in range(cfg.num_layers):
-        x_next, last_row, _ = layer_step(x, layer, cfg, weights)
-        if not np.isfinite(x_next).all():
-            raise ValidationError(f"non-finite activations after layer {layer}")
+        if layer < reused:
+            x_next, last_row = prefix.hidden[layer + 1], prefix.attn_last[layer]
+        else:
+            x_next, last_row, _ = layer_step(x, layer, cfg, weights)
+            if not np.isfinite(x_next).all():
+                raise ValidationError(f"non-finite activations after layer {layer}")
         attn_rows.append(last_row)
 
         if prune_hook is not None and alive.size > 0:
@@ -252,6 +290,7 @@ def forward(
                     keep_mask[image_mask] = np.isin(alive, kept)
                     x_next = x_next[keep_mask]
                     positions = positions[keep_mask]
+                    reused = 0  # the prefix holds the unpruned rows only
                 alive = kept
 
         x = x_next
@@ -268,6 +307,24 @@ def forward(
         values=(),
         image_survivors=tuple(alive_hist),
     )
+
+
+def _check_prefix(
+    prefix: ForwardRecord, positioned: np.ndarray, layout: TokenLayout, cfg: ToyConfig
+) -> None:
+    """Raise unless ``prefix`` is an unpruned head of ``forward(inputs, layout, cfg)``."""
+    if prefix.layout != layout:
+        raise ValidationError(f"prefix layout {prefix.layout} is not {layout}")
+    if replace(prefix.config, num_layers=cfg.num_layers) != cfg:
+        raise ValidationError(f"prefix config {prefix.config} does not match {cfg}")
+    if prefix.config.num_layers > cfg.num_layers:
+        raise ValidationError(
+            f"prefix has {prefix.config.num_layers} layers, model has {cfg.num_layers}"
+        )
+    if prefix.positions[-1].size != layout.total():
+        raise ValidationError("prefix has pruned tokens")
+    if not np.array_equal(prefix.hidden[0], positioned):
+        raise ValidationError("prefix was run on other inputs")
 
 
 DISTANCE_METRICS = ("cosine_similarity", "euclidean")
@@ -295,14 +352,13 @@ def layer_output_distance(
         raise ValidationError("no positions to compare")
 
     def rows(record: ForwardRecord) -> np.ndarray:
-        present = record.positions[layer]
-        lookup = {int(p): i for i, p in enumerate(present)}
-        try:
-            idx = [lookup[int(p)] for p in wanted]
-        except KeyError as exc:
-            raise ValidationError(
-                f"position {exc.args[0]} not alive at layer {layer}"
-            ) from exc
+        present = record.positions[layer]  # ascending: pruning keeps the order
+        idx = np.searchsorted(present, wanted)
+        found = idx < present.size
+        found[found] = present[idx[found]] == wanted[found]
+        if not found.all():
+            missing = wanted[np.argmin(found)]
+            raise ValidationError(f"position {missing} not alive at layer {layer}")
         return record.hidden[layer][idx].astype(np.float64)
 
     va, vb = rows(a), rows(b)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import btp.cli
+import btp.toymodel
 from btp.calibration import synthetic_shift_stack
 from btp.cli import main
 from btp.selector import ScheduleDriver
@@ -630,6 +631,30 @@ def test_simulate_csv_is_pinned(tmp_path, capsys, value_norm, seed):
     assert code == 0
     digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
     assert digest == SIMULATE_CSV_SHA256[value_norm, seed]
+
+
+@pytest.mark.parametrize("stages", [[(1, 0.5, 0.5), (3, 0.5, 1.0)], [(5, 0.5, 0.6)], []])
+def test_simulate_csv_matches_four_whole_forwards(tmp_path, capsys, monkeypatch, stages):
+    # the pruned forwards start from a shared head run to the first stage's
+    # layer; at 402 rows and 8 heads the softmax runs over 5 row blocks
+    sched = _write_schedule(tmp_path, stages, num_layers=6)
+    argv = [
+        "simulate", "--schedule", sched, "--layout", "2,384,16,16,24", "--layers", "6",
+        "--d", "16", "--heads", "8", "--seed", "3", "--metric", "euclidean",
+    ]
+    code, shared, _ = _run(capsys, argv)
+    assert code == 0
+    prefixes = []
+
+    def whole(inputs, layout, cfg, weights, prefix=None, prune_hook=None):
+        prefixes.append(prefix and prefix.config.num_layers)
+        return btp.toymodel.forward(inputs, layout, cfg, weights, prune_hook=prune_hook)
+
+    monkeypatch.setattr(btp.cli, "forward", whole)
+    code, unshared, _ = _run(capsys, argv)
+    assert code == 0 and unshared == shared
+    head_depth = stages[0][0] + 1 if stages else None
+    assert prefixes == [None] + [head_depth] * 3
 
 
 def test_simulate_computes_no_stage_diagnostics(tmp_path, capsys, monkeypatch):

@@ -95,11 +95,18 @@ def test_traced_simulate_reads_toymodel_call_shapes(tmp_path):
         "--mlp", "32", "--out", str(tmp_path / "out.csv"),
     ])
     steps = [s for s in spans if s["name"] == "toymodel.layer_step"]
-    assert len(steps) == 4 * 6
+    # the baseline's 6 layers, the shared head's layers 0..1 (the stage is at
+    # layer 1), then layers 2..5 of each of the three pruned forwards
+    assert len(steps) == 6 + 2 + 3 * 4
     assert all(isinstance(s.get("n"), int) and isinstance(s.get("layer"), int) for s in steps)
     assert {s["layer"] for s in steps} == set(range(6))
     forwards = [s["pruned"] for s in spans if s["name"] == "toymodel.forward"]
     assert sorted(forwards) == [False, True, True, True]
+    by_id = {s["id"]: s for s in spans}
+    for fwd in (s for s in spans if s["name"] == "toymodel.forward" and s["pruned"]):
+        assert [s["layer"] for s in steps if s["parent"] == fwd["id"]] == [2, 3, 4, 5]
+    head = [s for s in steps if by_id[s["parent"]]["name"] != "toymodel.forward"]
+    assert [s["layer"] for s in head] == [0, 1]
 
 
 def test_traced_select_reads_distance_matrix_shapes(tmp_path):

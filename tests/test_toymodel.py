@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import btp.toymodel
 from btp.errors import ValidationError
 from btp.selector import ScheduleDriver
 from btp.toymodel import (
@@ -333,6 +334,131 @@ def test_driver_raises_zero_norm_at_selection_result():
 
 
 # ---------------------------------------------------------------------------
+# forward from a shared unpruned head
+
+DEEP = dataclasses.replace(CFG, num_layers=5)
+HEAD_DEPTH = 3  # the prefix holds layers 0..2
+
+
+def _head(x, depth=HEAD_DEPTH, layout=LAYOUT, cfg=DEEP):
+    return forward(x, layout, dataclasses.replace(cfg, num_layers=depth), init_weights(cfg))
+
+
+def _assert_same_record(a, b):
+    for field in ("hidden", "attn_last", "positions", "image_survivors"):
+        got, want = getattr(a, field), getattr(b, field)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w), field
+
+
+@pytest.fixture
+def step_layers(monkeypatch):
+    """The layers ``forward`` runs ``layer_step`` on, in call order."""
+    layers = []
+
+    def counting(x, layer, cfg, weights):
+        layers.append(layer)
+        return layer_step(x, layer, cfg, weights)
+
+    monkeypatch.setattr(btp.toymodel, "layer_step", counting)
+    return layers
+
+
+@pytest.mark.parametrize("depth", range(1, DEEP.num_layers + 1))
+def test_prefix_without_hook_is_invisible(depth, step_layers):
+    x, weights = _inputs(14), init_weights(DEEP)
+    whole = forward(x, LAYOUT, DEEP, weights)
+    head = _head(x, depth)
+    step_layers.clear()
+    _assert_same_record(forward(x, LAYOUT, DEEP, weights, head), whole)
+    assert step_layers == list(range(depth, DEEP.num_layers))
+
+
+# a stage at layer 0, at the prefix's last layer and at the model's last layer
+@pytest.mark.parametrize("stages", [[0], [HEAD_DEPTH - 1], [DEEP.num_layers - 1], [0, 2, 4]])
+def test_prefix_under_schedule_driver_is_invisible(stages, step_layers):
+    sched = PruningSchedule(
+        tuple(PruningStage(layer, 0.5, 0.5) for layer in stages), DEEP.num_layers
+    )
+    x, weights = _inputs(15), init_weights(DEEP)
+    seen = {}
+
+    def recording(driver, key):
+        def hook(view):
+            seen.setdefault(key, []).append(view)
+            return driver(view)
+        return hook
+
+    whole = forward(x, LAYOUT, DEEP, weights, prune_hook=recording(ScheduleDriver(sched), "whole"))
+    head = _head(x)
+    step_layers.clear()
+    reused = forward(
+        x, LAYOUT, DEEP, weights, head, prune_hook=recording(ScheduleDriver(sched), "reused")
+    )
+    _assert_same_record(reused, whole)
+    assert step_layers == list(range(min(stages[0] + 1, HEAD_DEPTH), DEEP.num_layers))
+    # the hook saw the same views at every layer
+    assert [v.layer for v in seen["reused"]] == [v.layer for v in seen["whole"]]
+    for a, b in zip(seen["reused"], seen["whole"]):
+        for field in ("survivors", "scores", "hidden"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+
+
+def test_prefix_reuse_stops_at_the_first_prune(step_layers):
+    x, weights = _inputs(16), init_weights(DEEP)
+
+    def hook(view):  # keeps all at layer 0, prunes inside the prefix at layer 1
+        return view.survivors[:5] if view.layer == 1 else view.survivors
+
+    whole = forward(x, LAYOUT, DEEP, weights, prune_hook=hook)
+    head = _head(x)
+    step_layers.clear()
+    _assert_same_record(forward(x, LAYOUT, DEEP, weights, head, prune_hook=hook), whole)
+    assert step_layers == [2, 3, 4]
+
+
+def test_prefix_rejects_another_layout():
+    layout = dataclasses.replace(LAYOUT, n_system=3, n_text=2)
+    head = _head(_inputs(17), layout=layout)
+    with pytest.raises(ValidationError, match="prefix layout"):
+        forward(_inputs(17), LAYOUT, DEEP, init_weights(DEEP), head)
+
+
+@pytest.mark.parametrize("change", [{"seed": 6}, {"heads": 4}, {"value_norm": "unit"}])
+def test_prefix_rejects_another_config(change):
+    x = _inputs(18)
+    head = _head(x, cfg=dataclasses.replace(DEEP, **change))
+    with pytest.raises(ValidationError, match="prefix config"):
+        forward(x, LAYOUT, DEEP, init_weights(DEEP), head)
+
+
+def test_prefix_rejects_a_deeper_prefix():
+    x = _inputs(19)
+    head = forward(x, LAYOUT, DEEP, init_weights(DEEP))
+    with pytest.raises(ValidationError, match="prefix has 5 layers, model has 3"):
+        forward(x, LAYOUT, CFG, init_weights(DEEP), head)
+
+
+def test_prefix_rejects_pruned_tokens():
+    x = _inputs(20)
+    head_cfg = dataclasses.replace(DEEP, num_layers=HEAD_DEPTH)
+    head = forward(x, LAYOUT, head_cfg, init_weights(DEEP),
+                   prune_hook=lambda v: v.survivors[1:] if v.layer == 2 else None)
+    with pytest.raises(ValidationError, match="pruned tokens"):
+        forward(x, LAYOUT, DEEP, init_weights(DEEP), head)
+
+
+def test_prefix_rejects_other_inputs():
+    x = _inputs(21)
+    head = _head(x)
+    y = x.copy()
+    y[-1, 0] += 1.0
+    with pytest.raises(ValidationError, match="other inputs"):
+        forward(y, LAYOUT, DEEP, init_weights(DEEP), head)
+
+
+# ---------------------------------------------------------------------------
 # probes
 
 
@@ -357,6 +483,33 @@ def test_layer_output_distance_errors():
         layer_output_distance(rec, rec, 1, [])
     with pytest.raises(ValidationError):
         layer_output_distance(rec, rec, 1, [0], metric="manhattan")
+
+
+def test_layer_output_distance_names_the_first_missing_position():
+    layout = dataclasses.replace(LAYOUT, n_system=0)  # positions 0..10, image 0..7
+    x = _inputs(12, layout=layout)
+    rec = forward(x, layout, CFG)
+    pruned = forward(  # keeps image tokens 1, 2, 5 and 7 after layer 0
+        x, layout, CFG, prune_hook=lambda v: [1, 2, 5, 7] if v.layer == 0 else None,
+    )
+    assert pruned.positions[1].tolist() == [1, 2, 5, 7, 8, 9, 10]
+    for wanted, missing in [
+        ([5, 0, 9], 0),  # below the first present position
+        ([1, 11], 11),  # past the last
+        ([10, 6, 3, 1], 6),  # the first in the caller's order, not the smallest
+        ([2, 4], 4),  # between two present positions
+    ]:
+        with pytest.raises(ValidationError, match=rf"^position {missing} not alive at layer 1$"):
+            layer_output_distance(rec, pruned, 1, wanted)
+    # the rows found are those of the positions asked for, in their order
+    wanted = [10, 1, 7]
+    rows = [
+        r.hidden[2][[r.positions[2].tolist().index(p) for p in wanted]].astype(np.float64)
+        for r in (rec, pruned)
+    ]
+    expected = np.linalg.norm(rows[0] - rows[1], axis=1).mean()
+    assert expected > 0.0
+    assert layer_output_distance(rec, pruned, 2, wanted, "euclidean") == expected
 
 
 def test_zero_norm_rows_break_cosine_but_not_euclidean():
