@@ -12,7 +12,6 @@ from .calibration import (
     DEFAULT_CALIBRATION_SIZE,
     DEFAULT_TAU,
     LayerSelection,
-    ShiftEntry,
     ShiftProfile,
     aggregate_profiles,
     build_schedule,

@@ -28,36 +28,21 @@ _BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
-class ShiftEntry:
-    """Shift statistic for the transition produced by one layer."""
-
-    layer: int
-    shifted_count: int
-
-
-@dataclass(frozen=True)
 class ShiftProfile:
-    """Per-layer shift counts; entry ``layer`` covers X^(l) -> X^(l+1)."""
+    """Per-layer shift counts; ``counts[l]`` covers X^(l) -> X^(l+1)."""
 
-    per_layer: tuple[ShiftEntry, ...]
+    counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "per_layer", tuple(self.per_layer))
-        if len(self.per_layer) < 1:
+        object.__setattr__(self, "counts", tuple(self.counts))
+        if len(self.counts) < 1:
             raise ValidationError("shift profile is empty")
-        layers = [e.layer for e in self.per_layer]
-        if layers != list(range(len(layers))):
-            raise ValidationError(f"profile layers must be 0..L-1, got {layers}")
-        if any(e.shifted_count < 0 for e in self.per_layer):
+        if any(c < 0 for c in self.counts):
             raise ValidationError("shift counts must be non-negative")
 
     @property
-    def counts(self) -> np.ndarray:
-        return np.asarray([e.shifted_count for e in self.per_layer], dtype=np.int64)
-
-    @property
     def num_layers(self) -> int:
-        return len(self.per_layer)
+        return len(self.counts)
 
 
 def _snapshots(hidden_stack) -> list[np.ndarray]:
@@ -122,9 +107,7 @@ def shift_profile(hidden_stack, tau: float = DEFAULT_TAU) -> ShiftProfile:
             f"zero-norm hidden state at snapshot {snap}, image token {tok}"
         )
     counts = np.count_nonzero(dots / (norms[:-1] * norms[1:]) < tau, axis=1)
-    return ShiftProfile(
-        per_layer=tuple(ShiftEntry(layer=l, shifted_count=int(c)) for l, c in enumerate(counts))
-    )
+    return ShiftProfile(tuple(int(c) for c in counts))
 
 
 def aggregate_profiles(profiles: Iterable[ShiftProfile]) -> ShiftProfile:
@@ -138,10 +121,7 @@ def aggregate_profiles(profiles: Iterable[ShiftProfile]) -> ShiftProfile:
     length = profiles[0].num_layers
     if any(p.num_layers != length for p in profiles):
         raise ValidationError("profiles cover different layer counts")
-    return ShiftProfile(per_layer=tuple(
-        ShiftEntry(layer=l, shifted_count=sum(p.per_layer[l].shifted_count for p in profiles))
-        for l in range(length)
-    ))
+    return ShiftProfile(tuple(map(sum, zip(*(p.counts for p in profiles)))))
 
 
 @dataclass(frozen=True)
@@ -173,7 +153,7 @@ def select_pruning_layers(profile: ShiftProfile, num_stages: int, min_gap: int =
         raise ValidationError(f"num_stages must be >= 1, got {num_stages}")
     if min_gap < 1:
         raise ValidationError(f"min_gap must be >= 1, got {min_gap}")
-    counts = profile.counts
+    counts = np.asarray(profile.counts, dtype=np.int64)
     num_layers = profile.num_layers
     if num_stages > num_layers:
         raise ValidationError(

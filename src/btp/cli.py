@@ -91,8 +91,8 @@ def _parse_layout(text: str) -> TokenLayout:
 
 def _load_schedule(path: str) -> PruningSchedule:
     try:
-        obj = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        obj = json.loads(Path(path).read_bytes())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise TraceError(f"{path}: malformed schedule JSON: {exc}") from exc
     return PruningSchedule.from_json_dict(obj, where=path)
 
@@ -231,14 +231,14 @@ def cmd_calibrate(args) -> int:
 
     _note(f"shift profile over {len(traces)} trace(s), tau={args.tau}")
     _note("layer  shifted")
-    for entry in profile.per_layer:
-        marker = " <- prune next layer" if entry.layer + 1 in selection.layers else ""
-        _note(f"{entry.layer:>5}  {entry.shifted_count:>7}{marker}")
+    for layer, count in enumerate(profile.counts):
+        marker = " <- prune next layer" if layer + 1 in selection.layers else ""
+        _note(f"{layer:>5}  {count:>7}{marker}")
     _note(f"pruning layers: {list(selection.layers)}")
 
     payload = schedule.to_json_dict()
     payload["profile"] = [
-        {"layer": e.layer, "shifted_count": e.shifted_count} for e in profile.per_layer
+        {"layer": layer, "shifted_count": count} for layer, count in enumerate(profile.counts)
     ]
     payload["fallback"] = selection.fallback
     payload["config"] = {
@@ -360,12 +360,12 @@ def cmd_simulate(args) -> int:
     # tracer with one span stack files spans under the wrong forward), so
     # it gets one worker too and its calls do not overlap.
     #
-    # Up to and including the first stage's layer the pruned forwards compute
-    # what the baseline computes, so a head job runs those layers once and
-    # each pruned forward starts from its record.  The head calls
-    # ``toymodel.forward`` itself, so the four forwards stay the only calls
-    # of ``forward``.  The pool's queue is first in, first out, so the head
-    # starts before any job that waits for it.
+    # Up to and including the first stage's layer all four forwards compute
+    # the same unpruned layers, so a head job runs them once and every
+    # forward starts from its record.  The head runs on a worker: run on
+    # the main thread, it raised the peak RSS of a paper-shape run from 207
+    # to 234 MB.  It calls ``toymodel.forward`` itself, so the four forwards
+    # stay the only calls of ``forward``.
     setter = _openblas_thread_setter()
     workers = 1
     if setter and forward is toymodel.forward:
@@ -375,21 +375,16 @@ def cmd_simulate(args) -> int:
         max_workers=workers, initializer=setter, initargs=(1,) if setter else ()
     )
     try:
-        # baseline first, as it is the longest; results are read in
-        # submission order, so the first failure raised is the serial one
-        jobs = [pool.submit(forward, inputs, layout, cfg, weights)]
         head = None
         if schedule.stages:
             head_cfg = replace(cfg, num_layers=schedule.stages[0].layer + 1)
-            head = pool.submit(toymodel.forward, inputs, layout, head_cfg, weights)
-
-        def pruned_forward(sched: PruningSchedule):
-            prefix = head.result() if head else None
-            # prefix goes in by position: a tracer reads prune_hook alone
-            return forward(inputs, layout, cfg, weights, prefix,
-                           prune_hook=ScheduleDriver(sched, dcfg))
-
-        jobs += [pool.submit(pruned_forward, sched) for sched in strategies.values()]
+            head = pool.submit(toymodel.forward, inputs, layout, head_cfg, weights).result()
+        # baseline first, as it is the longest; results are read in
+        # submission order, so the first failure raised is the serial one.
+        # The head goes in by position: a tracer reads prune_hook alone.
+        hooks = [None] + [ScheduleDriver(sched, dcfg) for sched in strategies.values()]
+        jobs = [pool.submit(forward, inputs, layout, cfg, weights, head, prune_hook=hook)
+                for hook in hooks]
         baseline, *pruned = [job.result() for job in jobs]
     finally:
         pool.shutdown(cancel_futures=True)

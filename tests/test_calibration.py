@@ -8,7 +8,6 @@ import pytest
 
 from btp.calibration import (
     LayerSelection,
-    ShiftEntry,
     ShiftProfile,
     aggregate_profiles,
     build_schedule,
@@ -30,9 +29,7 @@ from btp.trace import (
 
 
 def _profile(counts):
-    return ShiftProfile(
-        per_layer=tuple(ShiftEntry(layer=l, shifted_count=int(c)) for l, c in enumerate(counts))
-    )
+    return ShiftProfile(tuple(int(c) for c in counts))
 
 
 # ---------------------------------------------------------------------------
@@ -40,14 +37,10 @@ def _profile(counts):
 
 
 def test_profile_validation():
-    with pytest.raises(ValidationError):
-        ShiftProfile(per_layer=())
-    with pytest.raises(ValidationError):
-        ShiftProfile(per_layer=(ShiftEntry(layer=1, shifted_count=0),))
-    with pytest.raises(ValidationError):
-        ShiftProfile(
-            per_layer=(ShiftEntry(0, 2), ShiftEntry(1, -1))
-        )
+    with pytest.raises(ValidationError, match="empty"):
+        ShiftProfile(counts=())
+    with pytest.raises(ValidationError, match="non-negative"):
+        ShiftProfile(counts=(2, -1))
     prof = _profile([3, 0, 5])
     np.testing.assert_array_equal(prof.counts, [3, 0, 5])
     assert prof.num_layers == 3
@@ -96,7 +89,7 @@ def test_shift_profile_scale_invariant():
     rng = np.random.default_rng(20)
     stack = synthetic_shift_stack(rng, num_layers=6, n_image=10, d=8, shifted={2: 7})
     scaled = stack * rng.uniform(0.1, 10.0, size=stack.shape[:2])[:, :, None].astype(np.float32)
-    assert shift_profile(stack).counts.tolist() == shift_profile(scaled).counts.tolist()
+    assert shift_profile(stack).counts == shift_profile(scaled).counts
 
 
 def _dense_cosines(stack):
@@ -183,7 +176,7 @@ def test_shift_profile_errors_keep_their_order():
             shift_profile(given)
     with pytest.raises(ValidationError, match="snapshot 0, image token 0"):
         shift_profile(np.ones((3, 2, 0)))  # width 0: every norm is zero
-    assert shift_profile(np.ones((3, 0, 4))).counts.tolist() == [0, 0]  # no tokens
+    assert shift_profile(np.ones((3, 0, 4))).counts == (0, 0)  # no tokens
 
 
 def test_shift_profile_memory_is_below_one_snapshot():

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -453,6 +454,22 @@ def test_select_malformed_schedule_json(tmp_path, capsys):
     assert code == 2 and "malformed schedule JSON" in err
 
 
+@pytest.mark.parametrize("payload", [b'\xff\xfe{"num_layers": 4}', b'{"num_layers": \xff}'])
+@pytest.mark.parametrize("command", ["select", "simulate", "cost"])
+def test_schedule_that_is_not_utf8_exits_2(tmp_path, capsys, command, payload):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(payload)
+    argv = {
+        "select": ["select", "--trace", _write_select_trace(tmp_path)],
+        "simulate": ["simulate"],
+        "cost": ["cost", "--layout", "0,4,0,2,2", "--d", "8", "--mlp", "8"],
+    }[command]
+    code, out, err = _run(capsys, [*argv, "--schedule", str(bad)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {bad}: malformed schedule JSON: ")
+    assert err.count("\n") == 1
+
+
 # each edit turns the valid two-stage schedule of _write_schedule into a
 # malformed one
 SCHEDULE_EDITS = {
@@ -635,7 +652,7 @@ def test_simulate_csv_is_pinned(tmp_path, capsys, value_norm, seed):
 
 @pytest.mark.parametrize("stages", [[(1, 0.5, 0.5), (3, 0.5, 1.0)], [(5, 0.5, 0.6)], []])
 def test_simulate_csv_matches_four_whole_forwards(tmp_path, capsys, monkeypatch, stages):
-    # the pruned forwards start from a shared head run to the first stage's
+    # all four forwards start from a shared head run to the first stage's
     # layer; at 402 rows and 8 heads the softmax runs over 5 row blocks
     sched = _write_schedule(tmp_path, stages, num_layers=6)
     argv = [
@@ -654,7 +671,31 @@ def test_simulate_csv_matches_four_whole_forwards(tmp_path, capsys, monkeypatch,
     code, unshared, _ = _run(capsys, argv)
     assert code == 0 and unshared == shared
     head_depth = stages[0][0] + 1 if stages else None
-    assert prefixes == [None] + [head_depth] * 3
+    assert prefixes == [head_depth] * 4
+
+
+@pytest.mark.parametrize("stages", [[(1, 0.5, 0.5), (3, 0.5, 1.0)], [(5, 0.5, 0.6)], []])
+def test_simulate_runs_each_head_layer_once(tmp_path, capsys, monkeypatch, stages):
+    # the layers up to and including the first stage's are the same in all
+    # four forwards: a pool worker runs them once and every forward starts
+    # after them
+    sched = _write_schedule(tmp_path, stages, num_layers=6)
+    lock = threading.Lock()
+    threads = []
+    step = btp.toymodel.layer_step
+
+    def counted(*args, **kwargs):
+        with lock:
+            threads.append(threading.current_thread())
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(btp.toymodel, "layer_step", counted)
+    monkeypatch.setattr(btp.cli, "_usable_cpus", lambda: 4)
+    code, _, _ = _run(capsys, ["simulate", "--schedule", sched, "--layers", "6"])
+    assert code == 0
+    head = stages[0][0] + 1 if stages else 0
+    assert len(threads) == head + 4 * (6 - head)
+    assert threading.main_thread() not in threads
 
 
 def test_simulate_computes_no_stage_diagnostics(tmp_path, capsys, monkeypatch):

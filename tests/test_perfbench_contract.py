@@ -6,12 +6,15 @@ renames or removes one of those names breaks the benchmark without
 touching it.  The harness files are parsed, not imported, except for a
 traced ``simulate`` and a traced ``select`` run: the wrappers read
 attributes off the call's arguments, so a changed signature breaks them
-too.
+too.  ``perfbench/layers.py`` is imported to turn the traced
+``simulate``'s spans into its toy-model metrics.
 """
 
 import ast
 import importlib
+import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -20,6 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from btp.costs import ModelDims
 from btp.trace import ModelShape, TensorBlob, TokenLayout, make_manifest, write_trace
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -95,18 +99,27 @@ def test_traced_simulate_reads_toymodel_call_shapes(tmp_path):
         "--mlp", "32", "--out", str(tmp_path / "out.csv"),
     ])
     steps = [s for s in spans if s["name"] == "toymodel.layer_step"]
-    # the baseline's 6 layers, the shared head's layers 0..1 (the stage is at
-    # layer 1), then layers 2..5 of each of the three pruned forwards
-    assert len(steps) == 6 + 2 + 3 * 4
+    # the shared head's layers 0..1 (the stage is at layer 1), then layers
+    # 2..5 of each of the four forwards, the unpruned one included
+    assert len(steps) == 2 + 4 * 4
     assert all(isinstance(s.get("n"), int) and isinstance(s.get("layer"), int) for s in steps)
     assert {s["layer"] for s in steps} == set(range(6))
     forwards = [s["pruned"] for s in spans if s["name"] == "toymodel.forward"]
     assert sorted(forwards) == [False, True, True, True]
     by_id = {s["id"]: s for s in spans}
-    for fwd in (s for s in spans if s["name"] == "toymodel.forward" and s["pruned"]):
+    for fwd in (s for s in spans if s["name"] == "toymodel.forward"):
         assert [s["layer"] for s in steps if s["parent"] == fwd["id"]] == [2, 3, 4, 5]
     head = [s for s in steps if by_id[s["parent"]]["name"] != "toymodel.forward"]
     assert [s["layer"] for s in head] == [0, 1]
+    # the harness's per-layer metrics read these spans: none may crash or
+    # come out infinite or NaN
+    spec = importlib.util.spec_from_file_location("perfbench_layers", PERFBENCH / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    metrics = layers.command_metrics(spans, None, ModelDims(num_layers=6, d=16, m=32))
+    toy = {k: v for k, v in metrics.items() if k.startswith(("toymodel.", "costs."))}
+    assert len(toy) == 7
+    assert all(math.isfinite(v) for v in toy.values()), toy
 
 
 def test_traced_select_reads_distance_matrix_shapes(tmp_path):
