@@ -196,18 +196,12 @@ def run_stage(
     cfg: DiversityConfig = DiversityConfig(),
     k_prime_rule: KPrimeRule | None = None,
     final: bool = False,
-    kept: np.ndarray | None = None,
 ) -> StageSelection:
-    """``select_stage`` plus the per-stage diagnostics bundle.
-
-    ``kept``, when given, is this stage's ``select_stage`` result, which is
-    then not computed again.
-    """
-    if kept is None:
-        kept = select_stage(inputs, stage, cfg, k_prime_rule, final=final)
+    """``select_stage`` plus the per-stage diagnostics bundle."""
+    kept = select_stage(inputs, stage, cfg, k_prime_rule, final=final)
     return StageSelection(
         layer=stage.layer,
-        kept_indices=tuple(int(i) for i in kept),
+        kept_indices=kept,
         diagnostics=_stage_diagnostics(inputs, stage, kept, cfg),
     )
 
@@ -284,45 +278,32 @@ def trace_stage_provider(
 
 
 class ScheduleDriver:
-    """Stateful stage runner: the prune hook for the toy transformer and the
-    loop body of ``run_schedule``.
+    """The prune hook that runs a schedule inside the toy transformer.
 
-    Feed it to ``toymodel.forward``: at each scheduled layer it runs the
-    stage on the live ``StageInputs`` and returns the kept indices, keeping
-    everything elsewhere.  Only the schedule's last stage may drop every
-    token.  A stage's diagnostics are computed only when
-    ``selection_result()`` asks for the selections collected so far; until
-    then the driver holds that stage's inputs.  Errors of the diagnostics,
-    such as the cosine distance of a zero-norm hidden state at a kept token,
-    are therefore raised by ``selection_result()``, not by the forward, and
-    again by each later call.
+    Feed it to ``toymodel.forward``: at each scheduled layer it runs
+    ``select_stage`` on the live ``StageInputs`` and returns the kept
+    indices, keeping everything elsewhere.  Only the schedule's last stage
+    may drop every token.  It records each stage's layer and kept indices
+    but computes no diagnostics and holds no stage inputs; ``run_schedule``
+    gives the selections with their diagnostics.
     """
 
     def __init__(self, schedule: PruningSchedule, cfg: DiversityConfig = DiversityConfig()) -> None:
         self.schedule = schedule
         self.cfg = cfg
-        self._by_layer = {stage.layer: i for i, stage in enumerate(schedule.stages)}
+        self._by_layer = {stage.layer: stage for stage in schedule.stages}
         self._selections: list[StageSelection] = []
-        # stages run since the last selection_result(): (inputs, stage, kept)
-        self._pending: list[tuple[StageInputs, PruningStage, np.ndarray]] = []
 
     def __call__(self, inputs: StageInputs) -> np.ndarray | None:
-        idx = self._by_layer.get(inputs.layer)
-        if idx is None:
+        stage = self._by_layer.get(inputs.layer)
+        if stage is None:
             return None
-        stage = self.schedule.stages[idx]
-        kept = select_stage(inputs, stage, self.cfg, final=idx == len(self.schedule.stages) - 1)
-        self._pending.append((inputs, stage, kept))
+        kept = select_stage(inputs, stage, self.cfg, final=stage is self.schedule.stages[-1])
+        self._selections.append(StageSelection(stage.layer, kept))
         return kept
 
     def selection_result(self) -> SelectionResult:
-        """The selections so far, with the diagnostics of the stages run
-        since the last call computed now (through the module's ``run_stage``,
-        which perfbench/traced_cli.py wraps)."""
-        while self._pending:
-            inputs, stage, kept = self._pending[0]
-            self._selections.append(run_stage(inputs, stage, self.cfg, kept=kept))
-            del self._pending[0]
+        """The selections so far, with empty diagnostics."""
         return SelectionResult(per_stage=tuple(self._selections))
 
 
@@ -333,13 +314,17 @@ def run_schedule(
 
     ``provider`` exposes ``layout`` and ``stage_inputs(layer, survivors)``;
     see ``ArrayStageProvider``.  Scores and hidden states are re-read at
-    each stage layer, restricted to the tokens still alive.  Each stage's
-    diagnostics are computed before the next stage's inputs are built, so
-    one stage's inputs are alive at a time.
+    each stage layer, restricted to the tokens still alive.  Each stage
+    runs through ``run_stage``, diagnostics included, and its inputs are
+    dropped before the next stage's are built.
     """
-    driver = ScheduleDriver(schedule, cfg)
     survivors = np.arange(provider.layout.n_image, dtype=np.int64)
+    per_stage = []
     for stage in schedule.stages:
-        survivors = driver(provider.stage_inputs(stage.layer, survivors))
-        driver.selection_result()  # this stage's diagnostics; drops its inputs
-    return driver.selection_result()
+        selection = run_stage(
+            provider.stage_inputs(stage.layer, survivors), stage, cfg,
+            final=stage is schedule.stages[-1],
+        )
+        per_stage.append(selection)
+        survivors = np.array(selection.kept_indices, dtype=np.int64)
+    return SelectionResult(per_stage=tuple(per_stage))

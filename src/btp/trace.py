@@ -315,12 +315,16 @@ class PruningSchedule:
         ``TraceError`` naming ``where``; a well-formed schedule whose values
         break a rule (retention 1.5, say) is a ``ValidationError``.
         """
+        if not isinstance(obj, dict):
+            raise TraceError(f"{where}: malformed schedule: root must be an object")
         try:
+            # iterating "" or {} would read as a schedule with no stages
+            entries = _json_of(list, obj["stages"], "stages")
             stages = [
                 (_json_int(s["layer"], "stage layer"),
                  _json_number(s["retention"], "retention"),
                  _json_number(s["balance"], "balance"))
-                for s in obj["stages"]
+                for s in (_json_of(dict, entry, "stage") for entry in entries)
             ]
             num_layers = _json_int(obj["num_layers"], "num_layers")
         except (KeyError, TypeError, ValueError) as exc:

@@ -479,6 +479,9 @@ SCHEDULE_EDITS = {
     "float-num_layers": lambda s: s.update(num_layers=6.5),
     "bool-num_layers": lambda s: s.update(num_layers=True),
     "missing-balance": lambda s: s["stages"][1].pop("balance"),
+    "stages-empty-string": lambda s: s.update(stages=""),
+    "stages-empty-object": lambda s: s.update(stages={}),
+    "root-list": lambda s: [s],  # an edit that returns a list makes it the root
 }
 
 
@@ -487,8 +490,8 @@ def test_select_rejects_malformed_schedule(tmp_path, capsys, edit):
     trace = _write_select_trace(tmp_path)
     sched = _write_schedule(tmp_path, [(1, 0.5, 0.5), (3, 0.5, 1.0)], num_layers=6)
     obj = json.loads(Path(sched).read_text())
-    SCHEDULE_EDITS[edit](obj)
-    Path(sched).write_text(json.dumps(obj))
+    edited = SCHEDULE_EDITS[edit](obj)
+    Path(sched).write_text(json.dumps(edited if isinstance(edited, list) else obj))
     code, out, err = _run(capsys, ["select", "--trace", trace, "--schedule", sched])
     assert code == 2 and out == ""
     assert err.startswith(f"error: {sched}: malformed schedule: ")
@@ -706,6 +709,7 @@ def test_simulate_computes_no_stage_diagnostics(tmp_path, capsys, monkeypatch):
         raise AssertionError("simulate computed stage diagnostics")
 
     monkeypatch.setattr(btp.selector, "_stage_diagnostics", unread)
+    monkeypatch.setattr(btp.selector, "run_stage", unread)
     test_simulate_csv_is_pinned(tmp_path, capsys, "raw", 7)
 
 

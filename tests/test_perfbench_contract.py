@@ -143,5 +143,9 @@ def test_traced_select_reads_distance_matrix_shapes(tmp_path):
     # candidates, then the diagnostics' Gram over the 8 kept
     assert [s["shape"] for s in dists] == [[12, 8], [8, 8]]
     assert [by_id[s["parent"]]["name"] for s in dists] == ["diversity.greedy", "selector.stage"]
+    # select_stage runs inside run_stage, so its calls fall under the stage span
+    for name in ("scoring.topk", "diversity.spatial_init", "diversity.greedy"):
+        calls = [s for s in spans if s["name"] == name]
+        assert calls and all(by_id[s["parent"]]["name"] == "selector.stage" for s in calls), name
     # scoring.used_ratio counts scored layers a stage then runs at
     assert [s["layer"] for s in spans if s["name"] == "scoring.importance"] == [1]

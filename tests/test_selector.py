@@ -374,4 +374,8 @@ def test_driver_matches_run_schedule():
     for layer in range(8):
         if layer in {1, 3, 5}:
             survivors = driver(provider.stage_inputs(layer, survivors))
-    assert driver.selection_result() == expect
+    got = driver.selection_result().per_stage
+    assert [(s.layer, s.kept_indices) for s in got] == [
+        (s.layer, s.kept_indices) for s in expect.per_stage
+    ]
+    assert [s.diagnostics for s in got] == [{}] * 3

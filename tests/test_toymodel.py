@@ -1,7 +1,9 @@
 """Deterministic toy decoder: causality, pruning hook behavior, and probes."""
 
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -305,10 +307,9 @@ def test_forward_continues_after_drop_all():
     assert rec.positions[3].tolist() == [0, 1, 10, 11, 12]
 
 
-def test_driver_raises_zero_norm_at_selection_result():
-    # the driver computes a stage's diagnostics only when asked, so a
-    # zero-norm hidden state at a token kept by attention ends no forward;
-    # selection_result() still names its layer and token
+def test_driver_keeps_a_zero_norm_token_kept_by_attention():
+    # the driver computes no diagnostics, so a zero-norm hidden state at a
+    # token kept by attention raises neither in the forward nor after it
     sched = PruningSchedule((PruningStage(1, 0.5, 1.0),), CFG.num_layers)
     unzeroed = forward(_inputs(11), LAYOUT, CFG, prune_hook=ScheduleDriver(sched))
     token = int(unzeroed.image_survivors[2][0])
@@ -323,14 +324,29 @@ def test_driver_raises_zero_norm_at_selection_result():
 
     rec = forward(_inputs(11), LAYOUT, CFG, prune_hook=hook)
     assert token in rec.image_survivors[2]
-    with pytest.raises(
-        ValidationError,
-        match=rf"^layer 1: cosine distance undefined for zero-norm hidden state "
-        rf"of image token {token}$",
-    ):
-        driver.selection_result()
-    with pytest.raises(ValidationError, match="zero-norm"):
-        driver.selection_result()  # the failed stage is not dropped
+    (selection,) = driver.selection_result().per_stage
+    assert token in selection.kept_indices
+    assert selection.diagnostics == {}
+
+
+def test_driver_holds_no_stage_inputs():
+    sched = PruningSchedule((PruningStage(0, 0.75, 0.5), PruningStage(1, 0.5, 0.5)), CFG.num_layers)
+    driver = ScheduleDriver(sched)
+    seen = []
+
+    def hook(view):
+        seen.append(weakref.ref(view))
+        return driver(view)
+
+    rec = forward(_inputs(12), LAYOUT, CFG, prune_hook=hook)
+    gc.collect()
+    assert len(seen) == CFG.num_layers
+    assert [ref() for ref in seen] == [None] * len(seen)
+    result = driver.selection_result()
+    assert [s.layer for s in result.per_stage] == [0, 1]
+    assert [list(s.kept_indices) for s in result.per_stage] == [
+        rec.image_survivors[1].tolist(), rec.image_survivors[2].tolist()
+    ]
 
 
 # ---------------------------------------------------------------------------
