@@ -67,6 +67,7 @@ from .toymodel import (
     local_prune_error,
     single_layer_optimality_check,
     sinusoidal_encoding,
+    value_rows,
 )
 from .trace import (
     ModelShape,

@@ -19,6 +19,7 @@ import functools
 import json
 import os
 import sys
+import uuid
 from dataclasses import replace
 from pathlib import Path
 
@@ -46,7 +47,7 @@ from .toymodel import (
     init_weights,
     layer_output_distance,
 )
-from .trace import PruningSchedule, TokenLayout, layer_tensors, read_trace
+from .trace import PruningSchedule, TokenLayout, layer_tensors, read_trace, staging_path
 
 LAMBDA_PRESETS = {
     "llava7b": (0.6, 0.8, 1.0),
@@ -148,11 +149,28 @@ def _openblas_thread_setter():
 
 
 def _emit(text: str, out: str | None) -> None:
-    """Write a command's result to ``out``, or to stdout without one."""
-    if out:
-        Path(out).write_text(text)
-    else:
+    """Write a command's result to ``out``, or to stdout without one.
+
+    A new or regular file is staged beside ``out`` and renamed onto it, so a
+    failed write leaves the old file whole; a symlink, FIFO or device at
+    ``out`` is written through, as a rename would replace it.
+    """
+    if not out:
         sys.stdout.write(text)
+        return
+    target = Path(out)
+    if target.is_symlink() or (target.exists() and not target.is_file()):
+        target.write_text(text)
+        return
+    staging = staging_path(target, uuid.uuid4().hex[:12])
+    try:
+        staging.write_text(text)
+        os.replace(staging, target)
+    except BaseException as exc:
+        staging.unlink(missing_ok=True)
+        if isinstance(exc, OSError):  # name ``out``, not the temporary file
+            raise OSError(exc.errno, exc.strerror, out) from exc
+        raise
 
 
 def _dump_json(obj: dict, out: str | None) -> None:
@@ -563,6 +581,9 @@ def main(argv=None) -> int:
     except (TraceError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

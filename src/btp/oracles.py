@@ -24,7 +24,7 @@ from .diversity import (
     spatial_init,
 )
 from .errors import ValidationError
-from .toymodel import ForwardRecord, ToyConfig, single_layer_optimality_check
+from .toymodel import single_layer_optimality_check
 from .trace import (
     ModelShape,
     TensorBlob,
@@ -151,42 +151,11 @@ def spatial_grid_exactness(
 # single-layer pruning optimality
 
 
-def _synthetic_record(
-    attn_image: np.ndarray, values_image: np.ndarray, n_system: int = 2, n_text: int = 3
-) -> ForwardRecord:
-    """Minimal one-layer record carrying given image attention and values."""
-    n_image = attn_image.shape[0]
-    rows = int(math.isqrt(n_image))
-    while n_image % rows != 0:
-        rows -= 1
-    layout = TokenLayout(n_system, n_image, n_text, rows, n_image // rows)
-    total = layout.total()
-    d = values_image.shape[1]
-    attn = np.zeros(total, dtype=np.float32)
-    attn[layout.image_slice] = attn_image
-    other = 1.0 - attn_image.sum()
-    attn[0] = max(other, 0.0)
-    values = np.zeros((total, d), dtype=np.float32)
-    values[layout.image_slice] = values_image
-    hidden = np.zeros((total, d), dtype=np.float32)
-    cfg = ToyConfig(num_layers=1, d=d, heads=1, mlp=d)
-    positions = np.arange(total, dtype=np.int64)
-    alive = np.arange(n_image, dtype=np.int64)
-    return ForwardRecord(
-        config=cfg,
-        layout=layout,
-        hidden=(hidden, hidden),
-        positions=(positions, positions),
-        attn_last=(attn,),
-        values=(values,),
-        image_survivors=(alive, alive),
-    )
-
-
 def orthonormal_value_instance(
     rng: np.random.Generator, n_image: int, d: int, scale: float = 1.0
-) -> ForwardRecord:
-    """Record whose image value rows are mutually orthogonal with equal norm."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Image attention [n_image] and mutually orthogonal, equal-norm value
+    rows [n_image, d]; the attention sums to 0.8."""
     if d < n_image:
         raise ValueError("need d >= n_image for orthonormal rows")
     q, _ = np.linalg.qr(rng.standard_normal((d, n_image)))
@@ -194,22 +163,23 @@ def orthonormal_value_instance(
     logits = rng.standard_normal(n_image)
     weights = np.exp(logits - logits.max())
     weights = 0.8 * weights / weights.sum()
-    return _synthetic_record(weights.astype(np.float32), values)
+    return weights.astype(np.float32), values
 
 
-def unequal_norm_counterexample() -> tuple[ForwardRecord, int]:
+def unequal_norm_counterexample() -> tuple[np.ndarray, np.ndarray, int]:
     """Hand-built instance where attention top-1 is strictly suboptimal.
 
     Three orthogonal value rows with norms (1, 1, 20) and attention
     (0.5, 0.3, 0.2): dropping the two lowest-attention tokens drops the
-    huge third row, while dropping tokens 0 and 1 costs far less.
+    huge third row, while dropping tokens 0 and 1 costs far less.  Returns
+    (attention, value rows, k).
     """
     values = np.zeros((3, 4), dtype=np.float32)
     values[0, 0] = 1.0
     values[1, 1] = 1.0
     values[2, 2] = 20.0
     attn = np.array([0.5, 0.3, 0.2], dtype=np.float32)
-    return _synthetic_record(attn, values, n_system=1, n_text=1), 1
+    return attn, values, 1
 
 
 def single_layer_suite(instances: int = 20, seed: int = 7, max_n: int = 10) -> SuiteReport:
@@ -232,8 +202,8 @@ def single_layer_suite(instances: int = 20, seed: int = 7, max_n: int = 10) -> S
         n = int(rng.integers(4, max_n + 1))
         k = int(rng.integers(1, n))
         d = int(rng.integers(n, 2 * n + 4))
-        record = orthonormal_value_instance(rng, n, d)
-        err_topk, err_best = single_layer_optimality_check(record, layer=0, k=k)
+        attn, values = orthonormal_value_instance(rng, n, d)
+        err_topk, err_best = single_layer_optimality_check(attn, values, k)
         gap = (err_topk - err_best) / max(err_best, 1e-300)
         worst_gap = max(worst_gap, gap)
         if gap >= 1e-6:
@@ -245,8 +215,8 @@ def single_layer_suite(instances: int = 20, seed: int = 7, max_n: int = 10) -> S
         detail or f"worst relative gap {worst_gap:.2e}",
     )
 
-    record, k = unequal_norm_counterexample()
-    err_topk, err_best = single_layer_optimality_check(record, layer=0, k=k)
+    attn, values, k = unequal_norm_counterexample()
+    err_topk, err_best = single_layer_optimality_check(attn, values, k)
     report.add(
         "unequal norms break top-k optimality",
         err_topk > err_best * (1 + 1e-9),

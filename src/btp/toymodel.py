@@ -137,26 +137,36 @@ def causal_bias(seq: int) -> np.ndarray:
     return bias
 
 
-def layer_step(
-    x: np.ndarray, layer: int, cfg: ToyConfig, weights: ToyWeights
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One decoder layer over the current rows.
-
-    Returns (next hidden states, head-averaged last-row attention, value
-    matrix).  The causal mask is over the current row order, which
-    preserves the original order of any surviving tokens.
-    """
-    seq = x.shape[0]
-    hd = cfg.d // cfg.heads
-    normed = _layernorm(x)
-    q = normed @ weights.wq[layer]
-    k = normed @ weights.wk[layer]
+def _value_rows(normed: np.ndarray, layer: int, cfg: ToyConfig, weights: ToyWeights):
     v = normed @ weights.wv[layer]
     if cfg.value_norm == "unit":
         norms = np.sqrt((v * v).sum(axis=1, keepdims=True, dtype=np.float32))
         if np.any(norms == 0):
             raise ValidationError(f"layer {layer}: zero-norm value row, cannot normalize")
         v = v / norms
+    return v
+
+
+def value_rows(x, layer: int, cfg: ToyConfig, weights: ToyWeights) -> np.ndarray:
+    """The float32 [n, d] value rows ``layer_step`` computes from its input ``x``."""
+    return _value_rows(_layernorm(np.asarray(x, dtype=np.float32)), layer, cfg, weights)
+
+
+def layer_step(
+    x: np.ndarray, layer: int, cfg: ToyConfig, weights: ToyWeights
+) -> tuple[np.ndarray, np.ndarray]:
+    """One decoder layer over the current rows.
+
+    Returns (next hidden states, head-averaged last-row attention).  The
+    causal mask is over the current row order, which preserves the
+    original order of any surviving tokens.
+    """
+    seq = x.shape[0]
+    hd = cfg.d // cfg.heads
+    normed = _layernorm(x)
+    q = normed @ weights.wq[layer]
+    k = normed @ weights.wk[layer]
+    v = _value_rows(normed, layer, cfg, weights)
 
     qh = q.reshape(seq, cfg.heads, hd).transpose(1, 0, 2)
     kh = k.reshape(seq, cfg.heads, hd).transpose(1, 0, 2)
@@ -182,7 +192,7 @@ def layer_step(
     mid = attn_out + x
     x_next = x + attn_out + _gelu(_layernorm(mid) @ weights.w1[layer]) @ weights.w2[layer]
     last_row = probs[:, -1, :].mean(axis=0)
-    return x_next, last_row, v
+    return x_next, last_row
 
 
 @dataclass(frozen=True)
@@ -190,12 +200,9 @@ class ForwardRecord:
     """Full forward trace.
 
     ``hidden[l]``/``positions[l]`` describe the sequence entering layer l
-    (index num_layers holds the final output); ``attn_last[l]`` and
-    ``values[l]`` were computed during layer l and align with
-    ``positions[l]``.  ``image_survivors[l]`` are the image indices alive
-    entering layer l.  ``forward`` leaves ``values`` empty: a layer's value
-    rows are the third output of ``layer_step`` on ``hidden[l]``, and only
-    records built for the local-error probes carry them.
+    (index num_layers holds the final output); ``attn_last[l]`` was
+    computed during layer l and aligns with ``positions[l]``.
+    ``image_survivors[l]`` are the image indices alive entering layer l.
     """
 
     config: ToyConfig
@@ -203,7 +210,6 @@ class ForwardRecord:
     hidden: tuple[np.ndarray, ...]
     positions: tuple[np.ndarray, ...]
     attn_last: tuple[np.ndarray, ...]
-    values: tuple[np.ndarray, ...]
     image_survivors: tuple[np.ndarray, ...]
 
 
@@ -221,8 +227,7 @@ def forward(
     (survivor indices, their scores from this layer's last-row attention,
     and this layer's input hidden states); it returns the image indices to
     keep, or None to keep everything.  Rows pruned at layer l are gone
-    before layer l+1: later layers never see their keys or values.  The
-    record holds no value matrices (see ``ForwardRecord``).
+    before layer l+1: later layers never see their keys or values.
 
     ``prefix`` is the record of an unpruned forward of the same inputs
     through the first layers of this model, computed with the same
@@ -261,7 +266,7 @@ def forward(
         if layer < reused:
             x_next, last_row = prefix.hidden[layer + 1], prefix.attn_last[layer]
         else:
-            x_next, last_row, _ = layer_step(x, layer, cfg, weights)
+            x_next, last_row = layer_step(x, layer, cfg, weights)
             if not np.isfinite(x_next).all():
                 raise ValidationError(f"non-finite activations after layer {layer}")
         attn_rows.append(last_row)
@@ -304,7 +309,6 @@ def forward(
         hidden=tuple(hidden),
         positions=tuple(pos_hist),
         attn_last=tuple(attn_rows),
-        values=(),
         image_survivors=tuple(alive_hist),
     )
 
@@ -371,53 +375,50 @@ def layer_output_distance(
     return float(((va * vb).sum(axis=1) / (na * nb)).mean())
 
 
-def _image_values(record: ForwardRecord, layer: int, mask: np.ndarray) -> np.ndarray:
-    """float64 value rows of ``layer`` under ``mask``; the record must hold values."""
-    if len(record.values) != len(record.attn_last):
-        raise ValidationError("record holds no value matrices")
-    return record.values[layer][mask].astype(np.float64)
+def _probe_rows(attn, values) -> tuple[np.ndarray, np.ndarray]:
+    """float64 [n] attention and C-ordered [n, d] value rows, so that the
+    column sums do not depend on the caller's memory layout."""
+    a = np.asarray(attn, dtype=np.float64)
+    v = np.asarray(values, dtype=np.float64, order="C")
+    if a.ndim != 1 or v.ndim != 2 or v.shape[0] != a.shape[0]:
+        raise ValidationError(f"attn must be [n] and values [n, d], got {a.shape} and {v.shape}")
+    return a, v
 
 
-def local_prune_error(record: ForwardRecord, layer: int, kept) -> float:
-    """Perturbation of the layer's last-row attention output if only the
-    ``kept`` image tokens (original image indices, subset of the tokens
-    alive at ``layer``) contribute: L2 norm of sum_{i dropped} a_i v_i.
+def local_prune_error(attn, values, kept) -> float:
+    """Perturbation of a layer's last-row attention output if only the
+    ``kept`` image tokens contribute: L2 norm of sum_{i dropped} a_i v_i.
 
-    This is the local cost a pruning decision at ``layer`` inflicts on that
-    same layer's output, before any downstream compounding.  The record
-    must carry ``values``.
+    ``attn`` is the layer's [n] last-row attention over its image tokens,
+    ``values`` their [n, d] rows (``value_rows``) and ``kept`` indices into
+    them (after a prune, map image indices to rows with
+    ``np.searchsorted(record.image_survivors[l], kept)``).  This is the local
+    cost a pruning decision inflicts on that layer's own output.
     """
-    if not 0 <= layer < len(record.attn_last):
-        raise ValidationError(f"layer {layer} outside recorded range")
-    mask = record.layout.image_mask(record.positions[layer])
-    alive = record.image_survivors[layer]
+    a, v = _probe_rows(attn, values)
     kept = np.asarray(list(kept), dtype=np.int64)
-    if kept.size and not np.isin(kept, alive).all():
-        raise ValidationError(f"kept indices not alive at layer {layer}")
-    a = record.attn_last[layer][mask].astype(np.float64)
-    v = _image_values(record, layer, mask)
-    drop = ~np.isin(alive, kept)
+    if kept.size and (kept.min() < 0 or kept.max() >= a.size):
+        raise ValidationError(f"kept indices must be in [0, {a.size})")
+    drop = np.ones(a.size, dtype=bool)
+    drop[kept] = False
     return float(np.linalg.norm((a[drop, None] * v[drop]).sum(axis=0)))
 
 
 def single_layer_optimality_check(
-    record: ForwardRecord, layer: int, k: int, max_image_tokens: int = 12
+    attn, values, k: int, max_image_tokens: int = 12
 ) -> tuple[float, float]:
     """Attention top-k versus the exhaustive best keep-set at one layer.
 
-    The perturbation of keeping set S is the L2 norm of the dropped
-    attention mass sum_{i not in S} a_i v_i, where a is the last row's
-    attention over image positions and v the record's ``values`` rows.  Returns
-    (top-k error, exhaustive minimum).  With equal-norm mutually orthogonal
-    value rows the two coincide; with unequal norms top-k can be strictly
-    worse.  Refuses more than ``max_image_tokens`` image tokens.
+    The perturbation of keeping set S is ``local_prune_error`` of S, the
+    L2 norm of sum_{i not in S} a_i v_i.  Returns (top-k error, exhaustive
+    minimum).  With equal-norm mutually orthogonal value rows the two
+    coincide; with unequal norms top-k can be strictly worse.  Refuses more
+    than ``max_image_tokens`` image tokens.
     """
-    if not 0 <= layer < len(record.attn_last):
-        raise ValidationError(f"layer {layer} outside recorded range")
-    mask = record.layout.image_mask(record.positions[layer])
-    n = int(mask.sum())
+    a, v = _probe_rows(attn, values)
+    n = a.size
     if n == 0:
-        raise ValidationError(f"no image tokens alive at layer {layer}")
+        raise ValidationError("no image tokens alive")
     if n > max_image_tokens:
         raise ValidationError(
             f"{n} image tokens alive, exhaustive check capped at {max_image_tokens}"
@@ -425,8 +426,6 @@ def single_layer_optimality_check(
     if not 0 < k <= n:
         raise ValidationError(f"k must be in [1, {n}], got {k}")
 
-    a = record.attn_last[layer][mask].astype(np.float64)
-    v = _image_values(record, layer, mask)
     weighted = a[:, None] * v
     total = weighted.sum(axis=0)
 

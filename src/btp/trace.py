@@ -589,6 +589,11 @@ def read_trace(path) -> tuple[TraceManifest, dict[str, TensorBlob]]:
     return manifest, tensors
 
 
+def staging_path(path: Path, tag: str) -> Path:
+    """The hidden sibling a write to ``path`` is staged in, then renamed."""
+    return path.parent / f".{path.name}.tmp-{tag}"
+
+
 def write_trace(path, manifest: TraceManifest, tensors: Mapping[str, TensorBlob]) -> None:
     """Write a trace directory, staging in a temp dir and swapping it in.
 
@@ -621,7 +626,7 @@ def write_trace(path, manifest: TraceManifest, tensors: Mapping[str, TensorBlob]
     root = Path(path)
     root.parent.mkdir(parents=True, exist_ok=True)
     tag = uuid.uuid4().hex[:12]
-    staging = root.parent / f".{root.name}.tmp-{tag}"
+    staging = staging_path(root, tag)
     # only a real directory is swapped out; renaming the staging directory
     # onto a file or a symlink fails and leaves it alone
     aside = None

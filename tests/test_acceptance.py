@@ -7,7 +7,6 @@ that clause is expected to fail; see the oracle regression list for the
 exact instances.
 """
 
-import dataclasses
 import json
 import math
 
@@ -43,9 +42,9 @@ from btp.toymodel import (
     ToyConfig,
     forward,
     init_weights,
-    layer_step,
     local_prune_error,
     single_layer_optimality_check,
+    value_rows,
 )
 from btp.trace import PruningSchedule, PruningStage, TokenLayout
 
@@ -75,8 +74,8 @@ def test_criterion_3_single_layer_optimality():
     """Equal-norm values: top-k matches the exhaustive optimum (gap < 1e-6)."""
     report = single_layer_suite(instances=20, max_n=10)
     assert report.ok, report.failures
-    record, k = unequal_norm_counterexample()
-    err_topk, err_best = single_layer_optimality_check(record, layer=0, k=k)
+    attn, values, k = unequal_norm_counterexample()
+    err_topk, err_best = single_layer_optimality_check(attn, values, k)
     assert err_topk > err_best  # unequal norms must break the premise
 
 
@@ -287,10 +286,9 @@ def test_criterion_8_first_stage_divergence():
         x = rng.standard_normal((layout.total(), cfg.d)).astype(np.float32)
         weights = init_weights(cfg)
         rec = forward(x, layout, cfg, weights)
-        # forward keeps no value rows; local_prune_error reads layer 1's
-        values = tuple(layer_step(h, l, cfg, weights)[2] for l, h in enumerate(rec.hidden[:-1]))
-        rec = dataclasses.replace(rec, values=values)
         image_mask = (rec.positions[1] >= 2) & (rec.positions[1] < 38)
+        attn = rec.attn_last[1][image_mask]
+        values = value_rows(rec.hidden[1], 1, cfg, weights)[image_mask]
         inputs = StageInputs(
             layer=1,
             survivors=np.arange(layout.n_image),
@@ -300,7 +298,7 @@ def test_criterion_8_first_stage_divergence():
         )
         kept_att = select_stage(inputs, PruningStage(1, 0.5, 1.0), k_prime_rule=tight)
         kept_div = select_stage(inputs, PruningStage(1, 0.5, 0.0), k_prime_rule=tight)
-        if local_prune_error(rec, 1, kept_att) <= local_prune_error(rec, 1, kept_div):
+        if local_prune_error(attn, values, kept_att) <= local_prune_error(attn, values, kept_div):
             wins += 1
     assert wins >= 90, f"attention-led pruning won only {wins}/100 at the pruning layer"
 

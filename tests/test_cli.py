@@ -1,8 +1,10 @@
 """End-to-end command-line behavior, exit codes, and output determinism."""
 
+import errno
 import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
 import threading
@@ -851,6 +853,115 @@ def test_simulate_restores_the_blas_thread_count(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# failed --out writes and allocations
+
+
+def _run_limited(kind, size, argv, tmp_path):
+    """Run ``btp`` in a child process whose ``RLIMIT_<kind>`` is ``size``
+    bytes, set after the imports."""
+    launcher = (
+        "import resource, signal, sys, btp.cli\n"
+        "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+        f"resource.setrlimit(resource.RLIMIT_{kind}, ({size}, {size}))\n"
+        "sys.exit(btp.cli.main(sys.argv[1:]))\n"
+    )
+    src = str(Path(btp.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", launcher, *argv], env=env,
+                          cwd=tmp_path, capture_output=True, timeout=120)
+
+
+def _out_argv(tmp_path, command):
+    if command == "cost":
+        return ["cost", "--layout", "1,576,20,24,24", "--num-layers", "32",
+                "--d", "4096", "--mlp", "11008"]
+    if command == "calibrate":
+        traces = [_write_calib_trace(tmp_path, f"t{i}", seed=i, planted={3: 9, 7: 11})
+                  for i in range(3)]
+        return ["calibrate", *traces, "--lambdas", "0.6,1.0"]
+    sched = _write_schedule(tmp_path, [(1, 0.5, 0.5), (3, 0.5, 1.0)], num_layers=6)
+    if command == "select":
+        return ["select", "--trace", _write_select_trace(tmp_path), "--schedule", sched]
+    return ["simulate", "--schedule", sched, "--layers", "6"]
+
+
+@pytest.mark.parametrize("command", ["cost", "calibrate", "select", "simulate"])
+def test_out_survives_a_failed_write(tmp_path, capsys, command):
+    # a 64-byte file size limit cuts every result short: the previous
+    # --out must survive whole, with no temporary file left beside it
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out_path = out_dir / "result"
+    out_path.write_bytes(b"previous result\n")
+    argv = _out_argv(tmp_path, command) + ["--out", str(out_path)]
+    proc = _run_limited("FSIZE", 64, argv, tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == b""
+    last = proc.stderr.decode().splitlines()[-1]
+    assert last == f"error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}: {str(out_path)!r}"
+    assert out_path.read_bytes() == b"previous result\n"
+    assert [p.name for p in out_dir.iterdir()] == ["result"]
+
+    # without the limit the result replaces the previous file
+    code, out, _ = _run(capsys, argv)
+    assert code == 0 and out == ""
+    assert len(out_path.read_bytes()) > 64
+    assert [p.name for p in out_dir.iterdir()] == ["result"]
+
+
+def test_out_writes_through_a_fifo_and_a_symlink(tmp_path, capsys):
+    argv = ["cost", "--layout", "0,4,0,2,2", "--num-layers", "2", "--d", "8", "--mlp", "16"]
+    code, expected, _ = _run(capsys, argv)
+    assert code == 0
+
+    # renaming onto a FIFO would swap it for a regular file; the read end is
+    # opened first, so the write neither blocks nor outgrows the pipe buffer
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        code, out, err = _run(capsys, argv + ["--out", str(fifo)])
+        received = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert (code, out, err) == (0, "", "")
+    assert received.decode() == expected
+    assert stat.S_ISFIFO(fifo.lstat().st_mode)
+
+    link = tmp_path / "link.json"
+    link.symlink_to("report.json")
+    code, _, _ = _run(capsys, argv + ["--out", str(link)])
+    assert code == 0 and link.is_symlink()
+    assert (tmp_path / "report.json").read_text() == expected
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "pipe", "report.json"]
+
+
+def test_out_errors_name_the_out_path(tmp_path, capsys):
+    for out_path in (tmp_path / "missing" / "report.json", tmp_path):
+        code, out, err = _run(capsys, [
+            "cost", "--layout", "0,4,0,2,2", "--num-layers", "2",
+            "--d", "8", "--mlp", "16", "--out", str(out_path),
+        ])
+        assert code == 2 and out == ""
+        assert err.startswith("error: [Errno ") and err.endswith(f": {str(out_path)!r}\n")
+    assert [p.name for p in tmp_path.iterdir()] == []
+
+
+def test_allocation_failure_is_one_error_line(tmp_path):
+    # the weights alone would take 149 GiB; the child may map only 2 GiB
+    sched = tmp_path / "schedule.json"
+    sched.write_text('{"num_layers": 4, "stages": []}')
+    argv = ["simulate", "--schedule", str(sched), "--d", "100000", "--heads", "1",
+            "--layers", "4", "--layout", "1,1,1,1,1"]
+    proc = _run_limited("AS", 2 << 30, argv, tmp_path)
+    err = proc.stderr.decode()
+    assert proc.returncode == 1, err
+    assert proc.stdout == b""
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
 # oracle
 
 
@@ -860,6 +971,18 @@ def test_oracle_suites_pass(capsys, kind):
     assert code == 0
     assert "checks passed" in out.splitlines()[-1]
     assert "[ok]" in out
+
+
+def test_oracle_single_layer_output_is_pinned(capsys):
+    # the equal-norm value rows are Fortran-ordered; summing them in that
+    # order reads a worst gap of 0.00e+00 instead of 1.46e-16
+    code, out, _ = _run(capsys, ["oracle", "single_layer"])
+    assert code == 0
+    assert out == (
+        "[ok] top-k optimal on 20 equal-norm instances: worst relative gap 1.46e-16\n"
+        "[ok] unequal norms break top-k optimality: top-k error 4.0112 vs best 0.5831\n"
+        "single_layer: 2/2 checks passed\n"
+    )
 
 
 def test_oracle_guard_refusal(capsys):

@@ -71,8 +71,9 @@ def test_grid_skeleton_exact_away_from_k3():
 
 def test_orthonormal_instance_has_orthonormal_values():
     rng = np.random.default_rng(40)
-    record = orthonormal_value_instance(rng, n_image=6, d=9, scale=2.0)
-    v = record.values[0][record.layout.image_slice].astype(np.float64)
+    attn, values = orthonormal_value_instance(rng, n_image=6, d=9, scale=2.0)
+    assert attn.shape == (6,) and values.shape == (6, 9)
+    v = values.astype(np.float64)
     gram = v @ v.T
     np.testing.assert_allclose(gram, 4.0 * np.eye(6), atol=1e-6)
     with pytest.raises(ValueError):
@@ -80,8 +81,8 @@ def test_orthonormal_instance_has_orthonormal_values():
 
 
 def test_counterexample_shows_strict_gap():
-    record, k = unequal_norm_counterexample()
-    err_topk, err_best = single_layer_optimality_check(record, layer=0, k=k)
+    attn, values, k = unequal_norm_counterexample()
+    err_topk, err_best = single_layer_optimality_check(attn, values, k)
     assert err_topk > err_best * 1.5
 
 

@@ -336,8 +336,10 @@ def test_trace_provider_checks_shapes_now_and_values_when_used():
 
 
 def test_run_schedule_releases_each_stage_inputs():
-    # diagnostics wait for selection_result(): run_schedule must ask after
-    # every stage, or it would hold every stage's hidden rows at once
+    # each stage's inputs hold their own copy of the survivors' hidden rows
+    # (a trace provider slices them from the payload on request): run_schedule
+    # must drop one stage's inputs before it asks for the next stage's, or it
+    # would hold every stage's rows at once
     provider = _provider(17)
     handed_out = []
 

@@ -25,6 +25,7 @@ from btp.toymodel import (
     local_prune_error,
     single_layer_optimality_check,
     sinusoidal_encoding,
+    value_rows,
 )
 from btp.trace import PruningSchedule, PruningStage, TokenLayout
 
@@ -37,13 +38,11 @@ def _inputs(seed, layout=LAYOUT, cfg=CFG):
     return rng.standard_normal((layout.total(), cfg.d)).astype(np.float32)
 
 
-def _with_values(rec):
-    """``rec`` with the value rows each layer computed from ``hidden[l]``."""
-    weights = init_weights(rec.config)
-    values = tuple(
-        layer_step(h, layer, rec.config, weights)[2] for layer, h in enumerate(rec.hidden[:-1])
-    )
-    return dataclasses.replace(rec, values=values)
+def _image_rows(rec, layer):
+    """Layer ``layer``'s last-row attention and value rows over its image tokens."""
+    image_mask = rec.layout.image_mask(rec.positions[layer])
+    values = value_rows(rec.hidden[layer], layer, rec.config, init_weights(rec.config))
+    return rec.attn_last[layer][image_mask], values[image_mask]
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +153,9 @@ def test_layer_step_matches_reference_bitwise(seq, heads, value_norm):
     for layer in range(cfg.num_layers):
         got = layer_step(x, layer, cfg, weights)
         want = _reference_layer_step(x, layer, cfg, weights)
-        for g, w in zip(got, want):
+        assert len(got) == 2
+        got = (*got, value_rows(x, layer, cfg, weights))
+        for g, w in zip(got, want, strict=True):
             assert g.dtype == w.dtype and np.array_equal(g, w)
         x = got[0]
 
@@ -174,28 +175,26 @@ def test_causal_bias_is_cached_and_read_only():
 
 
 def test_forward_record_shapes():
-    rec = _with_values(forward(_inputs(1), LAYOUT, CFG))
+    rec = forward(_inputs(1), LAYOUT, CFG)
+    weights = init_weights(CFG)
     L, total = CFG.num_layers, LAYOUT.total()
     assert len(rec.hidden) == len(rec.positions) == len(rec.image_survivors) == L + 1
-    assert len(rec.attn_last) == len(rec.values) == L
+    assert len(rec.attn_last) == L
     for h in rec.hidden:
         assert h.shape == (total, CFG.d) and h.dtype == np.float32
-    for row, v in zip(rec.attn_last, rec.values):
+    for layer, row in enumerate(rec.attn_last):
         assert row.shape == (total,)
-        assert v.shape == (total, CFG.d)
+        v = value_rows(rec.hidden[layer], layer, CFG, weights)
+        assert v.shape == (total, CFG.d) and v.dtype == np.float32
         assert row.sum() == pytest.approx(1.0, abs=1e-6)
 
 
-def test_forward_records_no_values():
+def test_value_rows_follow_survivors_after_a_prune():
     hook = ScheduleDriver(PruningSchedule((PruningStage(1, 0.5, 0.5),), CFG.num_layers))
     rec = forward(_inputs(1), LAYOUT, CFG, prune_hook=hook)
-    assert rec.values == ()
-    with pytest.raises(ValidationError, match="no value matrices"):
-        local_prune_error(rec, 1, rec.image_survivors[1])
-    with pytest.raises(ValidationError, match="no value matrices"):
-        single_layer_optimality_check(rec, 1, 2)
-    # after the prune at layer 1 the recomputed rows follow the survivors
-    assert _with_values(rec).values[2].shape == (rec.positions[2].size, CFG.d)
+    assert rec.positions[2].size < LAYOUT.total()
+    v = value_rows(rec.hidden[2], 2, CFG, init_weights(CFG))
+    assert v.shape == (rec.positions[2].size, CFG.d)
 
 
 def test_forward_input_validation():
@@ -209,8 +208,10 @@ def test_forward_input_validation():
 
 def test_unit_value_norm_mode():
     cfg = ToyConfig(num_layers=2, d=16, heads=2, mlp=32, value_norm="unit")
-    rec = _with_values(forward(_inputs(3, cfg=cfg), LAYOUT, cfg))
-    for v in rec.values:
+    rec = forward(_inputs(3, cfg=cfg), LAYOUT, cfg)
+    weights = init_weights(cfg)
+    for layer, h in enumerate(rec.hidden[:-1]):
+        v = value_rows(h, layer, cfg, weights)
         np.testing.assert_allclose(np.linalg.norm(v, axis=1), 1.0, atol=1e-6)
 
 
@@ -534,7 +535,7 @@ def test_zero_norm_rows_break_cosine_but_not_euclidean():
     hidden[1][0] = 0.0
     doctored = ForwardRecord(
         config=base.config, layout=base.layout, hidden=hidden,
-        positions=base.positions, attn_last=base.attn_last, values=base.values,
+        positions=base.positions, attn_last=base.attn_last,
         image_survivors=base.image_survivors,
     )
     with pytest.raises(ValidationError, match="zero-norm"):
@@ -543,14 +544,13 @@ def test_zero_norm_rows_break_cosine_but_not_euclidean():
 
 
 def test_local_prune_error_endpoints():
-    rec = _with_values(forward(_inputs(14), LAYOUT, CFG))
-    alive = rec.image_survivors[1]
-    assert local_prune_error(rec, 1, alive) == 0.0
-    image_mask = (rec.positions[1] >= 2) & (rec.positions[1] < 10)
-    a = rec.attn_last[1][image_mask].astype(np.float64)
-    v = rec.values[1][image_mask].astype(np.float64)
+    rec = forward(_inputs(14), LAYOUT, CFG)
+    attn, values = _image_rows(rec, 1)
+    assert local_prune_error(attn, values, range(LAYOUT.n_image)) == 0.0
+    a = attn.astype(np.float64)
+    v = values.astype(np.float64)
     expect = np.linalg.norm((a[:, None] * v).sum(axis=0))
-    assert local_prune_error(rec, 1, []) == pytest.approx(expect)
+    assert local_prune_error(attn, values, []) == pytest.approx(expect)
 
 
 def test_local_prune_error_monotone_under_nesting():
@@ -558,34 +558,40 @@ def test_local_prune_error_monotone_under_nesting():
     # dropping a superset that includes strictly positive extra mass cannot
     # help when all dropped contributions are the same sign; just pin the
     # basic sanity: keeping fewer tokens never yields a negative error
-    rec = _with_values(forward(_inputs(15), LAYOUT, CFG))
-    alive = rec.image_survivors[2]
-    for k in range(alive.size + 1):
-        assert local_prune_error(rec, 2, alive[:k]) >= 0.0
+    rec = forward(_inputs(15), LAYOUT, CFG)
+    attn, values = _image_rows(rec, 2)
+    for k in range(attn.size + 1):
+        assert local_prune_error(attn, values, range(k)) >= 0.0
 
 
 def test_local_prune_error_validation():
-    rec = _with_values(forward(_inputs(16), LAYOUT, CFG))
-    with pytest.raises(ValidationError):
-        local_prune_error(rec, 99, [])
-    with pytest.raises(ValidationError, match="not alive"):
-        local_prune_error(rec, 1, [99])
+    attn, values = _image_rows(forward(_inputs(16), LAYOUT, CFG), 1)
+    with pytest.raises(ValidationError, match="attn must be"):
+        local_prune_error(attn, values[1:], [])
+    with pytest.raises(ValidationError, match="attn must be"):
+        local_prune_error(attn[:, None], values, [])
+    with pytest.raises(ValidationError, match=r"must be in \[0, 8\)"):
+        local_prune_error(attn, values, [8])
+    with pytest.raises(ValidationError, match=r"must be in \[0, 8\)"):
+        local_prune_error(attn, values, [-1])
 
 
 def test_optimality_check_topk_never_beats_exhaustive():
-    rec = _with_values(forward(_inputs(17), LAYOUT, CFG))
+    attn, values = _image_rows(forward(_inputs(17), LAYOUT, CFG), 1)
     for k in (1, 3, 5):
-        err_topk, err_best = single_layer_optimality_check(rec, 1, k)
+        err_topk, err_best = single_layer_optimality_check(attn, values, k)
         assert err_topk >= err_best - 1e-12
 
 
 def test_optimality_check_guards():
-    rec = _with_values(forward(_inputs(18), LAYOUT, CFG))
+    attn, values = _image_rows(forward(_inputs(18), LAYOUT, CFG), 1)
     with pytest.raises(ValidationError, match="capped"):
-        single_layer_optimality_check(rec, 1, 2, max_image_tokens=4)
-    with pytest.raises(ValidationError):
-        single_layer_optimality_check(rec, 1, 0)
-    with pytest.raises(ValidationError):
-        single_layer_optimality_check(rec, 1, 9)
-    with pytest.raises(ValidationError):
-        single_layer_optimality_check(rec, 99, 1)
+        single_layer_optimality_check(attn, values, 2, max_image_tokens=4)
+    with pytest.raises(ValidationError, match=r"k must be in \[1, 8\], got 0"):
+        single_layer_optimality_check(attn, values, 0)
+    with pytest.raises(ValidationError, match=r"k must be in \[1, 8\], got 9"):
+        single_layer_optimality_check(attn, values, 9)
+    with pytest.raises(ValidationError, match="attn must be"):
+        single_layer_optimality_check(attn, values.T, 1)
+    with pytest.raises(ValidationError, match="no image tokens alive"):
+        single_layer_optimality_check(attn[:0], values[:0], 1)
