@@ -69,7 +69,28 @@ def _snapshots(hidden_stack) -> list[np.ndarray]:
     return snaps
 
 
-def shift_profile(hidden_stack, tau: float = DEFAULT_TAU) -> ShiftProfile:
+def _shift_sums(snaps, lo: int, hi: int, rows: int, norms, dots) -> None:
+    """Write rows [lo, hi) of the squared ``norms`` and of ``dots``.
+
+    The rows are walked one block of ``rows`` at a time across all
+    snapshots, in three float64 blocks of this call's own.
+    """
+    d = snaps[0].shape[1]
+    prev, cur, prod = (np.empty((rows, d)) for _ in range(3))
+    for start in range(lo, hi, rows):
+        stop = min(hi, start + rows)
+        k = stop - start
+        for s, snap in enumerate(snaps):
+            np.copyto(cur[:k], snap[start:stop], casting="unsafe")
+            np.multiply(cur[:k], cur[:k], out=prod[:k])
+            np.add.reduce(prod[:k], axis=1, out=norms[s, start:stop])
+            if s:
+                np.multiply(prev[:k], cur[:k], out=prod[:k])
+                np.add.reduce(prod[:k], axis=1, out=dots[s - 1, start:stop])
+            prev, cur = cur, prev
+
+
+def shift_profile(hidden_stack, tau: float = DEFAULT_TAU, workers: int = 1) -> ShiftProfile:
     """Count image tokens whose cosine to the next snapshot falls below tau.
 
     ``hidden_stack`` holds image hidden states for snapshots 0..L (layer
@@ -77,29 +98,38 @@ def shift_profile(hidden_stack, tau: float = DEFAULT_TAU) -> ShiftProfile:
     L+1 [N, d] arrays, such as memory-mapped trace tensors.  Entry l of the
     result counts tokens with cos(X^(l)_i, X^(l+1)_i) < tau, computed in
     float64.  The snapshots are walked pair by pair, one block of rows at a
-    time, so the float64 working set is three row blocks plus the [L+1, N]
-    norms and [L, N] dot products; the sums run over d for each row exactly
-    as on a whole float64 stack.
+    time, so the float64 working set is three row blocks per worker plus
+    the [L+1, N] norms and [L, N] dot products; the sums run over d for
+    each row exactly as on a whole float64 stack.
+
+    The N rows are split into contiguous ranges of whole blocks, one per
+    thread, for up to ``workers`` threads (never more than there are
+    blocks).  Each token's sums are the same whichever thread computes
+    them, so the result does not depend on ``workers``.
     """
     if not 0.0 < tau < 1.0:
         raise ValidationError(f"tau must be in (0, 1), got {tau}")
+    if workers < 1:
+        raise ValidationError(f"workers must be >= 1, got {workers}")
     snaps = _snapshots(hidden_stack)
     n, d = snaps[0].shape
     norms = np.empty((len(snaps), n))
     dots = np.empty((len(snaps) - 1, n))
     rows = max(1, min(n, _BLOCK_BYTES // max(1, 8 * d)))
-    prev, cur, prod = (np.empty((rows, d)) for _ in range(3))
-    for start in range(0, n, rows):
-        block = slice(start, min(n, start + rows))
-        k = block.stop - start
-        for s, snap in enumerate(snaps):
-            np.copyto(cur[:k], snap[block], casting="unsafe")
-            np.multiply(cur[:k], cur[:k], out=prod[:k])
-            norms[s, block] = np.sqrt(np.add.reduce(prod[:k], axis=1))
-            if s:
-                np.multiply(prev[:k], cur[:k], out=prod[:k])
-                dots[s - 1, block] = np.add.reduce(prod[:k], axis=1)
-            prev, cur = cur, prev
+    blocks = -(-n // rows)
+    workers = min(workers, blocks)
+    if workers > 1:
+        import concurrent.futures
+
+        cuts = [min(n, blocks * w // workers * rows) for w in range(workers + 1)]
+        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+            jobs = [pool.submit(_shift_sums, snaps, lo, hi, rows, norms, dots)
+                    for lo, hi in zip(cuts, cuts[1:])]
+            for job in jobs:
+                job.result()
+    else:
+        _shift_sums(snaps, 0, n, rows, norms, dots)
+    np.sqrt(norms, out=norms)
     zero = np.argwhere(norms == 0)
     if zero.size:
         snap, tok = zero[0]

@@ -98,18 +98,18 @@ def _load_schedule(path: str) -> PruningSchedule:
     return PruningSchedule.from_json_dict(obj, where=path)
 
 
-def _thread_count(n_jobs: int) -> int:
+def _thread_count() -> int:
+    """``BTP_THREADS``, or one thread per usable CPU when it is unset."""
     raw = os.environ.get("BTP_THREADS", "").strip()
-    if raw:
-        try:
-            cap = int(raw)
-        except ValueError as exc:
-            raise ValidationError(f"BTP_THREADS must be an integer, got {raw!r}") from exc
-        if cap < 1:
-            raise ValidationError(f"BTP_THREADS must be >= 1, got {cap}")
-    else:
-        cap = 1
-    return max(1, min(cap, n_jobs))
+    if not raw:
+        return _usable_cpus()
+    try:
+        count = int(raw)
+    except ValueError as exc:
+        raise ValidationError(f"BTP_THREADS must be an integer, got {raw!r}") from exc
+    if count < 1:
+        raise ValidationError(f"BTP_THREADS must be >= 1, got {count}")
+    return count
 
 
 def _usable_cpus() -> int:
@@ -117,6 +117,24 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+def _check_fits_in_memory(what: str, nbytes: int) -> None:
+    """Refuse a command whose estimated ``nbytes`` exceed physical memory.
+
+    Callers estimate before they allocate, so that a command too large for
+    the machine exits with one error line instead of being killed midway,
+    as it may be under memory overcommit.
+    """
+    try:
+        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (ValueError, OSError):  # not known on this platform
+        return
+    if nbytes > physical:
+        raise MemoryError(
+            f"{what} needs about {nbytes / 2**30:.1f} GiB, more than the "
+            f"{physical / 2**30:.1f} GiB of physical memory"
+        )
 
 
 @functools.cache
@@ -202,7 +220,7 @@ class _Snapshots(list):
         return (len(self), *self[0].shape)
 
 
-def _profile_one_trace(trace_dir: str, tau: float):
+def _profile_one_trace(trace_dir: str, tau: float, workers: int):
     manifest, tensors = read_trace(trace_dir)
     hidden = layer_tensors(tensors, "hidden_l")
     if not hidden:
@@ -214,7 +232,7 @@ def _profile_one_trace(trace_dir: str, tau: float):
         )
     layout = manifest.layout
     mats = _Snapshots(layout.image_rows(blob.view(), blob.name) for blob in hidden.values())
-    return shift_profile(mats, tau=tau)
+    return shift_profile(mats, tau=tau, workers=workers)
 
 
 def cmd_calibrate(args) -> int:
@@ -236,13 +254,10 @@ def cmd_calibrate(args) -> int:
             f"--num-stages {num_stages} does not match {len(balances)} lambda values"
         )
 
-    workers = _thread_count(len(traces))
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            profiles = list(pool.map(lambda t: _profile_one_trace(t, args.tau), traces))
-    else:
-        profiles = [_profile_one_trace(t, args.tau) for t in traces]
-    profile = aggregate_profiles(profiles)
+    # one trace at a time, so that only one is mapped; its rows are split
+    # over the threads instead
+    workers = _thread_count()
+    profile = aggregate_profiles(_profile_one_trace(t, args.tau, workers) for t in traces)
 
     selection = select_pruning_layers(profile, num_stages, min_gap=args.min_gap)
     schedule = build_schedule(selection.layers, retentions, balances, profile.num_layers)
@@ -348,6 +363,15 @@ def cmd_simulate(args) -> int:
         seed_rule=args.seed_rule,
     )
 
+    # the float32 weight stacks, and four records whose float32 hidden and
+    # attention rows and int64 positions and survivors are at most as long
+    # as the unpruned sequence
+    rows = (cfg.num_layers + 1) * layout.total()
+    _check_fits_in_memory(
+        "simulate",
+        4 * cfg.num_layers * (4 * cfg.d * cfg.d + 2 * cfg.d * cfg.mlp)
+        + 4 * rows * (4 * cfg.d + 4 + 8 + 8),
+    )
     weights = init_weights(cfg)
     rng = np.random.default_rng([cfg.seed, 1])
     inputs = rng.standard_normal((layout.total(), cfg.d)).astype(np.float32)
@@ -448,6 +472,10 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 # cost
 
+# the per-layer token lists and their lines of indented JSON: measured at
+# 123 bytes per layer between 1e6 and 2e6 layers
+_COST_BYTES_PER_LAYER = 128
+
 
 def cmd_cost(args) -> int:
     layout = _parse_layout(args.layout)
@@ -457,6 +485,7 @@ def cmd_cost(args) -> int:
         if not args.num_layers:
             raise ValidationError("--num-layers is required when no schedule is given")
         schedule = PruningSchedule(stages=(), num_layers=args.num_layers)
+    _check_fits_in_memory("cost", schedule.num_layers * _COST_BYTES_PER_LAYER)
     dims = ModelDims(
         num_layers=schedule.num_layers,
         d=args.d,

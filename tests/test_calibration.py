@@ -1,6 +1,8 @@
 """Shift profiling, pruning-layer selection, and the synthetic stack builder."""
 
+import concurrent.futures
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -109,7 +111,7 @@ def _dense_shift_counts(stack, tau):
     return np.count_nonzero(_dense_cosines(stack) < tau, axis=1)
 
 
-def _assert_counts_match_dense(given, stack):
+def _assert_counts_match_dense(given, stack, workers=1):
     """Counts at tau 0.93 and at taus equal to computed cosines, where a
     single rounding difference flips a token."""
     cos = _dense_cosines(stack)
@@ -118,7 +120,8 @@ def _assert_counts_match_dense(given, stack):
     assert len(taus) > 1
     for tau in taus:
         np.testing.assert_array_equal(
-            shift_profile(given, tau=tau).counts, _dense_shift_counts(stack, tau)
+            shift_profile(given, tau=tau, workers=workers).counts,
+            _dense_shift_counts(stack, tau),
         )
 
 
@@ -139,6 +142,89 @@ def test_shift_profile_matches_dense_reference():
             _assert_counts_match_dense(given, stack)
         if stack.size < 10**5:
             _assert_counts_match_dense([snap.tolist() for snap in stack], stack)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 5])
+def test_shift_profile_does_not_depend_on_workers(workers):
+    # the stacks hold n = 1 (fewer rows than workers), 300 rows of width
+    # 257 (blocks of 127 rows, the last one short) and 64 rows of width
+    # 4096 (8 blocks of 8 rows)
+    for stack in _random_stacks():
+        _assert_counts_match_dense(stack, stack, workers=workers)
+
+
+@pytest.mark.parametrize("zeros", [
+    [(2, 3)],             # first worker's range only
+    [(1, 63)],            # last worker's range only
+    [(3, 5), (2, 60)],    # both: the earlier snapshot is named
+    [(2, 7), (2, 56)],    # both, one snapshot: the earlier token is named
+])
+def test_shift_profile_zero_norm_error_does_not_depend_on_workers(zeros):
+    stack = np.random.default_rng(45).standard_normal((5, 64, 4096), dtype=np.float32)
+    for snap, tok in zeros:
+        stack[snap, tok] = 0.0
+    with pytest.raises(ValidationError) as serial:
+        shift_profile(stack)
+    for workers in (2, 3, 5):
+        with pytest.raises(ValidationError) as split:
+            shift_profile(stack, workers=workers)
+        assert str(split.value) == str(serial.value)
+
+
+class InlinePool:
+    """Stands in for ``ThreadPoolExecutor``: appends ``max_workers`` to
+    ``created`` and runs each job when it is submitted, so no thread starts."""
+
+    def __init__(self, max_workers, created):
+        created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args, **kwargs):
+        job = concurrent.futures.Future()
+        try:
+            job.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            job.set_exception(exc)
+        return job
+
+
+def test_shift_profile_starts_no_more_threads_than_row_blocks(monkeypatch):
+    created = []  # max_workers of each pool
+    monkeypatch.setattr(
+        concurrent.futures, "ThreadPoolExecutor",
+        lambda max_workers: InlinePool(max_workers, created),
+    )
+    stack = list(_random_stacks())[4]  # 64 rows of width 4096: 8 blocks
+    serial = shift_profile(stack)
+    assert created == []
+    assert shift_profile(stack, workers=100000) == serial
+    assert shift_profile(stack, workers=3) == serial
+    assert created == [8, 3]
+    shift_profile(list(_random_stacks())[0], workers=100000)  # one row, one block
+    assert created == [8, 3]
+    with pytest.raises(ValidationError, match="workers must be >= 1, got 0"):
+        shift_profile(stack, workers=0)
+
+
+def test_shift_profile_workers_switching_every_microsecond():
+    # more threads than cores, each writing its own rows of the shared
+    # sums: a row written by two threads or by none changes the counts
+    stack = np.cumsum(
+        np.random.default_rng(46).standard_normal((9, 200, 1024), dtype=np.float32), axis=0
+    )
+    serial = shift_profile(stack)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert shift_profile(stack, workers=7) == serial
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_shift_profile_reads_memory_mapped_trace_views(tmp_path):

@@ -244,6 +244,79 @@ def test_calibrate_thread_env(tmp_path, capsys, monkeypatch):
     assert threaded_out.read_bytes() == serial_out.read_bytes()
 
 
+def test_calibrate_thread_count_defaults_to_usable_cpus(tmp_path, capsys, monkeypatch):
+    traces = [
+        _write_calib_trace(tmp_path, f"p{i}", seed=10 + i, planted={5: 8})
+        for i in range(2)
+    ]
+    passed = []
+    profile = btp.cli.shift_profile
+
+    def recording(stack, **kwargs):
+        passed.append(kwargs["workers"])
+        return profile(stack, **kwargs)
+
+    monkeypatch.setattr(btp.cli, "shift_profile", recording)
+    monkeypatch.setattr(btp.cli, "_usable_cpus", lambda: 3)
+    monkeypatch.delenv("BTP_THREADS", raising=False)
+    code, default_out, default_table = _run(capsys, ["calibrate", *traces])
+    assert code == 0 and passed == [3, 3]
+    # a huge count is passed on as it is; shift_profile caps it at the
+    # number of row blocks, here one
+    for env, workers in (("2", 2), ("100000", 100000)):
+        passed.clear()
+        monkeypatch.setenv("BTP_THREADS", env)
+        assert _run(capsys, ["calibrate", *traces]) == (0, default_out, default_table)
+        assert passed == [workers, workers]
+
+
+def test_calibrate_maps_one_trace_at_a_time(tmp_path):
+    # two traces of 40 MB each, profiled on two threads: the high-water RSS
+    # grows by one trace's pages, not both
+    if not Path("/proc/self/status").exists():
+        pytest.skip("no /proc/self/status")
+    n_image, d, num_layers = 576, 1024, 16
+    layout = TokenLayout(n_system=0, n_image=n_image, n_text=0, grid_rows=24, grid_cols=24)
+    dims = ModelShape(layers=num_layers, d=d, heads=1, m=2 * d)
+    traces = []
+    for t in range(2):
+        rng = np.random.default_rng([47, t])
+        state = rng.standard_normal((n_image, d), dtype=np.float32)
+        blobs = {}
+        for i in range(num_layers + 1):
+            if i == 6:  # a shift peak at layer 5
+                state[:100] = rng.standard_normal((100, d), dtype=np.float32)
+            blobs[f"hidden_l{i}"] = TensorBlob.from_array(f"hidden_l{i}", state)
+            state = state + np.float32(0.05) * rng.standard_normal((n_image, d), dtype=np.float32)
+        path = tmp_path / f"t{t}"
+        write_trace(path, make_manifest(layout, dims, blobs), blobs)
+        traces.append(str(path))
+    payload = (num_layers + 1) * n_image * d * 4
+    launcher = (
+        "import sys, btp.cli\n"
+        "def status(key):\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        line = next(l for l in fh if l.startswith(key + ':'))\n"
+        "    return int(line.split()[1]) * 1024\n"
+        "before = status('VmRSS')\n"
+        "code = btp.cli.main(sys.argv[1:])\n"
+        "print(code, before, status('VmHWM'))\n"
+    )
+    src = str(Path(btp.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, BTP_THREADS="2", PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    argv = ["calibrate", *traces, "--lambdas", "1.0", "--out", str(tmp_path / "s.json")]
+    proc = subprocess.run([sys.executable, "-c", launcher, *argv], env=env,
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, before, peak = map(int, proc.stdout.split())
+    assert code == 0, proc.stderr
+    assert peak - before < payload + (16 << 20), (
+        f"high-water RSS grew by {(peak - before) / 2**20:.1f} MiB, "
+        f"one trace is {payload / 2**20:.1f} MiB"
+    )
+
+
 def test_calibrate_rejects_bad_thread_env(tmp_path, capsys, monkeypatch):
     trace = _write_calib_trace(tmp_path, "t", seed=1, planted={5: 8})
     monkeypatch.setenv("BTP_THREADS", "many")
@@ -959,6 +1032,31 @@ def test_allocation_failure_is_one_error_line(tmp_path):
     assert proc.returncode == 1, err
     assert proc.stdout == b""
     assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command,layers", [
+    ("cost", 10**8),  # was killed by the kernel, not refused
+    ("cost", 10**15),
+    ("simulate", 10**9),
+])
+def test_commands_beyond_physical_memory_are_refused(tmp_path, command, layers):
+    # the estimate refuses before anything is allocated; were it to pass on
+    # a machine with more memory, the 2 GiB limit fails the allocation
+    if command == "cost":
+        argv = ["cost", "--layout", "1,576,20,24,24", "--num-layers", str(layers),
+                "--d", "4096", "--mlp", "11008"]
+    else:
+        sched = _write_schedule(tmp_path, [], num_layers=layers)
+        argv = ["simulate", "--schedule", sched, "--layers", str(layers)]
+    proc = _run_limited("AS", 2 << 30, argv, tmp_path)
+    err = proc.stderr.decode()
+    assert proc.returncode == 1, err
+    assert proc.stdout == b""
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if layers * 128 > physical:  # each estimate is 128 bytes per layer or more
+        assert err.startswith(f"error: out of memory: {command} needs about ")
+        assert err.endswith(" GiB of physical memory\n")
 
 
 # ---------------------------------------------------------------------------
