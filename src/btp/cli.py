@@ -363,15 +363,18 @@ def cmd_simulate(args) -> int:
         seed_rule=args.seed_rule,
     )
 
-    # the float32 weight stacks, and four records whose float32 hidden and
+    # the float32 weight stacks; four records whose float32 hidden and
     # attention rows and int64 positions and survivors are at most as long
-    # as the unpruned sequence
+    # as the unpruned sequence; and the float32 [heads, n, n] logits of each
+    # forward that runs at once, one per usable CPU and at most four
     rows = (cfg.num_layers + 1) * layout.total()
     _check_fits_in_memory(
         "simulate",
         4 * cfg.num_layers * (4 * cfg.d * cfg.d + 2 * cfg.d * cfg.mlp)
-        + 4 * rows * (4 * cfg.d + 4 + 8 + 8),
+        + 4 * rows * (4 * cfg.d + 4 + 8 + 8)
+        + 4 * min(4, _usable_cpus()) * cfg.heads * layout.total() ** 2,
     )
+    # returns at once: a thread draws the layers while the head and forwards run
     weights = init_weights(cfg)
     rng = np.random.default_rng([cfg.seed, 1])
     inputs = rng.standard_normal((layout.total(), cfg.d)).astype(np.float32)

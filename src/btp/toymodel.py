@@ -13,16 +13,17 @@ rows leave the sequence (and thus all later keys/values) entirely, while
 surviving rows keep the position encoding of their original index.
 
 The attention softmax runs in place on one float32 [heads, n, n] buffer,
-with the causal mask added as a cached float32 bias (0 / -inf), so the
-attention memory of a layer is one logits buffer plus the bias.  Its
-scale, mask, max, subtract, exp, sum and divide passes run over blocks of
-query rows holding about ``SOFTMAX_BLOCK_BYTES`` (1 MiB) of logits, all
-heads and whole rows, so that each block stays in cache across the seven
-passes; a buffer smaller than that is one block.  No key is cut off: each
-row still reduces its whole length-n axis, and ``q @ k.T`` and
-``probs @ v`` run on the whole buffer.  The outputs are bit-identical to
-the out-of-place softmax with an ``np.where`` mask, which the tests keep
-as their reference.
+so the attention memory of a layer is that one logits buffer.  Its passes
+run over blocks of query rows holding about ``SOFTMAX_BLOCK_BYTES`` (1 MiB)
+of logits, all heads and whole rows, so that each block stays in cache
+across them; a buffer smaller than that is one block.  Each block of rows
+[start, stop) is scaled, its columns >= stop are set to -inf, and a
+float32 triangular bias (0 / -inf) is added on its [start:stop, start:stop]
+diagonal tile only; the max, subtract, exp, sum and divide passes then run
+over whole contiguous rows.  No key is cut off: each row still reduces its
+whole length-n axis, and ``q @ k.T`` and ``probs @ v`` run on the whole
+buffer.  The outputs are bit-identical to the out-of-place softmax with an
+``np.where`` mask, which the tests keep as their reference.
 
 ``forward`` can start from the record of a shallower unpruned forward of
 the same inputs and weights (its ``prefix``): until the first prune, the
@@ -32,9 +33,10 @@ The outputs are the bits a full run gives.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
+import threading
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -70,32 +72,93 @@ class ToyConfig:
 
 @dataclass(frozen=True)
 class ToyWeights:
-    """Per-layer projection matrices, all float32."""
+    """Per-layer projection matrices, all float32.
 
-    wq: tuple[np.ndarray, ...]
-    wk: tuple[np.ndarray, ...]
-    wv: tuple[np.ndarray, ...]
-    wo: tuple[np.ndarray, ...]
-    w1: tuple[np.ndarray, ...]
-    w2: tuple[np.ndarray, ...]
+    Each field holds one matrix per layer: a tuple, or the layers
+    ``init_weights`` is still drawing, where reading layer l waits until
+    layer l is drawn.
+    """
+
+    wq: Sequence[np.ndarray]
+    wk: Sequence[np.ndarray]
+    wv: Sequence[np.ndarray]
+    wo: Sequence[np.ndarray]
+    w1: Sequence[np.ndarray]
+    w2: Sequence[np.ndarray]
+
+
+class _LayerDraw:
+    """A thread that fills weight stacks layer by layer, in order.
+
+    ``wait(layer)`` returns once that layer of every stack is written.  If
+    the draw fails first, it raises the draw's error instead, after the
+    thread has ended.
+    """
+
+    def __init__(self, rng: np.random.Generator, bound: float, stacks) -> None:
+        self._drawn = 0
+        self._error: BaseException | None = None
+        self._cond = threading.Condition()
+        self._thread = threading.Thread(
+            target=self._draw, args=(rng, bound, stacks), name="btp-init-weights", daemon=True
+        )
+        self._thread.start()
+
+    def _draw(self, rng, bound, stacks) -> None:
+        try:
+            for layer in range(stacks[0].shape[0]):
+                for stack in stacks:
+                    stack[layer] = rng.uniform(-bound, bound, size=stack.shape[1:])
+                with self._cond:
+                    self._drawn = layer + 1
+                    self._cond.notify_all()
+        except BaseException as exc:  # handed to every reader of a later layer
+            with self._cond:
+                self._error = exc
+                self._cond.notify_all()
+
+    def wait(self, layer: int) -> None:
+        with self._cond:
+            self._cond.wait_for(lambda: self._drawn > layer or self._error is not None)
+            if self._drawn > layer:
+                return
+        self._thread.join()
+        raise self._error
+
+
+class _DrawnLayers(Sequence):
+    """The per-layer matrices of one stack that a ``_LayerDraw`` fills."""
+
+    def __init__(self, stack: np.ndarray, draw: _LayerDraw) -> None:
+        self._stack = stack
+        self._draw = draw
+
+    def __len__(self) -> int:
+        return self._stack.shape[0]
+
+    def __getitem__(self, layer):
+        if isinstance(layer, slice):
+            return tuple(self[i] for i in range(len(self))[layer])
+        layer = range(len(self))[layer]  # IndexError and TypeError as a tuple raises them
+        self._draw.wait(layer)
+        return self._stack[layer]
 
 
 def init_weights(cfg: ToyConfig) -> ToyWeights:
-    """Seeded uniform(-1/sqrt(d), 1/sqrt(d)) weights.
+    """Seeded uniform(-1/sqrt(d), 1/sqrt(d)) weights, drawn on a thread.
 
     Draw order is fixed (per layer: wq, wk, wv, wo, w1, w2) so a seed pins
-    every parameter bit.  Each matrix is written into a float32
-    [layers, rows, cols] stack; ``ToyWeights`` holds per-layer views of them.
+    every parameter bit.  The float32 [layers, rows, cols] stacks are
+    allocated here, and a thread then writes the draws into them layer by
+    layer, so a forward can run its first layers while later ones are
+    drawn.  Reading a layer's matrix waits until that layer is drawn, and
+    raises the draw's error if it failed before.
     """
-    rng = np.random.default_rng(cfg.seed)
     d, mlp = cfg.d, cfg.mlp
-    bound = 1.0 / math.sqrt(d)
     shapes = [(d, d)] * 4 + [(d, mlp), (mlp, d)]
     stacks = [np.empty((cfg.num_layers, rows, cols), dtype=np.float32) for rows, cols in shapes]
-    for layer in range(cfg.num_layers):
-        for stack in stacks:
-            stack[layer] = rng.uniform(-bound, bound, size=stack.shape[1:])
-    return ToyWeights(*(tuple(stack) for stack in stacks))
+    draw = _LayerDraw(np.random.default_rng(cfg.seed), 1.0 / math.sqrt(d), stacks)
+    return ToyWeights(*(_DrawnLayers(stack, draw) for stack in stacks))
 
 
 def sinusoidal_encoding(positions, d: int) -> np.ndarray:
@@ -116,25 +179,22 @@ def _layernorm(x: np.ndarray) -> np.ndarray:
 
 
 def _gelu(x: np.ndarray) -> np.ndarray:
-    c = np.float32(math.sqrt(2.0 / math.pi))
-    return np.float32(0.5) * x * (
-        np.float32(1.0) + np.tanh(c * (x + np.float32(0.044715) * x * x * x))
-    )
+    """tanh-approximated GELU of float32 ``x``, written over ``x``.
 
-
-@functools.lru_cache(maxsize=8)
-def causal_bias(seq: int) -> np.ndarray:
-    """Read-only float32 [seq, seq] additive causal mask.
-
-    0 on and below the diagonal, -inf above it.  Adding it to finite
-    logits leaves the kept ones unchanged (up to the sign of a zero) and
-    makes the masked ones -inf, as an ``np.where`` mask does.  Cached per
-    length: ``forward`` asks for the same few lengths on every
-    layer between two prunes.
+    One temporary; every product and sum is the one the out-of-place
+    0.5 * x * (1 + tanh(c * (x + 0.044715 * x * x * x))) rounds, in its
+    order, so the bits are the same.
     """
-    bias = np.triu(np.full((seq, seq), -np.inf, dtype=np.float32), k=1)
-    bias.flags.writeable = False
-    return bias
+    inner = np.float32(0.044715) * x
+    inner *= x
+    inner *= x
+    inner += x
+    inner *= np.float32(math.sqrt(2.0 / math.pi))
+    np.tanh(inner, out=inner)
+    inner += np.float32(1.0)
+    x *= np.float32(0.5)
+    x *= inner
+    return x
 
 
 def _value_rows(normed: np.ndarray, layer: int, cfg: ToyConfig, weights: ToyWeights):
@@ -175,15 +235,20 @@ def layer_step(
     # max, exp, divide by the row sum): scaling q instead of the logits, or
     # multiplying by the reciprocal of the sum, changes the rounding.  The
     # passes run over blocks of whole rows: each row still reduces its whole
-    # length-seq axis, so the bits do not depend on the block size.
+    # length-seq axis, so the bits do not depend on the block size.  Left of
+    # a block's diagonal tile the mask adds nothing (the bias would add 0),
+    # right of it every logit becomes -inf.  Trimming the later passes to
+    # the unmasked columns as well makes them strided, and slower.
     probs = qh @ kh.transpose(0, 2, 1)
     scale = np.float32(1.0 / math.sqrt(hd))
-    bias = causal_bias(seq)
-    block_rows = max(1, SOFTMAX_BLOCK_BYTES // (cfg.heads * seq * probs.itemsize))
+    block_rows = min(seq, max(1, SOFTMAX_BLOCK_BYTES // (cfg.heads * seq * probs.itemsize)))
+    tile = np.triu(np.full((block_rows, block_rows), -np.inf, dtype=np.float32), k=1)
     for start in range(0, seq, block_rows):
-        block = probs[:, start : start + block_rows]
+        stop = min(start + block_rows, seq)
+        block = probs[:, start:stop]
         block *= scale
-        block += bias[start : start + block_rows]
+        block[:, :, stop:] = -np.inf
+        block[:, :, start:stop] += tile[: stop - start, : stop - start]
         block -= block.max(axis=-1, keepdims=True)
         np.exp(block, out=block)
         block /= block.sum(axis=-1, keepdims=True, dtype=np.float32)

@@ -3,6 +3,7 @@
 import errno
 import hashlib
 import json
+import math
 import os
 import stat
 import subprocess
@@ -859,6 +860,38 @@ def test_simulate_pool_with_more_workers_than_cores(tmp_path, capsys, monkeypatc
         sys.setswitchinterval(interval)
 
 
+def _weights_drawn_up_front(cfg):
+    """The weights ``init_weights`` draws, drawn before this returns."""
+    rng = np.random.default_rng(cfg.seed)
+    bound = 1.0 / math.sqrt(cfg.d)
+    shapes = [(cfg.d, cfg.d)] * 4 + [(cfg.d, cfg.mlp), (cfg.mlp, cfg.d)]
+    layers = [[rng.uniform(-bound, bound, size=shape).astype(np.float32) for shape in shapes]
+              for _ in range(cfg.num_layers)]
+    return btp.toymodel.ToyWeights(*zip(*layers))
+
+
+def test_simulate_reads_weights_while_they_are_drawn(tmp_path, capsys, monkeypatch):
+    # the head and the forwards read each layer's weights while a thread is
+    # still drawing later ones: switching threads every microsecond, on 1, 2
+    # and 4 workers, the CSV must be that of weights drawn before any forward
+    sched = _write_schedule(tmp_path, [(1, 0.5, 0.5), (3, 0.5, 1.0)], num_layers=6)
+    argv = ["simulate", "--schedule", sched, "--layers", "6", "--d", "64", "--mlp", "256",
+            "--seed", "7"]
+    with monkeypatch.context() as patch:
+        patch.setattr(btp.cli, "init_weights", _weights_drawn_up_front)
+        code, serial, _ = _run(capsys, argv)
+    assert code == 0
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 4):
+            monkeypatch.setattr(btp.cli, "_usable_cpus", lambda: workers)
+            code, drawn_alongside, _ = _run(capsys, argv)
+            assert code == 0 and drawn_alongside == serial, workers
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_simulate_runs_a_replaced_forward_one_call_at_a_time(tmp_path, capsys, monkeypatch):
     # a tracer wraps btp.cli.forward and keeps one span stack: its calls
     # must not overlap, whatever the worker count would have been
@@ -1057,6 +1090,20 @@ def test_commands_beyond_physical_memory_are_refused(tmp_path, command, layers):
     if layers * 128 > physical:  # each estimate is 128 bytes per layer or more
         assert err.startswith(f"error: out of memory: {command} needs about ")
         assert err.endswith(" GiB of physical memory\n")
+
+
+def test_simulate_estimate_counts_the_attention_logits(tmp_path):
+    # the weights and records of this model take under 1 GiB, but each
+    # running forward's float32 [1, n, n] logits would take 33 TiB: refused
+    # by the estimate, not failed at the allocation
+    sched = _write_schedule(tmp_path, [], num_layers=1)
+    argv = ["simulate", "--schedule", sched, "--layers", "1", "--d", "2", "--heads", "1",
+            "--mlp", "1", "--layout", "1,1,3000000,1,1"]
+    proc = _run_limited("AS", 2 << 30, argv, tmp_path)
+    err = proc.stderr.decode()
+    assert proc.returncode == 1, err
+    assert proc.stdout == b""
+    assert err.startswith("error: out of memory: simulate needs about ") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

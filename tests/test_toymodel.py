@@ -2,12 +2,15 @@
 
 import dataclasses
 import gc
+import json
 import math
+import threading
 import weakref
 
 import numpy as np
 import pytest
 
+import btp.cli
 import btp.toymodel
 from btp.errors import ValidationError
 from btp.selector import ScheduleDriver
@@ -15,9 +18,7 @@ from btp.toymodel import (
     ForwardRecord,
     ToyConfig,
     ToyWeights,
-    _gelu,
     _layernorm,
-    causal_bias,
     forward,
     init_weights,
     layer_output_distance,
@@ -99,6 +100,88 @@ def test_init_weights_matches_serial_draw(layers, d, mlp, seed):
             assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
+def test_drawn_layers_index_like_a_tuple():
+    got, want = init_weights(CFG), _serial_init_weights(CFG)
+    assert len(got.w1) == CFG.num_layers
+    assert got.w1[-1].tobytes() == want.w1[-1].tobytes()
+    assert [m.tobytes() for m in got.wo[1:]] == [m.tobytes() for m in want.wo[1:]]
+    with pytest.raises(IndexError):
+        got.wq[CFG.num_layers]
+    with pytest.raises(TypeError):
+        got.wq["0"]
+
+
+class _FailingDraw:
+    """A generator whose ``uniform`` fails from the first matrix of
+    ``layer`` on; everything else is the wrapped generator's."""
+
+    def __init__(self, rng, layer):
+        self._rng = rng
+        self._layer = layer
+        self._left = 6 * layer
+
+    def uniform(self, *args, **kwargs):
+        if self._left == 0:
+            raise MemoryError(f"cannot draw layer {self._layer}")
+        self._left -= 1
+        return self._rng.uniform(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def _fail_draws_at_layer_3(monkeypatch):
+    real = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _FailingDraw(real(seed), 3))
+
+
+def _within(seconds, fn, *args):
+    """``fn(*args)`` on a thread that must end within ``seconds``."""
+    outcome = []
+
+    def run():
+        try:
+            outcome.append((True, fn(*args)))
+        except BaseException as exc:
+            outcome.append((False, exc))
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"still running after {seconds} s"
+    ok, value = outcome[0]
+    if not ok:
+        raise value
+    return value
+
+
+def test_forward_raises_a_failed_draw_without_blocking(monkeypatch):
+    want = _serial_init_weights(DEEP)
+    _fail_draws_at_layer_3(monkeypatch)
+    threads = threading.active_count()
+    weights = init_weights(DEEP)
+    with pytest.raises(MemoryError, match="cannot draw layer 3"):
+        _within(30, forward, _inputs(1), LAYOUT, DEEP, weights)
+    assert threading.active_count() == threads
+    # the layers drawn before the failure stay readable, the rest raise
+    assert weights.w2[2].tobytes() == want.w2[2].tobytes()
+    with pytest.raises(MemoryError, match="cannot draw layer 3"):
+        weights.wq[4]
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_simulate_reports_a_failed_draw_as_one_line(tmp_path, capsys, monkeypatch, workers):
+    _fail_draws_at_layer_3(monkeypatch)
+    monkeypatch.setattr(btp.cli, "_usable_cpus", lambda: workers)
+    sched = tmp_path / "schedule.json"
+    sched.write_text(json.dumps(PruningSchedule((PruningStage(1, 0.5, 0.5),), 5).to_json_dict()))
+    threads = threading.active_count()
+    code = _within(30, btp.cli.main, ["simulate", "--schedule", str(sched), "--layers", "5"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (1, "", "error: out of memory: cannot draw layer 3\n")
+    assert threading.active_count() == threads
+
+
 def test_sinusoidal_encoding_basics():
     enc = sinusoidal_encoding(np.arange(5), 6)
     assert enc.shape == (5, 6) and enc.dtype == np.float32
@@ -110,10 +193,17 @@ def test_sinusoidal_encoding_basics():
 # layer step against the out-of-place reference
 
 
+def _reference_gelu(x):
+    c = np.float32(math.sqrt(2.0 / math.pi))
+    return np.float32(0.5) * x * (
+        np.float32(1.0) + np.tanh(c * (x + np.float32(0.044715) * x * x * x))
+    )
+
+
 def _reference_layer_step(x, layer, cfg, weights):
-    """``layer_step`` with a boolean ``np.triu`` mask, ``np.where`` and a
-    softmax that allocates each intermediate: the in-place version must
-    give the same bits."""
+    """``layer_step`` with a boolean ``np.triu`` mask, ``np.where``, and a
+    softmax and GELU that allocate each intermediate: the in-place version
+    must give the same bits."""
     seq = x.shape[0]
     hd = cfg.d // cfg.heads
     normed = _layernorm(x)
@@ -136,7 +226,8 @@ def _reference_layer_step(x, layer, cfg, weights):
     attn_out = (probs @ vh).transpose(1, 0, 2).reshape(seq, cfg.d) @ weights.wo[layer]
 
     mid = attn_out + x
-    x_next = x + attn_out + _gelu(_layernorm(mid) @ weights.w1[layer]) @ weights.w2[layer]
+    mlp = _reference_gelu(_layernorm(mid) @ weights.w1[layer]) @ weights.w2[layer]
+    x_next = x + attn_out + mlp
     last_row = probs[:, -1, :].mean(axis=0)
     return x_next, last_row, v
 
@@ -158,16 +249,6 @@ def test_layer_step_matches_reference_bitwise(seq, heads, value_norm):
         for g, w in zip(got, want, strict=True):
             assert g.dtype == w.dtype and np.array_equal(g, w)
         x = got[0]
-
-
-def test_causal_bias_is_cached_and_read_only():
-    bias = causal_bias(5)
-    assert bias is causal_bias(5)
-    assert bias.dtype == np.float32 and bias.shape == (5, 5)
-    np.testing.assert_array_equal(np.isneginf(bias), np.triu(np.ones((5, 5), dtype=bool), k=1))
-    assert not np.signbit(bias[np.tril_indices(5)]).any()  # +0.0, not -0.0
-    with pytest.raises(ValueError):
-        bias[0, 1] = 0.0
 
 
 # ---------------------------------------------------------------------------
