@@ -7,6 +7,39 @@ layers where that count peaks is cheap and safe: the representation has
 just been rewritten, so the tokens consumed downstream are already formed.
 The hidden states arrive as plain arrays (a trace's memory-mapped views
 serve as they are), and a profile holds nothing but the per-layer counts.
+
+A token's shift is decided by the side of tau on which its cosine
+c = p / sqrt(q_l q_l+1) falls, where the squared norms q and the dot
+product p are sums of d products.  The counts are those of c taken from
+float64 sums.  Float32 rows multiply exactly in float64, so there only
+the additions round.  ``shift_profile`` first takes the sums in float32,
+straight from float32 rows, and lets them decide every token they
+provably can:
+
+- With u = 2**-24 and gamma_n = n u / (1 - n u), a float32 sum of d
+  products is within gamma_d of its exact value, relative to the sum of
+  the products' magnitudes (in any summation order, with or without fused
+  multiply-add).  Gradual underflow adds at most 2**-150 per product, so
+  at most e = d 2**-149 in all.  Above the floor q > 2**26 e = d 2**-123,
+  that is less than u relative to the norms, so each sum is within
+  eps = gamma_(d+1) of its exact value relative to the norms' product,
+  and the float32 cosine within 2 eps / (1 - eps) of the exact one.
+- The float64 cosine is within 2 g / (1 - g) of the exact one, with
+  g = gamma_d at u = 2**-53.  Both cosines take two square roots, a
+  product and a quotient from their sums: four more roundings each, of
+  gamma_4 at u = 2**-53 relative to a value below 2.
+- So a float32 cosine further than
+  margin = 2 eps / (1 - eps) + 2 g / (1 - g) + 4 gamma_4
+  from tau (4.9e-4 at d = 4096) lies on the same side of tau as the
+  float64 one.
+
+A token is refined, that is its float64 sums are taken from its rows
+while they are still in cache, when any of its cosines lies within the
+margin of tau, or when one of its float32 sums is not finite (NaN or
+infinite values, or |x| >= 2**64, whose squares overflow) or one of its
+squared norms is at or below the floor (zero, subnormal and near-zero
+rows).  Stacks that are not float32 send every token there.  A zero-norm
+or non-finite float64 sum is an error.
 """
 
 from __future__ import annotations
@@ -22,9 +55,12 @@ from .trace import PruningSchedule, PruningStage
 
 DEFAULT_TAU = 0.93
 DEFAULT_CALIBRATION_SIZE = 64
-# shift_profile's float64 row blocks hold about this many bytes each, so
-# they stay in cache
+# shift_profile's row blocks would hold about this many bytes in float64
+# (half as many in float32), so they stay in cache
 _BLOCK_BYTES = 1 << 18
+# unit roundoff of float32 and float64
+_U32 = 2.0 ** -24
+_U64 = 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -69,25 +105,104 @@ def _snapshots(hidden_stack) -> list[np.ndarray]:
     return snaps
 
 
-def _shift_sums(snaps, lo: int, hi: int, rows: int, norms, dots) -> None:
-    """Write rows [lo, hi) of the squared ``norms`` and of ``dots``.
+def _gamma(n: int, u: float) -> float:
+    """Relative error bound of a sum of n rounded terms (Higham's gamma_n)."""
+    return n * u / (1 - n * u)
 
-    The rows are walked one block of ``rows`` at a time across all
-    snapshots, in three float64 blocks of this call's own.
+
+def _filter_bounds(d: int) -> tuple[float, float]:
+    """The float32 filter's (margin, floor) for rows of width ``d``.
+
+    A cosine taken from float32 sums lies within ``margin`` of the one
+    taken from float64 sums whenever both squared norms exceed ``floor``
+    and every sum is finite; see the module docstring for the bound.
+    Past d of about 3.4 million the float32 sums decide nothing, and the
+    bounds are infinite.
+    """
+    if (d + 1) * _U32 > 0.2:
+        return np.inf, np.inf
+    g32 = _gamma(d + 1, _U32)
+    g64 = _gamma(d, _U64)
+    margin = 2 * g32 / (1 - g32) + 2 * g64 / (1 - g64) + 4 * _gamma(4, _U64)
+    return margin, d * 2.0 ** -123
+
+
+def _cosines(dots, sq_norms):
+    """Consecutive-snapshot cosines [L, m] from squared norms [L+1, m]."""
+    norms = np.sqrt(sq_norms, dtype=np.float64)
+    return dots / (norms[:-1] * norms[1:])
+
+
+def _shift_sums(snaps, idx):
+    """Float64 squared norms [L+1, m] and consecutive dots [L, m] of rows ``idx``.
+
+    The rows are gathered into float64 blocks of their own, one snapshot
+    at a time, and each sum runs over d exactly as on a whole float64
+    stack.
     """
     d = snaps[0].shape[1]
-    prev, cur, prod = (np.empty((rows, d)) for _ in range(3))
-    for start in range(lo, hi, rows):
-        stop = min(hi, start + rows)
-        k = stop - start
-        for s, snap in enumerate(snaps):
-            np.copyto(cur[:k], snap[start:stop], casting="unsafe")
-            np.multiply(cur[:k], cur[:k], out=prod[:k])
-            np.add.reduce(prod[:k], axis=1, out=norms[s, start:stop])
-            if s:
-                np.multiply(prev[:k], cur[:k], out=prod[:k])
-                np.add.reduce(prod[:k], axis=1, out=dots[s - 1, start:stop])
-            prev, cur = cur, prev
+    sq = np.empty((len(snaps), len(idx)))
+    dots = np.empty((len(snaps) - 1, len(idx)))
+    prev, cur, prod = (np.empty((len(idx), d)) for _ in range(3))
+    for s, snap in enumerate(snaps):
+        np.copyto(cur, snap[idx], casting="unsafe")
+        np.multiply(cur, cur, out=prod)
+        np.add.reduce(prod, axis=1, out=sq[s])
+        if s:
+            np.multiply(prev, cur, out=prod)
+            np.add.reduce(prod, axis=1, out=dots[s - 1])
+        prev, cur = cur, prev
+    return sq, dots
+
+
+def _shift_rows(snaps, lo: int, hi: int, rows: int, tau: float, below):
+    """Write ``below[:, lo:hi]``: which cosines of rows [lo, hi) fall below tau.
+
+    The rows are walked one block of ``rows`` at a time across all
+    snapshots.  Float32 stacks get float32 sums first, and only the rows
+    they cannot decide go through ``_shift_sums``; other stacks send every
+    row there.  Returns the first zero-norm or non-finite hidden state of
+    these rows as (snapshot, token, what), or None.
+    """
+    n_snaps, d = len(snaps), snaps[0].shape[1]
+    if all(snap.dtype == np.float32 for snap in snaps):
+        margin, floor = _filter_bounds(d)
+        sq32 = np.empty((n_snaps, rows), dtype=np.float32)
+        dots32 = np.empty((n_snaps - 1, rows), dtype=np.float32)
+    else:
+        margin = None
+    first = None
+    with np.errstate(all="ignore"):  # a bad row is reported, not warned about
+        for start in range(lo, hi, rows):
+            stop = min(hi, start + rows)
+            k = stop - start
+            if margin is None:
+                refine = np.arange(start, stop)
+            else:
+                for s, snap in enumerate(snaps):
+                    cur = snap[start:stop]
+                    np.einsum("ij,ij->i", cur, cur, out=sq32[s, :k])
+                    if s:
+                        np.einsum("ij,ij->i", prev, cur, out=dots32[s - 1, :k])
+                    prev = cur
+                sq, dots = sq32[:, :k], dots32[:, :k]
+                cos = _cosines(dots, sq)
+                below[:, start:stop] = cos < tau
+                # nan fails both comparisons
+                normal = (sq > floor) & (sq < np.inf)
+                sure = (np.abs(cos - tau) > margin) & np.isfinite(dots) & normal[:-1] & normal[1:]
+                refine = start + np.flatnonzero(~sure.all(axis=0))
+            if not refine.size:
+                continue
+            sq, dots = _shift_sums(snaps, refine)
+            below[:, refine] = _cosines(dots, sq) < tau
+            bad = (sq == 0) | ~np.isfinite(sq)
+            if bad.any():
+                s, j = np.argwhere(bad)[0]
+                what = "zero-norm" if sq[s, j] == 0 else "non-finite"
+                found = (int(s), int(refine[j]), what)
+                first = found if first is None else min(first, found)
+    return first
 
 
 def shift_profile(hidden_stack, tau: float = DEFAULT_TAU, workers: int = 1) -> ShiftProfile:
@@ -97,15 +212,19 @@ def shift_profile(hidden_stack, tau: float = DEFAULT_TAU, workers: int = 1) -> S
     inputs plus the final output): an [L+1, N, d] array or a sequence of
     L+1 [N, d] arrays, such as memory-mapped trace tensors.  Entry l of the
     result counts tokens with cos(X^(l)_i, X^(l+1)_i) < tau, computed in
-    float64.  The snapshots are walked pair by pair, one block of rows at a
-    time, so the float64 working set is three row blocks per worker plus
-    the [L+1, N] norms and [L, N] dot products; the sums run over d for
-    each row exactly as on a whole float64 stack.
+    float64; float32 sums decide every token they provably can (see the
+    module docstring), so the counts are those of the float64 sums.  A
+    zero-norm or non-finite hidden state is an error, and the first one in
+    (snapshot, token) order is named.
 
     The N rows are split into contiguous ranges of whole blocks, one per
     thread, for up to ``workers`` threads (never more than there are
     blocks).  Each token's sums are the same whichever thread computes
-    them, so the result does not depend on ``workers``.
+    them, so the result does not depend on ``workers``.  A thread holds
+    the float32 sums of its current block of B rows, [L+1, B] and [L, B]
+    (B = 256 KiB / 8d, 8 at d = 4096), and three float64 [m, d] blocks
+    only while it refines m of those rows; all threads share one bool
+    [L, N] table of the decisions.
     """
     if not 0.0 < tau < 1.0:
         raise ValidationError(f"tau must be in (0, 1), got {tau}")
@@ -113,8 +232,7 @@ def shift_profile(hidden_stack, tau: float = DEFAULT_TAU, workers: int = 1) -> S
         raise ValidationError(f"workers must be >= 1, got {workers}")
     snaps = _snapshots(hidden_stack)
     n, d = snaps[0].shape
-    norms = np.empty((len(snaps), n))
-    dots = np.empty((len(snaps) - 1, n))
+    below = np.empty((len(snaps) - 1, n), dtype=bool)
     rows = max(1, min(n, _BLOCK_BYTES // max(1, 8 * d)))
     blocks = -(-n // rows)
     workers = min(workers, blocks)
@@ -123,21 +241,16 @@ def shift_profile(hidden_stack, tau: float = DEFAULT_TAU, workers: int = 1) -> S
 
         cuts = [min(n, blocks * w // workers * rows) for w in range(workers + 1)]
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            jobs = [pool.submit(_shift_sums, snaps, lo, hi, rows, norms, dots)
+            jobs = [pool.submit(_shift_rows, snaps, lo, hi, rows, tau, below)
                     for lo, hi in zip(cuts, cuts[1:])]
-            for job in jobs:
-                job.result()
+            found = [job.result() for job in jobs]
     else:
-        _shift_sums(snaps, 0, n, rows, norms, dots)
-    np.sqrt(norms, out=norms)
-    zero = np.argwhere(norms == 0)
-    if zero.size:
-        snap, tok = zero[0]
-        raise ValidationError(
-            f"zero-norm hidden state at snapshot {snap}, image token {tok}"
-        )
-    counts = np.count_nonzero(dots / (norms[:-1] * norms[1:]) < tau, axis=1)
-    return ShiftProfile(tuple(int(c) for c in counts))
+        found = [_shift_rows(snaps, 0, n, rows, tau, below)]
+    found = [f for f in found if f is not None]
+    if found:
+        snap, tok, what = min(found)
+        raise ValidationError(f"{what} hidden state at snapshot {snap}, image token {tok}")
+    return ShiftProfile(tuple(int(c) for c in np.count_nonzero(below, axis=1)))
 
 
 def aggregate_profiles(profiles: Iterable[ShiftProfile]) -> ShiftProfile:

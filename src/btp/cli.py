@@ -232,12 +232,17 @@ def _profile_one_trace(trace_dir: str, tau: float, workers: int):
         )
     layout = manifest.layout
     mats = _Snapshots(layout.image_rows(blob.view(), blob.name) for blob in hidden.values())
-    return shift_profile(mats, tau=tau, workers=workers)
+    try:
+        return shift_profile(mats, tau=tau, workers=workers)
+    except ValidationError as exc:
+        raise ValidationError(f"{trace_dir}: {exc}") from exc
 
 
 def cmd_calibrate(args) -> int:
     if args.calib_size < 1:
         raise ValidationError(f"--calib-size must be >= 1, got {args.calib_size}")
+    if not 0.0 < args.tau < 1.0:
+        raise ValidationError(f"--tau must be in (0, 1), got {args.tau}")
     # argparse takes one trace at least, so at least one is kept
     traces = list(args.traces)[: args.calib_size]
     balances = _parse_lambdas(args.lambdas)
@@ -257,7 +262,15 @@ def cmd_calibrate(args) -> int:
     # one trace at a time, so that only one is mapped; its rows are split
     # over the threads instead
     workers = _thread_count()
-    profile = aggregate_profiles(_profile_one_trace(t, args.tau, workers) for t in traces)
+    profiles = []
+    for trace in traces:
+        profiles.append(_profile_one_trace(trace, args.tau, workers))
+        if profiles[-1].num_layers != profiles[0].num_layers:
+            raise ValidationError(
+                f"{trace}: shift profile covers {profiles[-1].num_layers} layers, "
+                f"{traces[0]} covers {profiles[0].num_layers}"
+            )
+    profile = aggregate_profiles(profiles)
 
     selection = select_pruning_layers(profile, num_stages, min_gap=args.min_gap)
     schedule = build_schedule(selection.layers, retentions, balances, profile.num_layers)

@@ -7,7 +7,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import btp.calibration
 from btp.calibration import (
     LayerSelection,
     ShiftProfile,
@@ -278,6 +281,147 @@ def test_shift_profile_memory_is_below_one_snapshot():
     finally:
         tracemalloc.stop()
     assert peak < snapshot_bytes, f"peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("bad", [
+    [(2, 3, np.nan)],                       # first worker's range only
+    [(1, 63, np.inf)],                      # last worker's range only
+    [(3, 5, -np.inf), (2, 60, np.nan)],     # both: the earlier snapshot is named
+    [(2, 7, np.nan), (2, 56, np.inf)],      # both, one snapshot: the earlier token
+    [(2, 40, np.nan), (3, 1, 0.0)],         # a zero row after a non-finite one
+    [(1, 40, 0.0), (3, 1, np.nan)],         # a non-finite row after a zero one
+])
+def test_shift_profile_names_the_first_bad_hidden_state(bad):
+    stack = np.random.default_rng(48).standard_normal((5, 64, 4096), dtype=np.float32)
+    for snap, tok, value in bad:
+        if value == 0.0:
+            stack[snap, tok] = 0.0
+        else:
+            stack[snap, tok, 11] = value
+    snap, tok, value = min(bad, key=lambda b: b[:2])
+    what = "zero-norm" if value == 0.0 else "non-finite"
+    message = f"{what} hidden state at snapshot {snap}, image token {tok}"
+    for hidden in (stack, stack.astype(np.float64)):
+        for workers in (1, 2, 3, 5):
+            with pytest.raises(ValidationError) as info:
+                shift_profile(hidden, workers=workers)
+            assert str(info.value) == message
+
+
+def _recording_exact_sums(monkeypatch):
+    """Wrap ``_shift_sums``; return the list of row indices it is called with."""
+    calls = []
+    exact = btp.calibration._shift_sums
+
+    def recording(snaps, idx):
+        calls.append(np.asarray(idx).tolist())
+        return exact(snaps, idx)
+
+    monkeypatch.setattr(btp.calibration, "_shift_sums", recording)
+    return calls
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_shift_profile_refines_only_the_rows_near_tau(monkeypatch, workers):
+    calls = _recording_exact_sums(monkeypatch)
+    rng = np.random.default_rng(49)
+    far = synthetic_shift_stack(rng, num_layers=6, n_image=64, d=4096, shifted={2: 30},
+                                stable_cos=0.999, shift_cos=0.5)
+    assert shift_profile(far, workers=workers).counts == (0, 0, 30, 0, 0, 0)
+    assert calls == []
+
+    # 1e-7 from tau, far inside the float32 bound of 5e-4 at d = 4096
+    near = synthetic_shift_stack(rng, num_layers=6, n_image=64, d=4096, shifted={4: 64},
+                                 stable_cos=0.93 + 1e-7, shift_cos=0.93 - 1e-7)
+    rows = [3, 8, 9, 10, 17, 40, 63]  # in the first, second, third, sixth and last block
+    mixed = far.copy()
+    mixed[:, rows] = near[:, rows]
+    want = shift_profile(mixed.astype(np.float64)).counts
+    calls.clear()
+    assert shift_profile(mixed, workers=workers).counts == want
+    assert sorted(sum(calls, [])) == rows
+
+
+def test_shift_profile_sends_other_dtypes_through_the_exact_sums(monkeypatch):
+    calls = _recording_exact_sums(monkeypatch)
+    stack = list(_random_stacks())[4]  # 64 rows of width 4096: 8 blocks
+    shift_profile(stack.astype(np.float64), workers=2)
+    assert sorted(sum(calls, [])) == list(range(64))
+
+
+# per-row scales of a float32 filter case: 1; subnormal values; normal
+# values whose squares are subnormal or zero; and values whose float32
+# squares (2**128 and up) overflow
+FILTER_SCALES = (1.0, 2.0 ** -140, 2.0 ** -120, 2.0 ** -70, 2.0 ** 64, 2.0 ** 70)
+
+
+@st.composite
+def filter_cases(draw):
+    """A float32 [S, N, d] stack and a tau, drawn so that the float32 filter
+    meets every row it must refine: cosines a few ulps either side of tau,
+    subnormal and overflowing rows, and zero or non-finite hidden states."""
+    snaps, n, d = draw(st.integers(3, 5)), draw(st.integers(1, 24)), draw(st.integers(1, 70))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # a random walk, where tokens drawn as near rotate by cos 0.93 +- 1e-7
+    state = rng.standard_normal((n, d))
+    near = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    stack = [state]
+    for _ in range(snaps - 1):
+        step = rng.standard_normal((n, d))
+        if d > 1:
+            unit = state / np.linalg.norm(state, axis=1, keepdims=True)
+            ortho = step - (step * unit).sum(axis=1, keepdims=True) * unit
+            ortho /= np.linalg.norm(ortho, axis=1, keepdims=True)
+            cos = 0.93 + rng.choice([-1e-7, 1e-7], size=(n, 1))
+            rotated = np.linalg.norm(state, axis=1, keepdims=True) * (
+                cos * unit + np.sqrt(1 - cos * cos) * ortho
+            )
+            step = np.where(near[:, None], rotated, state + step)
+        else:
+            step = state + step
+        state = step
+        stack.append(state)
+    stack = np.stack(stack)
+    scales = rng.choice(FILTER_SCALES, size=(snaps, n, 1))
+    stack = (stack * scales).astype(np.float32)
+    for _ in range(draw(st.integers(0, 2))):
+        snap, tok = draw(st.integers(0, snaps - 1)), draw(st.integers(0, n - 1))
+        value = draw(st.sampled_from([0.0, np.nan, np.inf, -np.inf]))
+        if value == 0.0:
+            stack[snap, tok] = 0.0
+        else:
+            stack[snap, tok, draw(st.integers(0, d - 1))] = value
+    # tau is 0.93 or a computed cosine moved by a few ulps
+    tau = 0.93
+    with np.errstate(all="ignore"):  # zero and non-finite rows
+        sq, dots = btp.calibration._shift_sums(stack, np.arange(n))
+        cos = btp.calibration._cosines(dots, sq)
+    inside = cos[(cos > 0) & (cos < 1)]
+    if inside.size and draw(st.booleans()):
+        tau = float(inside[draw(st.integers(0, inside.size - 1))])
+        ulps = draw(st.integers(-3, 3))
+        for _ in range(abs(ulps)):
+            tau = float(np.nextafter(tau, 2.0 if ulps > 0 else 0.0))
+    return stack, tau
+
+
+def _outcome(stack, tau, workers=1):
+    try:
+        return shift_profile(stack, tau=tau, workers=workers).counts
+    except ValidationError as exc:
+        return str(exc)
+
+
+@settings(deadline=None, max_examples=200)
+@given(case=filter_cases())
+def test_float32_filter_gives_the_float64_outcome(case):
+    stack, tau = case
+    want = _outcome(stack.astype(np.float64), tau)  # every row through the float64 sums
+    # blocks of 3 rows, so that 24 rows give up to 8 blocks over 3 workers
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(btp.calibration, "_BLOCK_BYTES", 24 * stack.shape[2])
+        for workers in (1, 2, 3):
+            assert _outcome(stack, tau, workers) == want
 
 
 def test_synthetic_stack_plants_exact_counts():

@@ -42,12 +42,15 @@ def _write_calib_trace(tmp_path, name, seed, planted, num_layers=12, n_image=12,
         np.random.default_rng([seed]), num_layers=num_layers,
         n_image=n_image, d=d, shifted=planted,
     )
-    layout = TokenLayout(n_system=0, n_image=n_image, n_text=0, grid_rows=3, grid_cols=4)
-    dims = ModelShape(layers=num_layers, d=d, heads=1, m=2 * d)
-    blobs = {
-        f"hidden_l{i}": TensorBlob.from_array(f"hidden_l{i}", stack[i])
-        for i in range(num_layers + 1)
-    }
+    return _write_stack_trace(tmp_path, name, stack)
+
+
+def _write_stack_trace(tmp_path, name, stack):
+    """Trace holding hidden_l<i> = stack[i], image tokens only, on a 1 x N grid."""
+    layers, n_image, d = stack.shape[0] - 1, stack.shape[1], stack.shape[2]
+    layout = TokenLayout(n_system=0, n_image=n_image, n_text=0, grid_rows=1, grid_cols=n_image)
+    dims = ModelShape(layers=layers, d=d, heads=1, m=2 * d)
+    blobs = {f"hidden_l{i}": TensorBlob.from_array(f"hidden_l{i}", m) for i, m in enumerate(stack)}
     path = tmp_path / name
     write_trace(path, make_manifest(layout, dims, blobs), blobs)
     return str(path)
@@ -380,6 +383,70 @@ def test_calibrate_calib_size_limits_traces(tmp_path, capsys):
     assert "over 2 trace(s)" in err
     payload = json.loads(out)
     assert payload["config"]["traces"] == traces[:2]
+
+
+# SHA-256 of the calibrate JSON as the float64-only shift profile wrote it:
+# a token that the float32 filter decides on the wrong side of tau fails
+# here
+CALIBRATE_JSON_SHA256 = "25d19c77668d8c2671fc8fc5821421fca092e90a77bf08b586c6d732a9e88d56"
+
+
+def test_calibrate_json_is_pinned(tmp_path, capsys, monkeypatch):
+    _write_calib_trace(tmp_path, "a", seed=30, planted={3: 9, 7: 11})
+    _write_calib_trace(tmp_path, "b", seed=31, planted={3: 5, 8: 12}, d=300)
+    # every cosine is 1e-7 from tau, inside the float32 error bound, so
+    # each token of this trace goes through the float64 sums
+    _write_stack_trace(tmp_path, "c", synthetic_shift_stack(
+        np.random.default_rng(32), num_layers=12, n_image=24, d=4096,
+        shifted={3: 20, 7: 10}, stable_cos=0.93 + 1e-7, shift_cos=0.93 - 1e-7,
+    ))
+    monkeypatch.chdir(tmp_path)  # the payload records the paths as given
+    for threads in ("1", "3"):
+        monkeypatch.setenv("BTP_THREADS", threads)
+        code, _, _ = _run(capsys, [
+            "calibrate", "a", "b", "c", "--lambdas", "0.6,1.0", "--out", "schedule.json",
+        ])
+        assert code == 0
+        digest = hashlib.sha256((tmp_path / "schedule.json").read_bytes()).hexdigest()
+        assert digest == CALIBRATE_JSON_SHA256
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_calibrate_names_the_trace_of_a_bad_hidden_state(tmp_path, capsys, monkeypatch, threads):
+    monkeypatch.setenv("BTP_THREADS", threads)
+    good = _write_calib_trace(tmp_path, "good", seed=5, planted={5: 8})
+    stack = synthetic_shift_stack(
+        np.random.default_rng(6), num_layers=12, n_image=40, d=2048, shifted={5: 8},
+    )
+    stack[4, 33, 7] = np.nan
+    stack[6, 2] = 0.0  # a later snapshot: the NaN is named first
+    stack[4, 35, 0] = np.inf
+    bad = _write_stack_trace(tmp_path, "bad", stack)
+    code, out, err = _run(capsys, ["calibrate", good, bad])
+    assert (code, out) == (1, "")
+    assert err == f"error: {bad}: non-finite hidden state at snapshot 4, image token 33\n"
+
+    stack[4, 33, 7] = stack[4, 35, 0] = 1.0
+    zero = _write_stack_trace(tmp_path, "zero", stack)
+    code, out, err = _run(capsys, ["calibrate", good, zero])
+    assert (code, out) == (1, "")
+    assert err == f"error: {zero}: zero-norm hidden state at snapshot 6, image token 2\n"
+
+
+def test_calibrate_names_the_trace_of_a_layer_count_mismatch(tmp_path, capsys):
+    first = _write_calib_trace(tmp_path, "first", seed=7, planted={5: 8})
+    deeper = _write_calib_trace(tmp_path, "deeper", seed=8, planted={5: 8}, num_layers=13)
+    code, out, err = _run(capsys, ["calibrate", first, first, deeper])
+    assert (code, out) == (1, "")
+    assert err == f"error: {deeper}: shift profile covers 13 layers, {first} covers 12\n"
+
+
+@pytest.mark.parametrize("tau", ["0", "1", "1.5", "nan"])
+def test_calibrate_rejects_tau_outside_the_unit_interval(tmp_path, capsys, tau):
+    trace = _write_calib_trace(tmp_path, "t", seed=9, planted={5: 8})
+    code, out, err = _run(capsys, ["calibrate", trace, "--tau", tau])
+    assert (code, out) == (1, "")
+    assert err == f"error: --tau must be in (0, 1), got {float(tau)}\n"
 
 
 @pytest.mark.parametrize("size", ["0", "-1"])
