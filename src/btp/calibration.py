@@ -51,6 +51,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ValidationError
+from .threads import pinned_pool, thread_count
 from .trace import PruningSchedule, PruningStage
 
 DEFAULT_TAU = 0.93
@@ -205,7 +206,7 @@ def _shift_rows(snaps, lo: int, hi: int, rows: int, tau: float, below):
     return first
 
 
-def shift_profile(hidden_stack, tau: float = DEFAULT_TAU, workers: int = 1) -> ShiftProfile:
+def shift_profile(hidden_stack, tau: float = DEFAULT_TAU) -> ShiftProfile:
     """Count image tokens whose cosine to the next snapshot falls below tau.
 
     ``hidden_stack`` holds image hidden states for snapshots 0..L (layer
@@ -218,29 +219,25 @@ def shift_profile(hidden_stack, tau: float = DEFAULT_TAU, workers: int = 1) -> S
     (snapshot, token) order is named.
 
     The N rows are split into contiguous ranges of whole blocks, one per
-    thread, for up to ``workers`` threads (never more than there are
-    blocks).  Each token's sums are the same whichever thread computes
-    them, so the result does not depend on ``workers``.  A thread holds
-    the float32 sums of its current block of B rows, [L+1, B] and [L, B]
-    (B = 256 KiB / 8d, 8 at d = 4096), and three float64 [m, d] blocks
-    only while it refines m of those rows; all threads share one bool
-    [L, N] table of the decisions.
+    thread, for up to ``thread_count()`` threads (never more than there
+    are blocks).  Each token's sums are the same whichever thread computes
+    them, so the result does not depend on the thread count.  A thread
+    holds the float32 sums of its current block of B rows, [L+1, B] and
+    [L, B] (B = 256 KiB / 8d, 8 at d = 4096), and three float64 [m, d]
+    blocks only while it refines m of those rows; all threads share one
+    bool [L, N] table of the decisions.
     """
     if not 0.0 < tau < 1.0:
         raise ValidationError(f"tau must be in (0, 1), got {tau}")
-    if workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {workers}")
     snaps = _snapshots(hidden_stack)
     n, d = snaps[0].shape
     below = np.empty((len(snaps) - 1, n), dtype=bool)
     rows = max(1, min(n, _BLOCK_BYTES // max(1, 8 * d)))
     blocks = -(-n // rows)
-    workers = min(workers, blocks)
+    workers = min(thread_count(), blocks)
     if workers > 1:
-        import concurrent.futures
-
         cuts = [min(n, blocks * w // workers * rows) for w in range(workers + 1)]
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+        with pinned_pool(workers) as pool:
             jobs = [pool.submit(_shift_rows, snaps, lo, hi, rows, tau, below)
                     for lo, hi in zip(cuts, cuts[1:])]
             found = [job.result() for job in jobs]
@@ -289,8 +286,10 @@ def select_pruning_layers(profile: ShiftProfile, num_stages: int, min_gap: int =
     emitted layer, which is peak + 1 so pruning happens right after the
     shift, lands within ``min_gap`` of an accepted one.  The list is then
     sorted ascending and truncated or padded by even subdivision of the
-    depth.  A profile with no qualifying peak falls back entirely to even
-    subdivision, flagged via ``fallback``.
+    depth, then by any layer, under the same spacing rule.  A profile with
+    no qualifying peak takes all its layers from the padding, flagged via
+    ``fallback``.  Only layers 1..L-1 can hold a stage; stages that cannot
+    be placed are a ``ValidationError``.
     """
     if num_stages < 1:
         raise ValidationError(f"num_stages must be >= 1, got {num_stages}")
@@ -298,9 +297,10 @@ def select_pruning_layers(profile: ShiftProfile, num_stages: int, min_gap: int =
         raise ValidationError(f"min_gap must be >= 1, got {min_gap}")
     counts = np.asarray(profile.counts, dtype=np.int64)
     num_layers = profile.num_layers
-    if num_stages > num_layers:
+    if num_stages > num_layers - 1:
         raise ValidationError(
-            f"cannot place {num_stages} stages in {num_layers} layers"
+            f"cannot place {num_stages} stages in {num_layers} layers: layer 0 "
+            f"holds none, so at most {num_layers - 1} fit"
         )
     mean = counts.mean()
     peaks = []
@@ -309,11 +309,6 @@ def select_pruning_layers(profile: ShiftProfile, num_stages: int, min_gap: int =
         right_ok = l == num_layers - 1 or counts[l] > counts[l + 1]
         if left_ok and right_ok and counts[l] > mean:
             peaks.append(l)
-
-    if not peaks:
-        return LayerSelection(
-            layers=tuple(_even_subdivision(num_layers, num_stages)), fallback=True
-        )
 
     ranked = sorted(peaks, key=lambda l: (-counts[l], l))
     chosen: list[int] = []
@@ -336,7 +331,7 @@ def select_pruning_layers(profile: ShiftProfile, num_stages: int, min_gap: int =
             f"could not place {num_stages} layers with min_gap={min_gap} "
             f"in {num_layers} layers"
         )
-    return LayerSelection(layers=tuple(sorted(chosen)), fallback=False)
+    return LayerSelection(layers=tuple(sorted(chosen)), fallback=not peaks)
 
 
 def build_schedule(

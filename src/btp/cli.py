@@ -13,9 +13,6 @@ to stdout, which then carries nothing else; tables and the resolved
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
-import ctypes
-import functools
 import json
 import os
 import sys
@@ -38,6 +35,7 @@ from .diversity import SEED_RULES, SEMANTIC_METRICS, SPATIAL_METRICS, DiversityC
 from .errors import TraceError, ValidationError
 from .oracles import mmdp_suite, roundtrip_suite, single_layer_suite
 from .selector import ScheduleDriver, run_schedule, trace_stage_provider
+from .threads import openblas_thread_setter, pinned_pool, thread_count
 from . import toymodel
 from .toymodel import (
     DISTANCE_METRICS,
@@ -98,27 +96,6 @@ def _load_schedule(path: str) -> PruningSchedule:
     return PruningSchedule.from_json_dict(obj, where=path)
 
 
-def _thread_count() -> int:
-    """``BTP_THREADS``, or one thread per usable CPU when it is unset."""
-    raw = os.environ.get("BTP_THREADS", "").strip()
-    if not raw:
-        return _usable_cpus()
-    try:
-        count = int(raw)
-    except ValueError as exc:
-        raise ValidationError(f"BTP_THREADS must be an integer, got {raw!r}") from exc
-    if count < 1:
-        raise ValidationError(f"BTP_THREADS must be >= 1, got {count}")
-    return count
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _check_fits_in_memory(what: str, nbytes: int) -> None:
     """Refuse a command whose estimated ``nbytes`` exceed physical memory.
 
@@ -135,35 +112,6 @@ def _check_fits_in_memory(what: str, nbytes: int) -> None:
             f"{what} needs about {nbytes / 2**30:.1f} GiB, more than the "
             f"{physical / 2**30:.1f} GiB of physical memory"
         )
-
-
-@functools.cache
-def _openblas_thread_setter():
-    """``openblas_set_num_threads_local`` of the OpenBLAS numpy loaded, or None.
-
-    The call takes a thread count and returns the previous one.  Its name
-    promises the calling thread only, but in pthreads builds (numpy's wheels
-    among them) it sets the count of the whole process.  The library is
-    found among the files this process has mapped; None when there is no
-    such list (not Linux), no OpenBLAS, or an OpenBLAS older than the call
-    (0.3.27).
-    """
-    try:
-        with open("/proc/self/maps") as fh:
-            fields = [line.split(None, 5) for line in fh]
-    except OSError:
-        return None
-    paths = {f[5].rstrip("\n") for f in fields if len(f) == 6}
-    for path in sorted(p for p in paths if "openblas" in os.path.basename(p).lower()):
-        try:
-            # RTLD_NOLOAD: only a library already loaded, never a second copy
-            setter = ctypes.CDLL(path, mode=os.RTLD_NOLOAD).openblas_set_num_threads_local
-        except (OSError, AttributeError):
-            continue
-        setter.argtypes = [ctypes.c_int]
-        setter.restype = ctypes.c_int
-        return setter
-    return None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -220,7 +168,7 @@ class _Snapshots(list):
         return (len(self), *self[0].shape)
 
 
-def _profile_one_trace(trace_dir: str, tau: float, workers: int):
+def _profile_one_trace(trace_dir: str, tau: float):
     manifest, tensors = read_trace(trace_dir)
     hidden = layer_tensors(tensors, "hidden_l")
     if not hidden:
@@ -233,7 +181,7 @@ def _profile_one_trace(trace_dir: str, tau: float, workers: int):
     layout = manifest.layout
     mats = _Snapshots(layout.image_rows(blob.view(), blob.name) for blob in hidden.values())
     try:
-        return shift_profile(mats, tau=tau, workers=workers)
+        return shift_profile(mats, tau=tau)
     except ValidationError as exc:
         raise ValidationError(f"{trace_dir}: {exc}") from exc
 
@@ -259,12 +207,11 @@ def cmd_calibrate(args) -> int:
             f"--num-stages {num_stages} does not match {len(balances)} lambda values"
         )
 
-    # one trace at a time, so that only one is mapped; its rows are split
-    # over the threads instead
-    workers = _thread_count()
+    thread_count()  # a bad thread count is named before any trace is read
+    # one trace at a time, so that only one is mapped, its rows split over threads
     profiles = []
     for trace in traces:
-        profiles.append(_profile_one_trace(trace, args.tau, workers))
+        profiles.append(_profile_one_trace(trace, args.tau))
         if profiles[-1].num_layers != profiles[0].num_layers:
             raise ValidationError(
                 f"{trace}: shift profile covers {profiles[-1].num_layers} layers, "
@@ -376,16 +323,21 @@ def cmd_simulate(args) -> int:
         seed_rule=args.seed_rule,
     )
 
+    # one worker without the BLAS pin, or when a caller (a tracer, say) has
+    # replaced ``forward``, which is looked up here and need not be thread-safe
+    workers = min(4, thread_count())
+    if not openblas_thread_setter() or forward is not toymodel.forward:
+        workers = 1
     # the float32 weight stacks; four records whose float32 hidden and
     # attention rows and int64 positions and survivors are at most as long
     # as the unpruned sequence; and the float32 [heads, n, n] logits of each
-    # forward that runs at once, one per usable CPU and at most four
+    # forward that runs at once, one per worker
     rows = (cfg.num_layers + 1) * layout.total()
     _check_fits_in_memory(
         "simulate",
         4 * cfg.num_layers * (4 * cfg.d * cfg.d + 2 * cfg.d * cfg.mlp)
         + 4 * rows * (4 * cfg.d + 4 + 8 + 8)
-        + 4 * min(4, _usable_cpus()) * cfg.heads * layout.total() ** 2,
+        + 4 * workers * cfg.heads * layout.total() ** 2,
     )
     # returns at once: a thread draws the layers while the head and forwards run
     weights = init_weights(cfg)
@@ -406,33 +358,13 @@ def cmd_simulate(args) -> int:
         "attention_only": variant(1.0),
         "diversity_only": variant(0.0),
     }
-    # The four forwards are independent, so they run on a pool of threads
-    # whose BLAS is pinned to one thread: the CSV then depends neither on the
-    # worker count nor on OPENBLAS_NUM_THREADS.  The pin is set here as well
-    # as in each worker, so it holds whether the setter acts on the calling
-    # thread or on the process, and the count it replaced is put back at the
-    # end.  There is a worker per usable CPU, at most one per forward;
-    # without the setter there is one worker and BLAS is left alone.
-    # ``forward`` is looked up in this module so that a caller can replace
-    # it, say to trace its calls; a replacement need not be thread-safe (a
-    # tracer with one span stack files spans under the wrong forward), so
-    # it gets one worker too and its calls do not overlap.
-    #
     # Up to and including the first stage's layer all four forwards compute
     # the same unpruned layers, so a head job runs them once and every
     # forward starts from its record.  The head runs on a worker: run on
     # the main thread, it raised the peak RSS of a paper-shape run from 207
     # to 234 MB.  It calls ``toymodel.forward`` itself, so the four forwards
     # stay the only calls of ``forward``.
-    setter = _openblas_thread_setter()
-    workers = 1
-    if setter and forward is toymodel.forward:
-        workers = min(1 + len(strategies), _usable_cpus())
-    previous = setter(1) if setter else None
-    pool = concurrent.futures.ThreadPoolExecutor(
-        max_workers=workers, initializer=setter, initargs=(1,) if setter else ()
-    )
-    try:
+    with pinned_pool(workers) as pool:
         head = None
         if schedule.stages:
             head_cfg = replace(cfg, num_layers=schedule.stages[0].layer + 1)
@@ -444,10 +376,6 @@ def cmd_simulate(args) -> int:
         jobs = [pool.submit(forward, inputs, layout, cfg, weights, head, prune_hook=hook)
                 for hook in hooks]
         baseline, *pruned = [job.result() for job in jobs]
-    finally:
-        pool.shutdown(cancel_futures=True)
-        if setter:
-            setter(previous)
     records = dict(zip(strategies, pruned))
 
     text_positions = list(range(layout.n_system + layout.n_image, layout.total()))

@@ -41,6 +41,8 @@ def importance_last_token(attn_row, layout: TokenLayout, layer: int = 0) -> np.n
         row = row.mean(axis=0)
     if np.any(row < 0):
         raise ValidationError("last-token attention row: negative entries, expected softmaxed rows")
+    if row.sum() == 0:  # no softmax gives an all-zero row
+        raise ValidationError(f"layer {layer}: last-token attention row sums to 0, not softmaxed")
     scores = row.astype(np.float64)[layout.image_slice]
     # worded as StageInputs words it, so a NaN in a trace's attention row
     # reads the same whichever check meets it first

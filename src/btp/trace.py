@@ -386,6 +386,9 @@ class SelectionResult:
 # manifests
 
 
+_MODEL_FIELDS = ("layers", "d", "heads", "m")
+
+
 @dataclass(frozen=True)
 class ModelShape:
     """Decoder dimensions recorded alongside a trace."""
@@ -396,7 +399,7 @@ class ModelShape:
     m: int
 
     def __post_init__(self) -> None:
-        for name in ("layers", "d", "heads", "m"):
+        for name in _MODEL_FIELDS:
             if getattr(self, name) < 1:
                 raise ValidationError(f"model dim {name!r} must be >= 1")
 
@@ -460,12 +463,7 @@ class TraceManifest:
     def to_json_dict(self) -> dict:
         return {
             "version": self.version,
-            "model_dims": {
-                "layers": self.model_dims.layers,
-                "d": self.model_dims.d,
-                "heads": self.model_dims.heads,
-                "m": self.model_dims.m,
-            },
+            "model_dims": {name: getattr(self.model_dims, name) for name in _MODEL_FIELDS},
             "layout": self.layout.to_json_dict(),
             "tensors": [
                 {
@@ -516,9 +514,7 @@ def _manifest_from_json(obj, where: str) -> TraceManifest:
         specs = tuple(_spec_from_json(entry) for entry in _json_of(list, obj["tensors"], "tensors"))
         return TraceManifest(
             version=version,
-            model_dims=ModelShape(
-                **{name: _json_int(dims[name], name) for name in ("layers", "d", "heads", "m")}
-            ),
+            model_dims=ModelShape(**{name: _json_int(dims[name], name) for name in _MODEL_FIELDS}),
             layout=TokenLayout.from_json_dict(obj["layout"]),
             tensors=specs,
         )

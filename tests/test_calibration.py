@@ -37,6 +37,13 @@ def _profile(counts):
     return ShiftProfile(tuple(int(c) for c in counts))
 
 
+def _profile_on(workers, stack, **kwargs):
+    """``shift_profile`` with ``BTP_THREADS`` set to ``workers``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("BTP_THREADS", str(workers))
+        return shift_profile(stack, **kwargs)
+
+
 # ---------------------------------------------------------------------------
 # profiles
 
@@ -123,7 +130,7 @@ def _assert_counts_match_dense(given, stack, workers=1):
     assert len(taus) > 1
     for tau in taus:
         np.testing.assert_array_equal(
-            shift_profile(given, tau=tau, workers=workers).counts,
+            _profile_on(workers, given, tau=tau).counts,
             _dense_shift_counts(stack, tau),
         )
 
@@ -167,25 +174,23 @@ def test_shift_profile_zero_norm_error_does_not_depend_on_workers(zeros):
     for snap, tok in zeros:
         stack[snap, tok] = 0.0
     with pytest.raises(ValidationError) as serial:
-        shift_profile(stack)
+        _profile_on(1, stack)
     for workers in (2, 3, 5):
         with pytest.raises(ValidationError) as split:
-            shift_profile(stack, workers=workers)
+            _profile_on(workers, stack)
         assert str(split.value) == str(serial.value)
 
 
 class InlinePool:
     """Stands in for ``ThreadPoolExecutor``: appends ``max_workers`` to
-    ``created`` and runs each job when it is submitted, so no thread starts."""
+    ``created`` and runs each job when it is submitted, so no thread starts
+    and no initializer runs."""
 
-    def __init__(self, max_workers, created):
+    def __init__(self, max_workers, created, **initializer):
         created.append(max_workers)
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
 
     def submit(self, fn, *args, **kwargs):
         job = concurrent.futures.Future()
@@ -200,18 +205,18 @@ def test_shift_profile_starts_no_more_threads_than_row_blocks(monkeypatch):
     created = []  # max_workers of each pool
     monkeypatch.setattr(
         concurrent.futures, "ThreadPoolExecutor",
-        lambda max_workers: InlinePool(max_workers, created),
+        lambda max_workers, **initializer: InlinePool(max_workers, created, **initializer),
     )
     stack = list(_random_stacks())[4]  # 64 rows of width 4096: 8 blocks
-    serial = shift_profile(stack)
+    serial = _profile_on(1, stack)
     assert created == []
-    assert shift_profile(stack, workers=100000) == serial
-    assert shift_profile(stack, workers=3) == serial
+    assert _profile_on(100000, stack) == serial
+    assert _profile_on(3, stack) == serial
     assert created == [8, 3]
-    shift_profile(list(_random_stacks())[0], workers=100000)  # one row, one block
+    _profile_on(100000, list(_random_stacks())[0])  # one row, one block
     assert created == [8, 3]
-    with pytest.raises(ValidationError, match="workers must be >= 1, got 0"):
-        shift_profile(stack, workers=0)
+    with pytest.raises(ValidationError, match="BTP_THREADS must be >= 1, got 0"):
+        _profile_on(0, stack)
 
 
 def test_shift_profile_workers_switching_every_microsecond():
@@ -220,12 +225,12 @@ def test_shift_profile_workers_switching_every_microsecond():
     stack = np.cumsum(
         np.random.default_rng(46).standard_normal((9, 200, 1024), dtype=np.float32), axis=0
     )
-    serial = shift_profile(stack)
+    serial = _profile_on(1, stack)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
-            assert shift_profile(stack, workers=7) == serial
+            assert _profile_on(7, stack) == serial
     finally:
         sys.setswitchinterval(interval)
 
@@ -304,7 +309,7 @@ def test_shift_profile_names_the_first_bad_hidden_state(bad):
     for hidden in (stack, stack.astype(np.float64)):
         for workers in (1, 2, 3, 5):
             with pytest.raises(ValidationError) as info:
-                shift_profile(hidden, workers=workers)
+                _profile_on(workers, hidden)
             assert str(info.value) == message
 
 
@@ -327,7 +332,7 @@ def test_shift_profile_refines_only_the_rows_near_tau(monkeypatch, workers):
     rng = np.random.default_rng(49)
     far = synthetic_shift_stack(rng, num_layers=6, n_image=64, d=4096, shifted={2: 30},
                                 stable_cos=0.999, shift_cos=0.5)
-    assert shift_profile(far, workers=workers).counts == (0, 0, 30, 0, 0, 0)
+    assert _profile_on(workers, far).counts == (0, 0, 30, 0, 0, 0)
     assert calls == []
 
     # 1e-7 from tau, far inside the float32 bound of 5e-4 at d = 4096
@@ -338,14 +343,14 @@ def test_shift_profile_refines_only_the_rows_near_tau(monkeypatch, workers):
     mixed[:, rows] = near[:, rows]
     want = shift_profile(mixed.astype(np.float64)).counts
     calls.clear()
-    assert shift_profile(mixed, workers=workers).counts == want
+    assert _profile_on(workers, mixed).counts == want
     assert sorted(sum(calls, [])) == rows
 
 
 def test_shift_profile_sends_other_dtypes_through_the_exact_sums(monkeypatch):
     calls = _recording_exact_sums(monkeypatch)
     stack = list(_random_stacks())[4]  # 64 rows of width 4096: 8 blocks
-    shift_profile(stack.astype(np.float64), workers=2)
+    _profile_on(2, stack.astype(np.float64))
     assert sorted(sum(calls, [])) == list(range(64))
 
 
@@ -407,7 +412,7 @@ def filter_cases(draw):
 
 def _outcome(stack, tau, workers=1):
     try:
-        return shift_profile(stack, tau=tau, workers=workers).counts
+        return _profile_on(workers, stack, tau=tau).counts
     except ValidationError as exc:
         return str(exc)
 
@@ -516,6 +521,37 @@ def test_selection_validation():
         select_pruning_layers(prof, num_stages=4)
     with pytest.raises(ValidationError):
         select_pruning_layers(prof, num_stages=1, min_gap=0)
+
+
+def test_flat_profile_fallback_keeps_min_gap_and_distinct_layers():
+    with pytest.raises(ValidationError,
+                       match="could not place 3 layers with min_gap=20 in 32 layers"):
+        select_pruning_layers(_profile([0] * 32), num_stages=3, min_gap=20)
+    got = select_pruning_layers(_profile([0] * 32), num_stages=2, min_gap=20)
+    assert got == LayerSelection(layers=(11, 31), fallback=True)
+    # layer 0 holds no stage, so 3 layers fit 2 stages at most
+    with pytest.raises(ValidationError, match="cannot place 3 stages in 3 layers"):
+        select_pruning_layers(_profile([0] * 3), num_stages=3)
+    got = select_pruning_layers(_profile([0] * 3), num_stages=2)
+    assert got == LayerSelection(layers=(1, 2), fallback=True)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    counts=st.lists(st.integers(0, 3), min_size=1, max_size=12),
+    num_stages=st.integers(0, 6),
+    min_gap=st.integers(0, 5),
+)
+def test_selected_layers_are_increasing_spaced_and_in_range(counts, num_stages, min_gap):
+    try:
+        got = select_pruning_layers(_profile(counts), num_stages, min_gap=min_gap)
+    except ValidationError:
+        return
+    layers = got.layers
+    assert len(layers) == num_stages
+    assert all(1 <= layer < len(counts) for layer in layers)
+    assert all(b - a >= min_gap for a, b in zip(layers, layers[1:]))
+    assert all(b > a for a, b in zip(layers, layers[1:]))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import btp.calibration
 import btp.cli
+import btp.threads
 import btp.toymodel
 from btp.calibration import synthetic_shift_stack
 from btp.cli import main
@@ -230,6 +232,17 @@ def test_calibrate_flat_profile_warns_and_fails(tmp_path, capsys):
     assert [s["layer"] for s in payload["stages"]] == [4, 8]
 
 
+def test_calibrate_rejects_more_stages_than_a_flat_profile_can_hold(tmp_path, capsys):
+    # flat over 3 layers: even subdivision used to give layers [1, 2, 2]
+    trace = _write_calib_trace(tmp_path, "flat", seed=9, planted={}, num_layers=3)
+    code, out, err = _run(capsys, ["calibrate", trace, "--lambdas", "0.6,0.8,1.0"])
+    assert (code, out) == (1, "")
+    assert err == "error: cannot place 3 stages in 3 layers: layer 0 holds none, so at most 2 fit\n"
+    code, out, err = _run(capsys, ["calibrate", trace, "--lambdas", "0.6,1.0", "--min-gap", "2"])
+    assert (code, out) == (1, "")
+    assert err == "error: could not place 2 layers with min_gap=2 in 3 layers\n"
+
+
 def test_calibrate_thread_env(tmp_path, capsys, monkeypatch):
     traces = [
         _write_calib_trace(tmp_path, f"p{i}", seed=10 + i, planted={5: 8})
@@ -253,25 +266,27 @@ def test_calibrate_thread_count_defaults_to_usable_cpus(tmp_path, capsys, monkey
         _write_calib_trace(tmp_path, f"p{i}", seed=10 + i, planted={5: 8})
         for i in range(2)
     ]
-    passed = []
-    profile = btp.cli.shift_profile
+    sizes = []  # the worker count of each pool
+    pool = btp.calibration.pinned_pool
 
-    def recording(stack, **kwargs):
-        passed.append(kwargs["workers"])
-        return profile(stack, **kwargs)
+    def recording(workers):
+        sizes.append(workers)
+        return pool(workers)
 
-    monkeypatch.setattr(btp.cli, "shift_profile", recording)
-    monkeypatch.setattr(btp.cli, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(btp.calibration, "pinned_pool", recording)
+    # blocks of 2 rows, so that each trace's 12 image rows make 6 blocks
+    monkeypatch.setattr(btp.calibration, "_BLOCK_BYTES", 2 * 8 * 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     monkeypatch.delenv("BTP_THREADS", raising=False)
     code, default_out, default_table = _run(capsys, ["calibrate", *traces])
-    assert code == 0 and passed == [3, 3]
-    # a huge count is passed on as it is; shift_profile caps it at the
-    # number of row blocks, here one
-    for env, workers in (("2", 2), ("100000", 100000)):
-        passed.clear()
+    assert code == 0 and sizes == [3, 3]
+    # a huge count is capped at the number of row blocks; one thread starts
+    # no pool
+    for env, workers in (("2", [2, 2]), ("100000", [6, 6]), ("1", [])):
+        sizes.clear()
         monkeypatch.setenv("BTP_THREADS", env)
         assert _run(capsys, ["calibrate", *traces]) == (0, default_out, default_table)
-        assert passed == [workers, workers]
+        assert sizes == workers
 
 
 def test_calibrate_maps_one_trace_at_a_time(tmp_path):
@@ -329,6 +344,8 @@ def test_calibrate_rejects_bad_thread_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("BTP_THREADS", "0")
     code, _, err = _run(capsys, ["calibrate", trace])
     assert code == 1 and "BTP_THREADS" in err
+    # named as it is, not as a fault of the first trace
+    assert err == "error: BTP_THREADS must be >= 1, got 0\n"
 
 
 def test_calibrate_argument_mismatches(tmp_path, capsys):
@@ -510,6 +527,19 @@ def test_select_rejects_non_finite_stage_inputs(tmp_path, capsys, tensor, what):
     layer = tensor.rsplit("_l", 1)[1]
     assert code == 1 and out == ""
     assert err == f"error: layer {layer}: {what} contain non-finite values\n"
+
+
+@pytest.mark.parametrize("shape", [(), (2,)], ids=["row", "per-head"])
+def test_select_rejects_an_all_zero_attention_row(tmp_path, capsys, shape):
+    # no softmax gives a zero row; scoring every token 0 would select on
+    # diversity alone and report an attention mass of 0
+    layout, dims, arrays = _grid_trace_arrays(0, side=4, layers=(1, 3))
+    arrays["attn_l3"] = np.zeros((*shape, layout.total()))
+    trace = _write_arrays_trace(tmp_path, layout, dims, arrays)
+    sched = _write_schedule(tmp_path, [(1, 0.5, 0.5), (3, 0.5, 1.0)], num_layers=6)
+    code, out, err = _run(capsys, ["select", "--trace", trace, "--schedule", sched])
+    assert (code, out) == (1, "")
+    assert err == "error: layer 3: last-token attention row sums to 0, not softmaxed\n"
 
 
 def test_select_scores_every_scheduled_layer_before_the_first_stage(tmp_path, capsys):
@@ -836,12 +866,42 @@ def test_simulate_runs_each_head_layer_once(tmp_path, capsys, monkeypatch, stage
         return step(*args, **kwargs)
 
     monkeypatch.setattr(btp.toymodel, "layer_step", counted)
-    monkeypatch.setattr(btp.cli, "_usable_cpus", lambda: 4)
+    monkeypatch.setenv("BTP_THREADS", "4")
     code, _, _ = _run(capsys, ["simulate", "--schedule", sched, "--layers", "6"])
     assert code == 0
     head = stages[0][0] + 1 if stages else 0
     assert len(threads) == head + 4 * (6 - head)
     assert threading.main_thread() not in threads
+
+
+def test_simulate_pool_is_capped_by_btp_threads(tmp_path, capsys, monkeypatch):
+    # four usable CPUs, but BTP_THREADS=1 caps the pool at one worker: the
+    # head and all four forwards run their layers on that one thread
+    sched = _write_schedule(tmp_path, [(1, 0.5, 0.5), (3, 0.5, 1.0)], num_layers=6)
+    callers = set()
+    step = btp.toymodel.layer_step
+
+    def counted(*args, **kwargs):
+        callers.add(threading.current_thread())
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(btp.toymodel, "layer_step", counted)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.setenv("BTP_THREADS", "1")
+    code, _, _ = _run(capsys, ["simulate", "--schedule", sched, "--layers", "6"])
+    assert code == 0
+    assert len(callers) == 1 and threading.main_thread() not in callers
+
+
+@pytest.mark.parametrize("env,message", [
+    ("many", "BTP_THREADS must be an integer, got 'many'"),
+    ("0", "BTP_THREADS must be >= 1, got 0"),
+])
+def test_simulate_rejects_bad_thread_env(tmp_path, capsys, monkeypatch, env, message):
+    sched = _write_schedule(tmp_path, [(1, 0.5, 0.5)], num_layers=4)
+    monkeypatch.setenv("BTP_THREADS", env)
+    code, out, err = _run(capsys, ["simulate", "--schedule", sched])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_simulate_computes_no_stage_diagnostics(tmp_path, capsys, monkeypatch):
@@ -880,16 +940,11 @@ def test_simulate_csv_does_not_depend_on_thread_counts(tmp_path):
     # at this shape the K = 688 down-projection rounds differently on two
     # BLAS threads than on one: one forward after another gave CSV digest
     # 261689b9... under OPENBLAS_NUM_THREADS=1 and 6697c66d... under 2
-    if btp.cli._openblas_thread_setter() is None:
+    if btp.threads.openblas_thread_setter() is None:
         pytest.skip("numpy's BLAS has no openblas_set_num_threads_local")
     sched = _write_schedule(tmp_path, [(1, 0.5, 0.5), (3, 0.5, 1.0)], num_layers=6)
     src = str(Path(btp.cli.__file__).resolve().parents[1])
-    # the worker count is one per usable CPU, at most four: force 1 and 4
-    launcher = (
-        "import sys, btp.cli\n"
-        "btp.cli._usable_cpus = lambda: int(sys.argv[1])\n"
-        "sys.exit(btp.cli.main(sys.argv[2:]))\n"
-    )
+    launcher = "import sys, btp.cli\nsys.exit(btp.cli.main(sys.argv[1:]))\n"
     args = [
         "simulate", "--schedule", sched, "--layout", "2,64,8,8,8", "--layers", "6",
         "--d", "256", "--heads", "8", "--mlp", "688",
@@ -897,9 +952,9 @@ def test_simulate_csv_does_not_depend_on_thread_counts(tmp_path):
     outputs = {}
     for blas in ("1", "2"):
         for workers in ("1", "4"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas)
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas, BTP_THREADS=workers)
             env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-            proc = subprocess.run([sys.executable, "-c", launcher, workers, *args],
+            proc = subprocess.run([sys.executable, "-c", launcher, *args],
                                   env=env, capture_output=True, timeout=120)
             assert proc.returncode == 0, proc.stderr
             outputs[blas, workers] = proc.stdout
@@ -913,10 +968,10 @@ def test_simulate_pool_with_more_workers_than_cores(tmp_path, capsys, monkeypatc
     # CSV must be the one-worker CSV byte for byte
     sched = _write_schedule(tmp_path, [(1, 0.5, 0.5), (3, 0.5, 1.0)], num_layers=6)
     argv = ["simulate", "--schedule", sched, "--layers", "6", "--seed", "7"]
-    monkeypatch.setattr(btp.cli, "_usable_cpus", lambda: 1)
+    monkeypatch.setenv("BTP_THREADS", "1")
     code, serial, _ = _run(capsys, argv)
     assert code == 0
-    monkeypatch.setattr(btp.cli, "_usable_cpus", lambda: 8)
+    monkeypatch.setenv("BTP_THREADS", "8")
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -952,7 +1007,7 @@ def test_simulate_reads_weights_while_they_are_drawn(tmp_path, capsys, monkeypat
     sys.setswitchinterval(1e-6)
     try:
         for workers in (1, 2, 4):
-            monkeypatch.setattr(btp.cli, "_usable_cpus", lambda: workers)
+            monkeypatch.setenv("BTP_THREADS", str(workers))
             code, drawn_alongside, _ = _run(capsys, argv)
             assert code == 0 and drawn_alongside == serial, workers
     finally:
@@ -964,7 +1019,7 @@ def test_simulate_runs_a_replaced_forward_one_call_at_a_time(tmp_path, capsys, m
     # must not overlap, whatever the worker count would have been
     sched = _write_schedule(tmp_path, [(1, 0.5, 0.5), (3, 0.5, 1.0)], num_layers=6)
     argv = ["simulate", "--schedule", sched, "--layers", "6", "--seed", "7"]
-    monkeypatch.setattr(btp.cli, "_usable_cpus", lambda: 4)
+    monkeypatch.setenv("BTP_THREADS", "4")
     code, pooled, _ = _run(capsys, argv)
     assert code == 0
     running, overlaps = [], []
@@ -1004,14 +1059,14 @@ def test_simulate_reports_the_first_failing_forward(tmp_path, capsys, monkeypatc
     # one forward after another, the btp forward failed first; on a pool the
     # error is still that of the first failing job in submission order
     monkeypatch.setattr(btp.cli, "ScheduleDriver", _FaultyDriver)
-    monkeypatch.setattr(btp.cli, "_usable_cpus", lambda: workers)
+    monkeypatch.setenv("BTP_THREADS", str(workers))
     sched = _write_schedule(tmp_path, [(1, 0.5, 0.5), (3, 0.5, 1.0)], num_layers=4)
     code, out, err = _run(capsys, ["simulate", "--schedule", sched])
     assert (code, out, err) == (1, "", "error: prune hook returned duplicates at layer 1\n")
 
 
 def test_simulate_restores_the_blas_thread_count(tmp_path, capsys):
-    setter = btp.cli._openblas_thread_setter()
+    setter = btp.threads.openblas_thread_setter()
     if setter is None:
         pytest.skip("numpy's BLAS has no openblas_set_num_threads_local")
     sched = _write_schedule(tmp_path, [(1, 0.5, 0.5)], num_layers=4)

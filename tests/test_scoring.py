@@ -53,6 +53,18 @@ def test_scores_must_be_finite(bad, message):
         importance_last_token(row, lay, layer=2)
 
 
+def test_scores_reject_an_all_zero_row():
+    lay = _layout()
+    for row in (np.zeros(lay.total()), np.zeros((3, lay.total()), dtype=np.float32)):
+        with pytest.raises(ValidationError,
+                           match="layer 4: last-token attention row sums to 0, not softmaxed"):
+            importance_last_token(row, lay, layer=4)
+    # one zero head among softmaxed ones is a softmaxed mean
+    heads = np.zeros((2, lay.total()))
+    heads[1, lay.n_system] = 1.0
+    np.testing.assert_array_equal(importance_last_token(heads, lay), [0.5, 0, 0, 0])
+
+
 def test_last_token_slices_image_segment():
     lay = _layout()
     row = np.array([0.1, 0.2, 0.05, 0.15, 0.1, 0.25, 0.15])

@@ -172,7 +172,7 @@ def test_forward_raises_a_failed_draw_without_blocking(monkeypatch):
 @pytest.mark.parametrize("workers", [1, 4])
 def test_simulate_reports_a_failed_draw_as_one_line(tmp_path, capsys, monkeypatch, workers):
     _fail_draws_at_layer_3(monkeypatch)
-    monkeypatch.setattr(btp.cli, "_usable_cpus", lambda: workers)
+    monkeypatch.setenv("BTP_THREADS", str(workers))
     sched = tmp_path / "schedule.json"
     sched.write_text(json.dumps(PruningSchedule((PruningStage(1, 0.5, 0.5),), 5).to_json_dict()))
     threads = threading.active_count()
