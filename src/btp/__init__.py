@@ -19,14 +19,7 @@ from .calibration import (
     shift_profile,
     synthetic_shift_stack,
 )
-from .costs import (
-    CostReport,
-    ModelDims,
-    kv_cache_bytes,
-    layer_flops,
-    per_layer_image_counts,
-    schedule_flops,
-)
+from .costs import CostReport, ModelDims, layer_flops, schedule_flops
 from .diversity import (
     DiversityConfig,
     brute_force_maxmin,

@@ -277,6 +277,17 @@ def _even_subdivision(num_layers: int, num_stages: int) -> list[int]:
     return [round((i + 1) * num_layers / (num_stages + 1)) for i in range(num_stages)]
 
 
+def _pad(chosen: list[int], candidates: Iterable[int], num_stages: int, min_gap: int) -> list[int]:
+    # keep each candidate, in order, that is min_gap from every layer kept
+    padded = list(chosen)
+    for candidate in candidates:
+        if len(padded) == num_stages:
+            break
+        if all(abs(candidate - c) >= min_gap for c in padded):
+            padded.append(candidate)
+    return padded
+
+
 def select_pruning_layers(profile: ShiftProfile, num_stages: int, min_gap: int = 1) -> LayerSelection:
     """Pick pruning layers from a shift profile.
 
@@ -286,7 +297,9 @@ def select_pruning_layers(profile: ShiftProfile, num_stages: int, min_gap: int =
     emitted layer, which is peak + 1 so pruning happens right after the
     shift, lands within ``min_gap`` of an accepted one.  The list is then
     sorted ascending and truncated or padded by even subdivision of the
-    depth, then by any layer, under the same spacing rule.  A profile with
+    depth, then by any layer, under the same spacing rule.  When those picks
+    block the rest, the peaks' picks are padded again by any layer, earliest
+    first, which places the most layers around them.  A profile with
     no qualifying peak takes all its layers from the padding, flagged via
     ``fallback``.  Only layers 1..L-1 can hold a stage; stages that cannot
     be placed are a ``ValidationError``.
@@ -311,27 +324,18 @@ def select_pruning_layers(profile: ShiftProfile, num_stages: int, min_gap: int =
             peaks.append(l)
 
     ranked = sorted(peaks, key=lambda l: (-counts[l], l))
-    chosen: list[int] = []
-    for peak in ranked:
-        emit = peak + 1
-        if emit >= num_layers:
-            continue  # a shift across the last layer has no layer after it
-        if all(abs(emit - c) >= min_gap for c in chosen):
-            chosen.append(emit)
-        if len(chosen) == num_stages:
-            break
-    # pad from even subdivision, then from any depth position, earliest first
-    for candidate in chain(_even_subdivision(num_layers, num_stages), range(1, num_layers)):
-        if len(chosen) == num_stages:
-            break
-        if all(abs(candidate - c) >= min_gap for c in chosen):
-            chosen.append(candidate)
-    if len(chosen) < num_stages:
+    # a shift across the last layer has no layer after it
+    chosen = _pad([], (l + 1 for l in ranked if l + 1 < num_layers), num_stages, min_gap)
+    padded = _pad(chosen, chain(_even_subdivision(num_layers, num_stages), range(1, num_layers)),
+                  num_stages, min_gap)
+    if len(padded) < num_stages:
+        padded = _pad(chosen, range(1, num_layers), num_stages, min_gap)
+    if len(padded) < num_stages:
         raise ValidationError(
             f"could not place {num_stages} layers with min_gap={min_gap} "
             f"in {num_layers} layers"
         )
-    return LayerSelection(layers=tuple(sorted(chosen)), fallback=not peaks)
+    return LayerSelection(layers=tuple(sorted(padded)), fallback=not peaks)
 
 
 def build_schedule(

@@ -17,7 +17,7 @@ import json
 import os
 import sys
 import uuid
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -201,11 +201,6 @@ def cmd_calibrate(args) -> int:
         raise ValidationError(
             f"{len(retentions)} retentions for {len(balances)} lambda values"
         )
-    num_stages = args.num_stages or len(balances)
-    if num_stages != len(balances):
-        raise ValidationError(
-            f"--num-stages {num_stages} does not match {len(balances)} lambda values"
-        )
 
     thread_count()  # a bad thread count is named before any trace is read
     # one trace at a time, so that only one is mapped, its rows split over threads
@@ -219,7 +214,7 @@ def cmd_calibrate(args) -> int:
             )
     profile = aggregate_profiles(profiles)
 
-    selection = select_pruning_layers(profile, num_stages, min_gap=args.min_gap)
+    selection = select_pruning_layers(profile, len(balances), min_gap=args.min_gap)
     schedule = build_schedule(selection.layers, retentions, balances, profile.num_layers)
 
     _note(f"shift profile over {len(traces)} trace(s), tau={args.tau}")
@@ -238,7 +233,7 @@ def cmd_calibrate(args) -> int:
         "command": "calibrate",
         "traces": traces,
         "tau": args.tau,
-        "num_stages": num_stages,
+        "num_stages": len(balances),
         "retentions": retentions,
         "lambdas": balances,
         "min_gap": args.min_gap,
@@ -258,6 +253,10 @@ def cmd_calibrate(args) -> int:
 # select
 
 
+def _diversity_config(args) -> DiversityConfig:
+    return DiversityConfig(args.spatial_metric, args.semantic_metric, args.seed_rule)
+
+
 def cmd_select(args) -> int:
     manifest, tensors = read_trace(args.trace)
     schedule = _load_schedule(args.schedule)
@@ -266,11 +265,7 @@ def cmd_select(args) -> int:
             f"schedule covers {schedule.num_layers} layers, trace says "
             f"{manifest.model_dims.layers}"
         )
-    cfg = DiversityConfig(
-        spatial_metric=args.spatial_metric,
-        semantic_metric=args.semantic_metric,
-        seed_rule=args.seed_rule,
-    )
+    cfg = _diversity_config(args)
     provider = trace_stage_provider(manifest, tensors, [s.layer for s in schedule.stages])
     result = run_schedule(provider, schedule, cfg)
 
@@ -288,9 +283,7 @@ def cmd_select(args) -> int:
         "command": "select",
         "trace": args.trace,
         "schedule": args.schedule,
-        "spatial_metric": cfg.spatial_metric,
-        "semantic_metric": cfg.semantic_metric,
-        "seed_rule": cfg.seed_rule,
+        **asdict(cfg),
     }
     _dump_json(payload, args.out)
     return 0
@@ -317,11 +310,7 @@ def cmd_simulate(args) -> int:
         raise ValidationError(
             f"schedule covers {schedule.num_layers} layers, model has {cfg.num_layers}"
         )
-    dcfg = DiversityConfig(
-        spatial_metric=args.spatial_metric,
-        semantic_metric=args.semantic_metric,
-        seed_rule=args.seed_rule,
-    )
+    dcfg = _diversity_config(args)
 
     # one worker without the BLAS pin, or when a caller (a tracer, say) has
     # replaced ``forward``, which is looked up here and need not be thread-safe
@@ -344,19 +333,9 @@ def cmd_simulate(args) -> int:
     rng = np.random.default_rng([cfg.seed, 1])
     inputs = rng.standard_normal((layout.total(), cfg.d)).astype(np.float32)
 
-    def variant(balance: float | None) -> PruningSchedule:
-        if balance is None:
-            return schedule
-        stages = tuple(
-            type(s)(layer=s.layer, retention=s.retention, balance=balance)
-            for s in schedule.stages
-        )
-        return PruningSchedule(stages=stages, num_layers=schedule.num_layers)
-
-    strategies = {
-        "btp": variant(None),
-        "attention_only": variant(1.0),
-        "diversity_only": variant(0.0),
+    strategies = {"btp": schedule} | {
+        name: replace(schedule, stages=tuple(replace(s, balance=b) for s in schedule.stages))
+        for name, b in (("attention_only", 1.0), ("diversity_only", 0.0))
     }
     # Up to and including the first stage's layer all four forwards compute
     # the same unpruned layers, so a head job runs them once and every
@@ -404,9 +383,7 @@ def cmd_simulate(args) -> int:
         "seed": cfg.seed,
         "value_norm": cfg.value_norm,
         "metric": args.metric,
-        "spatial_metric": dcfg.spatial_metric,
-        "semantic_metric": dcfg.semantic_metric,
-        "seed_rule": dcfg.seed_rule,
+        **asdict(dcfg),
         "out": args.out,
     }
     _note("config: " + json.dumps(config))
@@ -423,11 +400,9 @@ _COST_BYTES_PER_LAYER = 128
 
 def cmd_cost(args) -> int:
     layout = _parse_layout(args.layout)
-    if args.schedule:
+    if args.num_layers is None:
         schedule = _load_schedule(args.schedule)
     else:
-        if not args.num_layers:
-            raise ValidationError("--num-layers is required when no schedule is given")
         schedule = PruningSchedule(stages=(), num_layers=args.num_layers)
     _check_fits_in_memory("cost", schedule.num_layers * _COST_BYTES_PER_LAYER)
     dims = ModelDims(
@@ -480,12 +455,15 @@ def cmd_oracle(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="btp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    diversity = argparse.ArgumentParser(add_help=False)
+    diversity.add_argument("--spatial-metric", choices=SPATIAL_METRICS, default="manhattan")
+    diversity.add_argument("--semantic-metric", choices=SEMANTIC_METRICS,
+                           default="cosine_distance")
+    diversity.add_argument("--seed-rule", choices=SEED_RULES, default="farthest_from_centroid")
 
     cal = sub.add_parser("calibrate", help="build a pruning schedule from traces")
     cal.add_argument("traces", nargs="+", help="trace directories with hidden_l<i> tensors")
     cal.add_argument("--tau", type=float, default=DEFAULT_TAU)
-    cal.add_argument("--num-stages", type=int, default=0,
-                     help="defaults to the number of lambda values")
     cal.add_argument("--retentions", default="0.5",
                      help="comma list; a single value repeats per stage")
     cal.add_argument("--lambdas", default="llava7b",
@@ -496,16 +474,13 @@ def build_parser() -> argparse.ArgumentParser:
     cal.add_argument("--out", default=None, help="schedule JSON path (default stdout)")
     cal.set_defaults(func=cmd_calibrate)
 
-    sel = sub.add_parser("select", help="run a schedule against a trace")
+    sel = sub.add_parser("select", parents=[diversity], help="run a schedule against a trace")
     sel.add_argument("--trace", required=True)
     sel.add_argument("--schedule", required=True)
-    sel.add_argument("--spatial-metric", choices=SPATIAL_METRICS, default="manhattan")
-    sel.add_argument("--semantic-metric", choices=SEMANTIC_METRICS, default="cosine_distance")
-    sel.add_argument("--seed-rule", choices=SEED_RULES, default="farthest_from_centroid")
     sel.add_argument("--out", default=None, help="selection JSON path (default stdout)")
     sel.set_defaults(func=cmd_select)
 
-    sim = sub.add_parser("simulate", help="toy-model strategy comparison")
+    sim = sub.add_parser("simulate", parents=[diversity], help="toy-model strategy comparison")
     sim.add_argument("--schedule", required=True)
     sim.add_argument("--layout", default="2,16,6,4,4",
                      help="n_system,n_image,n_text,grid_rows,grid_cols")
@@ -516,17 +491,15 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--value-norm", choices=VALUE_NORM_MODES, default="raw")
     sim.add_argument("--metric", choices=DISTANCE_METRICS, default="cosine_similarity")
-    sim.add_argument("--spatial-metric", choices=SPATIAL_METRICS, default="manhattan")
-    sim.add_argument("--semantic-metric", choices=SEMANTIC_METRICS, default="cosine_distance")
-    sim.add_argument("--seed-rule", choices=SEED_RULES, default="farthest_from_centroid")
     sim.add_argument("--out", default=None, help="CSV path (default stdout)")
     sim.set_defaults(func=cmd_simulate)
 
     cost = sub.add_parser("cost", help="FLOPs and KV-cache accounting")
     cost.add_argument("--layout", required=True,
                       help="n_system,n_image,n_text,grid_rows,grid_cols")
-    cost.add_argument("--schedule", default=None, help="omit for the unpruned model")
-    cost.add_argument("--num-layers", type=int, default=0)
+    depth = cost.add_mutually_exclusive_group(required=True)
+    depth.add_argument("--schedule", help="depth and stages from a schedule file")
+    depth.add_argument("--num-layers", type=int, help="depth of the unpruned model")
     cost.add_argument("--d", type=int, required=True)
     cost.add_argument("--mlp", type=int, required=True)
     cost.add_argument("--kv-bytes", type=int, default=2)

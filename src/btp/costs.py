@@ -52,49 +52,27 @@ def layer_flops(n: int, dims: ModelDims) -> float:
     return 4.0 * n * d * d + 2.0 * n * n * d + 3.0 * n * d * m
 
 
-def per_layer_image_counts(layout: TokenLayout, schedule: PruningSchedule) -> list[int]:
-    """Surviving image tokens seen by each layer.
+def schedule_flops(layout: TokenLayout, schedule: PruningSchedule, dims: ModelDims) -> CostReport:
+    """FLOPs, decode-time KV cache and image-token occupancy under ``schedule``.
 
     A stage at layer l runs l on the pre-prune count; layers l+1 onward see
-    the reduced count.
+    the reduced count.  The KV cache holds 2 * n * d * bytes per layer.
     """
-    counts = []
-    alive = layout.n_image
-    kept = schedule.kept_counts(layout.n_image)
-    by_layer = {stage.layer: kept[i] for i, stage in enumerate(schedule.stages)}
-    for layer in range(schedule.num_layers):
-        counts.append(alive)
-        if layer in by_layer:
-            alive = by_layer[layer]
-    return counts
-
-
-def schedule_flops(layout: TokenLayout, schedule: PruningSchedule, dims: ModelDims) -> CostReport:
-    """Total forward cost with per-layer sequence lengths under ``schedule``."""
     if dims.num_layers != schedule.num_layers:
         raise ValidationError(
             f"schedule covers {schedule.num_layers} layers, dims say {dims.num_layers}"
         )
-    image_counts = per_layer_image_counts(layout, schedule)
+    kept = dict(zip((s.layer for s in schedule.stages), schedule.kept_counts(layout.n_image)))
+    image_counts = []
+    alive = layout.n_image
+    for layer in range(schedule.num_layers):
+        image_counts.append(alive)
+        alive = kept.get(layer, alive)
     other = layout.n_system + layout.n_text
     totals = [other + c for c in image_counts]
-    flops = sum(layer_flops(n, dims) for n in totals)
     return CostReport(
-        tflops=flops / 1e12,
-        kv_bytes=kv_cache_bytes(layout, schedule, dims),
+        tflops=sum(layer_flops(n, dims) for n in totals) / 1e12,
+        kv_bytes=sum(2 * n * dims.d * dims.kv_bytes_per_elem for n in totals),
         avg_tokens=sum(image_counts) / len(image_counts),
         per_layer_tokens=tuple(totals),
     )
-
-
-def kv_cache_bytes(layout: TokenLayout, schedule: PruningSchedule, dims: ModelDims) -> int:
-    """Decode-time KV cache footprint: sum over layers of 2 * n * d * bytes."""
-    if dims.num_layers != schedule.num_layers:
-        raise ValidationError(
-            f"schedule covers {schedule.num_layers} layers, dims say {dims.num_layers}"
-        )
-    other = layout.n_system + layout.n_text
-    total = 0
-    for image_count in per_layer_image_counts(layout, schedule):
-        total += 2 * (other + image_count) * dims.d * dims.kv_bytes_per_elem
-    return total

@@ -536,6 +536,32 @@ def test_flat_profile_fallback_keeps_min_gap_and_distinct_layers():
     assert got == LayerSelection(layers=(1, 2), fallback=True)
 
 
+def test_padding_that_the_even_picks_block_restarts_earliest_first():
+    # the even picks 8 and 24 leave no layer 10 from both; 1, 11, 21 fits
+    got = select_pruning_layers(_profile([0] * 32), num_stages=3, min_gap=10)
+    assert got == LayerSelection(layers=(1, 11, 21), fallback=True)
+    got = select_pruning_layers(_profile([0] * 32), num_stages=3, min_gap=15)
+    assert got == LayerSelection(layers=(1, 16, 31), fallback=True)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    num_layers=st.integers(1, 40),
+    level=st.integers(0, 3),
+    num_stages=st.integers(1, 8),
+    min_gap=st.integers(1, 20),
+)
+def test_flat_profile_places_stages_whenever_they_fit(num_layers, level, num_stages, min_gap):
+    # S stages min_gap apart fit in layers 1..L-1 iff 1 + (S-1)*gap <= L-1
+    fits = 1 + (num_stages - 1) * min_gap <= num_layers - 1
+    try:
+        got = select_pruning_layers(_profile([level] * num_layers), num_stages, min_gap=min_gap)
+    except ValidationError:
+        assert not fits
+        return
+    assert fits and got.fallback and len(got.layers) == num_stages
+
+
 @settings(deadline=None, max_examples=300)
 @given(
     counts=st.lists(st.integers(0, 3), min_size=1, max_size=12),

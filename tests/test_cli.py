@@ -149,6 +149,53 @@ def test_cost_requires_depth_without_schedule(capsys):
     assert err.startswith("error:") and "--num-layers" in err
 
 
+# SHA-256 of the cost JSON on stdout as the two-pass cost model wrote it:
+# the README's two commands, then a multi-stage schedule over system and
+# text tokens at one byte per cached value
+COST_JSON_SHA256 = {
+    "readme-unpruned":
+        "a611eb59ab316a7dc88660054314a29a392092b354a35b07e00ebc9f1e49c6b2",
+    "readme-schedule":
+        "be23431349ab96898a58d7926ae730c0a891c74a779ac4ab33898d9553aed151",
+    "three-stages":
+        "867383bccb7f3afcbd8422951ae7f46ab2e320eb7d10023d2a1bca2f68bbd723",
+}
+COST_ARGV = {
+    "readme-unpruned": ["--layout", "0,576,0,24,24", "--num-layers", "32",
+                        "--d", "4096", "--mlp", "11008"],
+    "readme-schedule": ["--layout", "0,576,0,24,24", "--schedule", "schedule.json",
+                        "--d", "4096", "--mlp", "11008"],
+    "three-stages": ["--layout", "35,576,40,24,24", "--schedule", "three.json",
+                     "--d", "5120", "--mlp", "13824", "--kv-bytes", "1"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(COST_JSON_SHA256))
+def test_cost_json_is_pinned(tmp_path, capsys, monkeypatch, case):
+    _write_schedule(tmp_path, [(2, 0.5, 0.6), (6, 0.5, 0.8), (12, 0.5, 1.0)], num_layers=32)
+    _write_schedule(tmp_path, [(1, 0.75, 0.2), (9, 0.4, 0.5), (27, 0.3, 1.0)],
+                    num_layers=40, name="three.json")
+    monkeypatch.chdir(tmp_path)  # the payload records the schedule path as given
+    code, out, err = _run(capsys, ["cost", *COST_ARGV[case]])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == COST_JSON_SHA256[case]
+
+
+def test_cost_takes_one_depth_flag(tmp_path, capsys):
+    sched = _write_schedule(tmp_path, [(1, 0.5, 0.5)], num_layers=4)
+    code, out, err = _run(capsys, [
+        "cost", "--layout", "2,8,3,2,4", "--schedule", sched, "--num-layers", "40",
+        "--d", "8", "--mlp", "16",
+    ])
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "--schedule" in err and "--num-layers" in err
+    # an empty --schedule is a path that cannot be read, not a missing flag
+    code, out, err = _run(capsys, [
+        "cost", "--layout", "2,8,3,2,4", "--schedule", "", "--d", "8", "--mlp", "16",
+    ])
+    assert (code, out) == (2, "") and err.startswith("error:")
+
+
 def test_cost_out_file(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code, out, _ = _run(capsys, [
@@ -354,6 +401,9 @@ def test_calibrate_argument_mismatches(tmp_path, capsys):
         "calibrate", trace, "--lambdas", "0.6,0.8,1.0", "--retentions", "0.5,0.6",
     ])
     assert code == 1 and "retentions" in err
+    code, out, err = _run(capsys, ["calibrate", trace, "--retentions", "a,b"])
+    assert (code, out) == (1, "")
+    assert err == "error: expected a comma-separated float list, got 'a,b'\n"
     code, _, err = _run(capsys, [
         "calibrate", trace, "--lambdas", "llava7b", "--num-stages", "2",
     ])
@@ -375,7 +425,8 @@ def test_calibrate_missing_trace_is_io_error(tmp_path, capsys):
     # np.stack used to raise a bare ValueError here
     ({"hidden_l0": (12, 8), "hidden_l1": (12, 9), "hidden_l2": (12, 8)},
      "hidden snapshot 1 has shape (12, 9), snapshot 0 has (12, 8)"),
-], ids=["non-contiguous", "vector", "row-count", "width"])
+    ({"attn_l0": (15,)}, "/t: no hidden_l<i> tensors in trace"),
+], ids=["non-contiguous", "vector", "row-count", "width", "no-hidden"])
 def test_calibrate_rejects_bad_hidden_tensors(tmp_path, capsys, shapes, message):
     rng = np.random.default_rng(3)
     layout = TokenLayout(n_system=1, n_image=12, n_text=2, grid_rows=3, grid_cols=4)
@@ -914,6 +965,13 @@ def test_simulate_computes_no_stage_diagnostics(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(btp.selector, "_stage_diagnostics", unread)
     monkeypatch.setattr(btp.selector, "run_stage", unread)
     test_simulate_csv_is_pinned(tmp_path, capsys, "raw", 7)
+
+
+def test_simulate_rejects_a_non_integer_layout(tmp_path, capsys):
+    sched = _write_schedule(tmp_path, [(1, 0.5, 0.5)], num_layers=4)
+    code, out, err = _run(capsys, ["simulate", "--schedule", sched, "--layout", "1,x,2,4,4"])
+    assert (code, out) == (1, "")
+    assert err == "error: layout fields must be integers, got '1,x,2,4,4'\n"
 
 
 def test_simulate_needs_text_tokens(tmp_path, capsys):

@@ -3,14 +3,7 @@
 import numpy as np
 import pytest
 
-from btp.costs import (
-    CostReport,
-    ModelDims,
-    kv_cache_bytes,
-    layer_flops,
-    per_layer_image_counts,
-    schedule_flops,
-)
+from btp.costs import CostReport, ModelDims, layer_flops, schedule_flops
 from btp.errors import ValidationError
 from btp.trace import PruningSchedule, PruningStage, TokenLayout
 
@@ -53,10 +46,10 @@ def test_stage_boundary_semantics():
     # up from the next layer on
     layout = TokenLayout(n_system=2, n_image=8, n_text=3, grid_rows=2, grid_cols=4)
     sched = PruningSchedule(stages=(PruningStage(1, 0.5, 0.5),), num_layers=4)
-    assert per_layer_image_counts(layout, sched) == [8, 8, 4, 4]
-    report = schedule_flops(layout, sched, ModelDims(num_layers=4, d=8, m=16))
+    report = schedule_flops(layout, sched, ModelDims(num_layers=4, d=8, m=16, kv_bytes_per_elem=3))
     assert report.per_layer_tokens == (13, 13, 9, 9)
     assert report.avg_tokens == 6.0
+    assert report.kv_bytes == sum(2 * n * 8 * 3 for n in (13, 13, 9, 9))
 
 
 def test_multi_stage_counts():
@@ -65,11 +58,9 @@ def test_multi_stage_counts():
         PruningStage(layer=l, retention=r, balance=b)
         for l, r, b in [(7, 0.5, 0.2), (15, 0.5, 0.5), (23, 0.5, 1.0)]
     )
-    counts = per_layer_image_counts(layout, PruningSchedule(stages=stages, num_layers=32))
-    assert counts[:8] == [576] * 8
-    assert counts[8:16] == [288] * 8
-    assert counts[16:24] == [144] * 8
-    assert counts[24:] == [72] * 8
+    report = schedule_flops(layout, PruningSchedule(stages=stages, num_layers=32), DIMS_7B)
+    assert report.per_layer_tokens == (576,) * 8 + (288,) * 8 + (144,) * 8 + (72,) * 8
+    assert report.kv_bytes == 2 * 4096 * 2 * 8 * (576 + 288 + 144 + 72)
 
 
 def test_retention_one_schedule_is_free():
@@ -103,10 +94,8 @@ def test_pruning_never_costs_more():
 
 
 def test_dims_schedule_depth_must_agree():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="schedule covers 16 layers, dims say 32"):
         schedule_flops(IMAGE_ONLY_576, PruningSchedule(stages=(), num_layers=16), DIMS_7B)
-    with pytest.raises(ValidationError):
-        kv_cache_bytes(IMAGE_ONLY_576, PruningSchedule(stages=(), num_layers=16), DIMS_7B)
 
 
 def test_cost_report_json_shape():

@@ -296,6 +296,24 @@ def test_unit_value_norm_mode():
         np.testing.assert_allclose(np.linalg.norm(v, axis=1), 1.0, atol=1e-6)
 
 
+def test_unit_value_norm_rejects_a_zero_value_row():
+    cfg = ToyConfig(num_layers=2, d=16, heads=2, mlp=32, value_norm="unit")
+    weights = _serial_init_weights(cfg)
+    weights = dataclasses.replace(weights, wv=tuple(np.zeros_like(m) for m in weights.wv))
+    with pytest.raises(ValidationError, match="layer 0: zero-norm value row"):
+        forward(_inputs(3, cfg=cfg), LAYOUT, cfg, weights)
+
+
+def test_forward_rejects_non_finite_activations():
+    weights = _serial_init_weights(CFG)
+    # each MLP matrix times 1e30: the down-projection's sums pass float32's max
+    huge = {w: tuple(m * np.float32(1e30) for m in getattr(weights, w)) for w in ("w1", "w2")}
+    with np.errstate(all="ignore"), pytest.raises(
+        ValidationError, match="non-finite activations after layer 0"
+    ):
+        forward(_inputs(3), LAYOUT, CFG, dataclasses.replace(weights, **huge))
+
+
 def test_causal_prefix_is_bitwise_stable():
     """Perturbing the last token cannot touch any earlier row, exactly."""
     x = _inputs(4)

@@ -377,6 +377,18 @@ def test_write_rejects_manifest_blob_mismatch(tmp_path):
         write_trace(tmp_path / "t", manifest, wrong)
 
 
+def test_write_rejects_unknown_dtype_tag(tmp_path):
+    blobs = {"a": TensorBlob.from_array("a", np.zeros(3, dtype=np.float32))}
+    manifest = make_manifest(_small_layout(), _small_dims(), blobs)
+    manifest = TraceManifest(
+        manifest.version, manifest.model_dims, manifest.layout,
+        (TensorSpec("a", (3,), dtype="f64le"),),
+    )
+    with pytest.raises(ValidationError, match="tensor 'a': unknown dtype tag 'f64le'"):
+        write_trace(tmp_path / "t", manifest, blobs)
+    assert not (tmp_path / "t").exists()
+
+
 # payload file names per tensor that make one write clobber another; an
 # empty name stands for the default, "<name>.bin"
 COLLIDING_FILES = {
