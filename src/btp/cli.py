@@ -191,9 +191,13 @@ def cmd_calibrate(args) -> int:
         raise ValidationError(f"--calib-size must be >= 1, got {args.calib_size}")
     if not 0.0 < args.tau < 1.0:
         raise ValidationError(f"--tau must be in (0, 1), got {args.tau}")
+    if args.min_gap < 1:
+        raise ValidationError(f"--min-gap must be >= 1, got {args.min_gap}")
     # argparse takes one trace at least, so at least one is kept
     traces = list(args.traces)[: args.calib_size]
     balances = _parse_lambdas(args.lambdas)
+    if not balances:
+        raise ValidationError(f"--lambdas must list at least one value, got {args.lambdas!r}")
     retentions = _float_list(args.retentions)
     if len(retentions) == 1 and len(balances) > 1:
         retentions = retentions * len(balances)
@@ -201,6 +205,8 @@ def cmd_calibrate(args) -> int:
         raise ValidationError(
             f"{len(retentions)} retentions for {len(balances)} lambda values"
         )
+    # the stage and schedule rules, on stand-in layers, before any trace is read
+    build_schedule(range(1, len(balances) + 1), retentions, balances, len(balances) + 1)
 
     thread_count()  # a bad thread count is named before any trace is read
     # one trace at a time, so that only one is mapped, its rows split over threads

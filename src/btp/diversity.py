@@ -7,10 +7,10 @@ set).  For metrics satisfying the triangle inequality the greedy set's
 minimum distance is at least half the optimum; ``brute_force_maxmin`` is
 the exhaustive reference used to check that bound on small instances.
 
-Manhattan and euclidean distances are computed a block of rows at a time
-(``distance_rows``), so no [N, N, d] difference tensor is ever built: the
-greedy pulls only the row of each point it picks, O(k * N * d) work and
-O(N * d) memory.  Cosine distance is one [N, N] matrix product of float64
+Manhattan and euclidean distances all come from ``distance_rows``, which
+takes the distances from a block of centres to every point at a time, so no
+[N, N, d] difference tensor is ever built: the greedy pulls only the row of
+each point it picks, O(k * N * d) work and O(N * d) memory.  Cosine distance is one [N, N] matrix product of float64
 unit rows, which ``unit_rows`` builds once per candidate set, a
 cache-sized block of rows at a time, straight from the caller's rows.
 """
@@ -30,8 +30,8 @@ SPATIAL_METRICS = ("manhattan", "euclidean")
 SEMANTIC_METRICS = ("cosine_distance", "euclidean")
 SEED_RULES = ("spatial_first_point", "farthest_from_centroid")
 
-# largest [rows, N, d] float64 difference block distance_rows allocates;
-# a single row is computed whole even when it is larger
+# largest [centres, N, d] float64 difference block distance_rows allocates;
+# a single centre's row is computed whole even when it is larger
 BLOCK_BYTES = 32 * 2**20
 # float64 bytes of the block of rows unit_rows normalises at a time, small
 # enough to stay in cache across its passes; a single row is done whole
@@ -128,23 +128,23 @@ def unit_rows(points, index=None) -> np.ndarray:
     return out
 
 
-def distance_rows(points, rows, metric: str) -> np.ndarray:
-    """Manhattan or euclidean distances from ``points[rows]`` to every point.
+def distance_rows(points, centres, metric: str) -> np.ndarray:
+    """Manhattan or euclidean distances from each centre to every point.
 
-    Returns float64 [len(rows), N].  Rows are computed in blocks whose
-    difference temporary stays within ``BLOCK_BYTES``; each distance reduces
-    the same contiguous d-axis as a dense [N, N, d] computation would, so
-    the values are bit-identical to it.
+    ``centres`` is [C, d] or one [d] centre; returns float64 [C, N].
+    Centres are taken in blocks whose [c, N, d] difference stays within
+    ``BLOCK_BYTES``; each distance reduces the same contiguous d-axis as a
+    dense [C, N, d] computation would, so the values are bit-identical to it.
     """
     pts = _as_points(points)
     if metric not in SPATIAL_METRICS:
         raise ValidationError(f"unknown elementwise metric {metric!r}")
-    rows = np.asarray(rows, dtype=np.int64).reshape(-1)
     n, d = pts.shape
-    out = np.empty((rows.size, n))
+    centres = np.atleast_2d(np.asarray(centres, dtype=np.float64))
+    out = np.empty((centres.shape[0], n))
     step = max(1, BLOCK_BYTES // max(1, n * d * 8))
-    for start in range(0, rows.size, step):
-        diff = pts[rows[start:start + step], None, :] - pts[None, :, :]
+    for start in range(0, centres.shape[0], step):
+        diff = centres[start:start + step, None, :] - pts[None, :, :]
         block = out[start:start + step]
         if metric == "manhattan":
             np.abs(diff, out=diff).sum(axis=2, out=block)
@@ -169,7 +169,7 @@ def distance_matrix(points, metric: str) -> np.ndarray:
         return dmat
     pts = _as_points(points)
     if metric in SPATIAL_METRICS:
-        return distance_rows(pts, np.arange(pts.shape[0]), metric)
+        return distance_rows(pts, pts, metric)
     raise ValidationError(f"unknown metric {metric!r}")
 
 
@@ -190,7 +190,7 @@ def pair_distances(points, subset, metric: str) -> np.ndarray:
         return distance_matrix(unit, metric)[np.triu_indices(m, k=1)]
     pts = _float_rows(src, idx)
     return np.concatenate(
-        [distance_rows(pts[i:], [0], metric)[0, 1:] for i in range(m - 1)]
+        [distance_rows(pts[i + 1:], pts[i], metric)[0] for i in range(m - 1)]
     )
 
 
@@ -203,13 +203,6 @@ def min_pairwise_distance(points, subset, metric: str) -> float:
 def sum_of_distances(points, subset, metric: str) -> float:
     """Sum over unordered pairs within ``subset``; 0.0 below two points."""
     return float(pair_distances(points, subset, metric).sum())
-
-
-def _distance_row_source(pts: np.ndarray, metric: str):
-    """Function from a point index to its float64 manhattan or euclidean distance row."""
-    if metric not in SPATIAL_METRICS:
-        raise ValidationError(f"unknown metric {metric!r}")
-    return lambda s: distance_rows(pts, [s], metric)[0]
 
 
 def _greedy_extend(row_of, n: int, k: int, initial: list[int]) -> list[int]:
@@ -265,7 +258,7 @@ def greedy_maxmin(
         row_of = distance_matrix(UnitRows(unit), metric).__getitem__
     else:
         pts = _float_rows(src, rows)
-        row_of = _distance_row_source(pts, metric)
+        row_of = lambda s: distance_rows(pts, pts[s], metric)[0]
 
     if initial is not None and len(initial) > 0:
         seed = [int(i) for i in initial]
@@ -287,11 +280,7 @@ def greedy_maxmin(
                 )
             dist = 1.0 - np.clip(unit @ (centroid / cnorm), -1.0, 1.0)
         else:
-            centroid = pts.mean(axis=0)
-            if metric == "manhattan":
-                dist = np.abs(pts - centroid).sum(axis=1)
-            else:
-                dist = np.linalg.norm(pts - centroid, axis=1)
+            dist = distance_rows(pts, pts.mean(axis=0), metric)[0]
         seed = [int(np.argmax(dist))]
     else:
         raise ValidationError(f"unknown seed rule {seed_rule!r}")
@@ -319,7 +308,8 @@ def spatial_init(grid_rows: int, grid_cols: int, k: int, metric: str = "manhatta
     n = grid_rows * grid_cols
     if not 0 < k <= n:
         raise ValidationError(f"k must be in [1, {n}], got {k}")
-    row_of = _distance_row_source(grid_coordinates(grid_rows, grid_cols), metric)
+    coords = grid_coordinates(grid_rows, grid_cols)
+    row_of = lambda s: distance_rows(coords, coords[s], metric)[0]
     return np.asarray(_greedy_extend(row_of, n, k, [0]), dtype=np.int64)
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -42,14 +42,6 @@ from .trace import (
     layer_tensors,
     stage_kept_count,
 )
-
-# over-selection pool size for the attention quota
-KPrimeRule = Callable[[int, int], int]
-
-
-def default_k_prime(k: int, n: int) -> int:
-    return min(2 * k, n)
-
 
 @dataclass(frozen=True)
 class StageInputs:
@@ -108,7 +100,6 @@ def select_stage(
     inputs: StageInputs,
     stage: PruningStage,
     cfg: DiversityConfig = DiversityConfig(),
-    k_prime_rule: KPrimeRule | None = None,
     final: bool = False,
 ) -> np.ndarray:
     """Run one pruning stage; returns kept original indices, ascending.
@@ -120,8 +111,6 @@ def select_stage(
     states of survivors not already picked, seeded with the spatial grid
     skeleton of ceil(k_div / 4) cells intersected with those survivors.
     """
-    if k_prime_rule is None:
-        k_prime_rule = default_k_prime
     n = inputs.survivors.size
     k = stage_kept_count(stage.retention, n, final=final)
     if k == 0:
@@ -131,8 +120,7 @@ def select_stage(
     k_div = k - k_att
 
     if k_att > 0:
-        k_prime = k_prime_rule(k_att, n)
-        att_local = rebalanced_topk(inputs.scores, k_att, k_prime)
+        att_local = rebalanced_topk(inputs.scores, k_att)
     else:
         att_local = np.empty(0, dtype=np.int64)
 
@@ -194,11 +182,10 @@ def run_stage(
     inputs: StageInputs,
     stage: PruningStage,
     cfg: DiversityConfig = DiversityConfig(),
-    k_prime_rule: KPrimeRule | None = None,
     final: bool = False,
 ) -> StageSelection:
     """``select_stage`` plus the per-stage diagnostics bundle."""
-    kept = select_stage(inputs, stage, cfg, k_prime_rule, final=final)
+    kept = select_stage(inputs, stage, cfg, final=final)
     return StageSelection(
         layer=stage.layer,
         kept_indices=kept,
@@ -283,28 +270,21 @@ class ScheduleDriver:
     Feed it to ``toymodel.forward``: at each scheduled layer it runs
     ``select_stage`` on the live ``StageInputs`` and returns the kept
     indices, keeping everything elsewhere.  Only the schedule's last stage
-    may drop every token.  It records each stage's layer and kept indices
-    but computes no diagnostics and holds no stage inputs; ``run_schedule``
-    gives the selections with their diagnostics.
+    may drop every token.  It stores nothing: the forward's record holds the
+    picks of the stage at layer l as ``image_survivors[l + 1]``, and
+    ``run_schedule`` gives the selections with their diagnostics.
     """
 
     def __init__(self, schedule: PruningSchedule, cfg: DiversityConfig = DiversityConfig()) -> None:
         self.schedule = schedule
         self.cfg = cfg
         self._by_layer = {stage.layer: stage for stage in schedule.stages}
-        self._selections: list[StageSelection] = []
 
     def __call__(self, inputs: StageInputs) -> np.ndarray | None:
         stage = self._by_layer.get(inputs.layer)
         if stage is None:
             return None
-        kept = select_stage(inputs, stage, self.cfg, final=stage is self.schedule.stages[-1])
-        self._selections.append(StageSelection(stage.layer, kept))
-        return kept
-
-    def selection_result(self) -> SelectionResult:
-        """The selections so far, with empty diagnostics."""
-        return SelectionResult(per_stage=tuple(self._selections))
+        return select_stage(inputs, stage, self.cfg, final=stage is self.schedule.stages[-1])
 
 
 def run_schedule(

@@ -44,8 +44,8 @@ from .errors import TraceError, ValidationError
 TRACE_VERSION = "1"
 MANIFEST_NAME = "manifest.json"
 
-# dtype tag -> numpy dtype; version "1" supports f32le only
-_DTYPE_TAGS = {"f32le": np.dtype("<f4")}
+# the manifest tag of the one payload dtype of version "1", numpy's "<f4"
+_DTYPE_TAG = "f32le"
 
 
 def _is_int(value) -> bool:
@@ -423,7 +423,6 @@ class TensorSpec:
 
     name: str
     shape: tuple[int, ...]
-    dtype: str = "f32le"
     file: str = ""
 
     def __post_init__(self) -> None:
@@ -469,7 +468,7 @@ class TraceManifest:
                 {
                     "name": t.name,
                     "shape": list(t.shape),
-                    "dtype": t.dtype,
+                    "dtype": _DTYPE_TAG,
                     "file": t.file,
                 }
                 for t in self.tensors
@@ -488,14 +487,13 @@ def make_manifest(
 
 
 def _spec_from_json(entry) -> TensorSpec:
-    spec = TensorSpec(
-        name=_json_of(str, entry["name"], "tensor name"),
-        shape=tuple(_json_of(list, entry["shape"], "shape")),
-        dtype=_json_of(str, entry["dtype"], "dtype"),
-        file=_json_of(str, entry["file"], "file"),
-    )
-    if spec.dtype not in _DTYPE_TAGS:
-        raise TraceError(f"tensor {spec.name!r}: unknown dtype tag {spec.dtype!r}")
+    # fields are read in manifest order, so the first bad one is the one named
+    name = _json_of(str, entry["name"], "tensor name")
+    shape = tuple(_json_of(list, entry["shape"], "shape"))
+    tag = _json_of(str, entry["dtype"], "dtype")
+    spec = TensorSpec(name=name, shape=shape, file=_json_of(str, entry["file"], "file"))
+    if tag != _DTYPE_TAG:
+        raise TraceError(f"tensor {spec.name!r}: unknown dtype tag {tag!r}")
     # TensorSpec names an empty file after its tensor; a manifest must name it
     if not entry["file"]:
         raise TraceError(f"tensor {spec.name!r}: empty file name")
@@ -564,17 +562,16 @@ def read_trace(path) -> tuple[TraceManifest, dict[str, TensorBlob]]:
 
         tensors: dict[str, TensorBlob] = {}
         for spec in manifest.tensors:
-            dtype = _DTYPE_TAGS[spec.dtype]
             want = math.prod(spec.shape)
             try:
                 with open(spec.file, "rb", opener=opener) as fh:
                     size = os.fstat(fh.fileno()).st_size
-                    if size != want * dtype.itemsize:
+                    if size != want * 4:
                         raise TraceError(
                             f"tensor {spec.name!r}: shape {spec.shape} needs "
-                            f"{want * dtype.itemsize} bytes, file {spec.file!r} holds {size}"
+                            f"{want * 4} bytes, file {spec.file!r} holds {size}"
                         )
-                    data = np.memmap(fh, dtype=dtype, mode="r", shape=(want,))
+                    data = np.memmap(fh, dtype="<f4", mode="r", shape=(want,))
             except (FileNotFoundError, IsADirectoryError) as exc:
                 raise TraceError(
                     f"tensor {spec.name!r}: payload file {root / spec.file} missing"
@@ -609,10 +606,6 @@ def write_trace(path, manifest: TraceManifest, tensors: Mapping[str, TensorBlob]
             f"manifest/tensor mismatch: missing blobs {missing}, unlisted blobs {extra}"
         )
     for spec in manifest.tensors:
-        if spec.dtype not in _DTYPE_TAGS:
-            raise ValidationError(
-                f"tensor {spec.name!r}: unknown dtype tag {spec.dtype!r}"
-            )
         blob = tensors[spec.name]
         if tuple(blob.shape) != tuple(spec.shape):
             raise ValidationError(

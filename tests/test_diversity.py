@@ -91,21 +91,33 @@ def _corpus():
     return rng, sets
 
 
+def _dense_distance_rows(pts, centres, metric):
+    diff = np.asarray(centres)[:, None, :] - pts[None, :, :]
+    if metric == "manhattan":
+        return np.abs(diff).sum(axis=2)
+    return np.sqrt((diff * diff).sum(axis=2))
+
+
 def test_distance_rows_match_dense_reference(monkeypatch):
-    _, sets = _corpus()
-    # a small block cap forces several row blocks per call
+    rng, sets = _corpus()
+    # a small block cap forces several centre blocks per call
     monkeypatch.setattr(diversity, "BLOCK_BYTES", 4096)
     for pts in sets:
+        # two points of the set, its centroid, and a point outside it
+        centres = np.stack([
+            pts[-1], pts[0], pts.mean(axis=0), rng.standard_normal(pts.shape[1]) + 10.0
+        ])
         for metric in ("manhattan", "euclidean"):
             dense = _dense_distance_matrix(pts, metric)
             assert np.array_equal(distance_matrix(pts, metric), dense)
-            rows = [pts.shape[0] - 1, 0]
-            assert np.array_equal(distance_rows(pts, rows, metric), dense[rows])
+            want = _dense_distance_rows(pts, centres, metric)
+            assert np.array_equal(distance_rows(pts, centres, metric), want)
+            assert np.array_equal(distance_rows(pts, centres[2], metric), want[2:3])
         assert np.array_equal(
             distance_matrix(pts, "cosine_distance"), _dense_distance_matrix(pts, "cosine_distance")
         )
     with pytest.raises(ValidationError):
-        distance_rows(np.ones((2, 2)), [0], "cosine_distance")
+        distance_rows(np.ones((2, 2)), np.ones(2), "cosine_distance")
 
 
 def test_greedy_matches_dense_reference():

@@ -4,9 +4,9 @@
 them, and the other harness files import from ``btp``; a refactor that
 renames or removes one of those names breaks the benchmark without
 touching it.  The harness files are parsed, not imported, except for a
-traced ``simulate`` and a traced ``select`` run: the wrappers read
-attributes off the call's arguments, so a changed signature breaks them
-too.  ``perfbench/layers.py`` is imported to turn the traced
+traced ``simulate``, a traced ``select`` and a traced ``calibrate`` run: the
+wrappers read attributes off the call's arguments, so a changed signature
+breaks them too.  ``perfbench/layers.py`` is imported to turn the traced
 ``simulate``'s spans into its toy-model metrics.
 """
 
@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from btp.calibration import synthetic_shift_stack
 from btp.costs import ModelDims
 from btp.trace import ModelShape, TensorBlob, TokenLayout, make_manifest, write_trace
 
@@ -149,3 +150,28 @@ def test_traced_select_reads_distance_matrix_shapes(tmp_path):
         assert calls and all(by_id[s["parent"]]["name"] == "selector.stage" for s in calls), name
     # scoring.used_ratio counts scored layers a stage then runs at
     assert [s["layer"] for s in spans if s["name"] == "scoring.importance"] == [1]
+
+
+def test_traced_calibrate_reads_snapshot_stack_shapes(tmp_path):
+    layers, n_image, d = 6, 16, 8
+    layout = TokenLayout(n_system=0, n_image=n_image, n_text=0, grid_rows=4, grid_cols=4)
+    dims = ModelShape(layers=layers, d=d, heads=1, m=2 * d)
+    traces = []
+    for seed in range(2):
+        stack = synthetic_shift_stack(
+            np.random.default_rng(seed), num_layers=layers, n_image=n_image, d=d,
+            shifted={2: 9},
+        )
+        blobs = {f"hidden_l{i}": TensorBlob.from_array(f"hidden_l{i}", m)
+                 for i, m in enumerate(stack)}
+        traces.append(str(tmp_path / f"trace{seed}"))
+        write_trace(traces[-1], make_manifest(layout, dims, blobs), blobs)
+    spans = _traced_run(tmp_path, [
+        "calibrate", *traces, "--lambdas", "0.6,1.0", "--out", str(tmp_path / "schedule.json"),
+    ])
+    # one profile per trace, each over the [L+1, N, d] snapshot stack
+    profiles = [s for s in spans if s["name"] == "calibration.shift_profile"]
+    assert [s["shape"] for s in profiles] == [[layers + 1, n_image, d]] * len(traces)
+    reads = [s for s in spans if s["name"] == "trace.read"]
+    assert len(reads) == len(traces)
+    assert all(len(s["tensors"]) == layers + 1 for s in reads)

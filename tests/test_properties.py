@@ -1,5 +1,5 @@
-"""Property tests: invariants of the stage selector and the trace manifest
-reader over generated inputs."""
+"""Property tests: invariants of the stage selector, the trace manifest
+reader and ``btp calibrate``'s flag handling over generated inputs."""
 
 import json
 
@@ -9,6 +9,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from btp import cli
+from btp.calibration import synthetic_shift_stack
 from btp.diversity import SEED_RULES, SEMANTIC_METRICS, SPATIAL_METRICS, DiversityConfig
 from btp.errors import TraceError, ValidationError
 from btp.selector import ArrayStageProvider, StageInputs, run_schedule, select_stage
@@ -198,3 +200,128 @@ def test_mutated_manifest_is_rejected_or_read_back_equal(trace_dir, mutated):
         return
     # accepted as written: nothing coerced, defaulted or dropped
     assert manifest.to_json_dict() == mutated
+
+
+# ---------------------------------------------------------------------------
+# calibrate flags
+
+# trace name -> (depth, planted shifts): two peaks, no peak, and a shallower
+# trace that no other can be calibrated with
+CALIB_TRACES = {"peaks": (10, {3: 9, 6: 7}), "flat": (10, {}), "short": (5, {2: 8})}
+
+
+@pytest.fixture(scope="module")
+def calib_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("calibrate")
+    for seed, (name, (depth, planted)) in enumerate(CALIB_TRACES.items()):
+        stack = synthetic_shift_stack(
+            np.random.default_rng(seed), num_layers=depth, n_image=12, d=8, shifted=planted,
+            shift_cos=0.5,
+        )
+        layout = TokenLayout(n_system=0, n_image=12, n_text=0, grid_rows=3, grid_cols=4)
+        blobs = {f"hidden_l{i}": TensorBlob.from_array(f"hidden_l{i}", m)
+                 for i, m in enumerate(stack)}
+        write_trace(root / name, make_manifest(layout, ModelShape(depth, 8, 1, 16), blobs), blobs)
+    return root
+
+
+def _float_text(values):
+    return ",".join(repr(v) for v in values)
+
+
+FLAG_FLOATS = st.floats(-0.5, 1.5) | st.sampled_from([0.0, 1.0, float("nan")])
+
+
+def _balances(lambdas: str) -> list[float]:
+    return list(cli.LAMBDA_PRESETS.get(lambdas, ())) or [float(x) for x in lambdas.split(",") if x]
+
+
+@st.composite
+def calibrate_flags(draw):
+    """Flags in range, except that half the time one is drawn from a wider set."""
+    wild = draw(st.sampled_from([None] * 5 + ["tau", "lambdas", "retentions", "min_gap",
+                                              "calib_size"]))
+
+    def pick(name, in_range, wider):
+        return draw(wider if name == wild else in_range)
+
+    lambdas = pick(
+        "lambdas",
+        st.sampled_from(sorted(cli.LAMBDA_PRESETS))
+        | st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4).map(sorted).map(_float_text),
+        st.sampled_from(["", ","]) | st.lists(FLAG_FLOATS, max_size=4).map(_float_text),
+    )
+    count = max(1, len(_balances(lambdas)))
+    return {
+        "traces": draw(st.lists(st.sampled_from(sorted(CALIB_TRACES)), min_size=1, max_size=3)),
+        # the planted shifts have cosine 0.5, the others 0.999
+        "tau": pick("tau", st.floats(0.51, 0.99), FLAG_FLOATS),
+        "lambdas": lambdas,
+        "retentions": pick(
+            "retentions",
+            st.floats(0.05, 1.0).map(repr)
+            | st.lists(st.floats(0.05, 1.0), min_size=count, max_size=count).map(_float_text),
+            st.lists(FLAG_FLOATS, max_size=4).map(_float_text),
+        ),
+        "min_gap": pick("min_gap", st.integers(1, 4), st.integers(-1, 4)),
+        "calib_size": pick("calib_size", st.integers(1, 3), st.integers(-1, 3)),
+    }
+
+
+def _flags_break_a_rule(tau, balances, retentions, min_gap, calib_size) -> bool:
+    """Whether the flags break a rule the README states for them."""
+    kept = [float(x) for x in retentions.split(",") if x]
+    if len(kept) == 1:
+        kept = kept * len(balances)
+    return (
+        calib_size < 1 or not 0 < tau < 1 or min_gap < 1 or not balances
+        or len(kept) != len(balances)
+        or not all(0 < r <= 1 for r in kept) or not all(0 <= b <= 1 for b in balances)
+        or any(b < a for a, b in zip(balances, balances[1:]))
+    )
+
+
+def _flags(lambdas="0.6,1.0", retentions="0.5", min_gap=1):
+    return {"traces": ["peaks"], "tau": 0.8, "lambdas": lambdas, "retentions": retentions,
+            "min_gap": min_gap, "calib_size": 1}
+
+
+@settings(deadline=None, max_examples=200)
+@given(flags=calibrate_flags())
+# each once profiled every trace before it was refused
+@example(flags=_flags(lambdas=""))
+@example(flags=_flags(lambdas=","))
+@example(flags=_flags(min_gap=0))
+@example(flags=_flags(retentions="1.5"))
+@example(flags=_flags(lambdas="1.0,0.5"))
+def test_calibrate_flags_are_checked_before_any_trace_is_read(calib_dir, flags):
+    out = calib_dir / "schedule.json"
+    out.unlink(missing_ok=True)
+    argv = ["calibrate", *(str(calib_dir / t) for t in flags["traces"]),
+            f"--tau={flags['tau']!r}", f"--lambdas={flags['lambdas']}",
+            f"--retentions={flags['retentions']}", f"--min-gap={flags['min_gap']}",
+            f"--calib-size={flags['calib_size']}", f"--out={out}"]
+    reads = []
+
+    def counting_read(path):
+        reads.append(path)
+        return read_trace(path)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "read_trace", counting_read)
+        code = cli.main(argv)
+    assert code in (0, 1, 2)
+    balances = _balances(flags["lambdas"])
+    if _flags_break_a_rule(flags["tau"], balances, flags["retentions"], flags["min_gap"],
+                           flags["calib_size"]):
+        assert code == 1 and reads == [] and not out.exists()
+        return
+    assert reads
+    if out.exists():
+        schedule = PruningSchedule.from_json_dict(json.loads(out.read_text()))
+        depth = CALIB_TRACES[flags["traces"][0]][0]
+        layers = [s.layer for s in schedule.stages]
+        assert schedule.num_layers == depth
+        assert [s.balance for s in schedule.stages] == balances
+        assert all(1 <= l < depth for l in layers)
+        assert all(b - a >= flags["min_gap"] for a, b in zip(layers, layers[1:]))

@@ -21,7 +21,6 @@ from btp.selector import (
     ArrayStageProvider,
     ScheduleDriver,
     StageInputs,
-    default_k_prime,
     run_schedule,
     run_stage,
     select_stage,
@@ -107,7 +106,7 @@ def test_budget_and_partition():
         assert np.all(np.diff(kept) > 0)
         assert set(kept.tolist()) <= set(inputs.survivors.tolist())
         k_att = min(int(math.floor(0.5 * k + 0.5)), k)
-        att = inputs.survivors[rebalanced_topk(inputs.scores, k_att, default_k_prime(k_att, n))]
+        att = inputs.survivors[rebalanced_topk(inputs.scores, k_att)]
         assert set(att.tolist()) <= set(kept.tolist())
 
 
@@ -117,7 +116,7 @@ def test_balance_one_is_pure_rebalanced_topk():
     kept = select_stage(inputs, stage)
     n = inputs.survivors.size
     k = n // 2
-    expect = np.sort(inputs.survivors[rebalanced_topk(inputs.scores, k, default_k_prime(k, n))])
+    expect = np.sort(inputs.survivors[rebalanced_topk(inputs.scores, k)])
     np.testing.assert_array_equal(kept, expect)
 
 
@@ -164,20 +163,6 @@ def test_selection_invariant_under_score_scaling():
         inputs.layer, inputs.survivors, inputs.scores * 41.0, inputs.hidden, LAYOUT
     )
     np.testing.assert_array_equal(select_stage(scaled, stage), base)
-
-
-def test_full_attention_share_maximizes_kept_mass():
-    # with the pool pinned to k the attention route is a plain top-k, so the
-    # balance=1 stage keeps at least as much score mass as any other split
-    tight = lambda k, n: k
-    for seed in range(20):
-        inputs = _inputs(100 + seed)
-        masses = {}
-        for balance in (0.0, 0.3, 0.6, 1.0):
-            stage = PruningStage(layer=1, retention=0.5, balance=balance)
-            sel = run_stage(inputs, stage, k_prime_rule=tight)
-            masses[balance] = sel.diagnostics["attention_mass"]
-        assert all(masses[1.0] >= m - 1e-12 for m in masses.values())
 
 
 def test_diagnostics_contents():
@@ -362,9 +347,6 @@ def test_driver_skips_unscheduled_layers():
     assert driver(_inputs(16, layer=2)) is None
     kept = driver(_inputs(16, layer=1))
     assert kept is not None and kept.size == 7
-    result = driver.selection_result()
-    assert len(result.per_stage) == 1
-    assert result.per_stage[0].layer == 1
 
 
 def test_driver_matches_run_schedule():
@@ -373,11 +355,9 @@ def test_driver_matches_run_schedule():
     expect = run_schedule(provider, sched)
     driver = ScheduleDriver(sched)
     survivors = np.arange(LAYOUT.n_image)
+    got = []
     for layer in range(8):
         if layer in {1, 3, 5}:
             survivors = driver(provider.stage_inputs(layer, survivors))
-    got = driver.selection_result().per_stage
-    assert [(s.layer, s.kept_indices) for s in got] == [
-        (s.layer, s.kept_indices) for s in expect.per_stage
-    ]
-    assert [s.diagnostics for s in got] == [{}] * 3
+            got.append((layer, tuple(survivors.tolist())))
+    assert got == [(s.layer, s.kept_indices) for s in expect.per_stage]

