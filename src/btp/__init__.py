@@ -42,7 +42,6 @@ from .oracles import (
 )
 from .scoring import importance_last_token, rebalanced_topk
 from .selector import (
-    ArrayStageProvider,
     ScheduleDriver,
     StageInputs,
     run_schedule,

@@ -13,6 +13,7 @@ to stdout, which then carries nothing else; tables and the resolved
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -272,8 +273,8 @@ def cmd_select(args) -> int:
             f"{manifest.model_dims.layers}"
         )
     cfg = _diversity_config(args)
-    provider = trace_stage_provider(manifest, tensors, [s.layer for s in schedule.stages])
-    result = run_schedule(provider, schedule, cfg)
+    scores, hidden = trace_stage_provider(manifest, tensors, [s.layer for s in schedule.stages])
+    result = run_schedule(manifest.layout, scores, hidden, schedule, cfg)
 
     _note("layer  kept  attn_mass  min_dist   sum_dist")
     for stage in result.per_stage:
@@ -437,18 +438,20 @@ def cmd_cost(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    if args.kind == "mmdp":
-        report = mmdp_suite(
-            instances=args.instances or 50,
-            seed=args.seed,
-            max_n=args.max_n,
-            max_k=args.max_k,
-            guard=args.guard,
-        )
-    elif args.kind == "single_layer":
-        report = single_layer_suite(instances=args.instances or 20, seed=args.seed)
-    else:
-        report = roundtrip_suite(instances=args.instances or 100, seed=args.seed)
+    suite = {"mmdp": mmdp_suite, "single_layer": single_layer_suite,
+             "roundtrip": roundtrip_suite}[args.kind]
+    # a size flag left out, or --instances 0, leaves the suite's own default
+    sizes = {name: getattr(args, name) for name in ("max_n", "max_k", "guard")
+             if getattr(args, name) is not None}
+    if args.instances:
+        sizes["instances"] = args.instances
+    takes = inspect.signature(suite).parameters
+    for name in sizes:
+        if name not in takes:
+            raise ValidationError(
+                f"--{name.replace('_', '-')} does not apply to the {args.kind} suite"
+            )
+    report = suite(seed=args.seed, **sizes)
     for line in report.lines():
         print(line)
     return 0 if report.ok else 3
@@ -516,9 +519,8 @@ def build_parser() -> argparse.ArgumentParser:
     orc.add_argument("kind", choices=("mmdp", "single_layer", "roundtrip"))
     orc.add_argument("--instances", type=int, default=0, help="0 = suite default")
     orc.add_argument("--seed", type=int, default=2024)
-    orc.add_argument("--max-n", type=int, default=12)
-    orc.add_argument("--max-k", type=int, default=5)
-    orc.add_argument("--guard", type=int, default=1_000_000)
+    for flag in ("--max-n", "--max-k", "--guard"):
+        orc.add_argument(flag, type=int, help="suite default when not given")
     orc.set_defaults(func=cmd_oracle)
     return parser
 

@@ -5,10 +5,10 @@ attention share goes to positionally rebalanced top-k over importance
 scores, the rest to greedy max-min dispersion over the remaining
 survivors' hidden states, seeded from a spatial grid skeleton.  Both
 halves operate only on tokens that survived every earlier stage, so the
-per-stage survivor sets are nested by construction.  A stage provider holds
-one float64 score vector and one hidden matrix per stage layer;
-``trace_stage_provider`` builds one from a trace, scoring the attention
-rows of the schedule's layers when it is built.
+per-stage survivor sets are nested by construction.  ``run_schedule`` reads
+one score vector and one hidden matrix per stage layer from two plain
+mappings; ``trace_stage_provider`` builds them from a trace, scoring the
+attention rows of the schedule's layers before the first stage runs.
 """
 
 from __future__ import annotations
@@ -193,59 +193,20 @@ def run_stage(
     )
 
 
-class ArrayStageProvider:
-    """Stage inputs backed by per-layer score vectors and hidden matrices.
-
-    ``scores_by_layer[l]`` is the full image-segment score vector at layer
-    l and ``hidden_by_layer[l]`` the [n_image, d] hidden states; stage
-    inputs are produced by slicing rows for the current survivors.
-    """
-
-    def __init__(
-        self,
-        layout: TokenLayout,
-        scores_by_layer: Mapping[int, np.ndarray],
-        hidden_by_layer: Mapping[int, np.ndarray],
-    ) -> None:
-        self.layout = layout
-        self._scores = {int(l): np.asarray(v, dtype=np.float64) for l, v in scores_by_layer.items()}
-        self._hidden = {int(l): np.asarray(v) for l, v in hidden_by_layer.items()}
-        for l, vec in self._scores.items():
-            if vec.shape != (layout.n_image,):
-                raise ValidationError(
-                    f"layer {l}: score vector shape {vec.shape} != ({layout.n_image},)"
-                )
-        for l, mat in self._hidden.items():
-            if mat.ndim != 2 or mat.shape[0] != layout.n_image:
-                raise ValidationError(
-                    f"layer {l}: hidden shape {mat.shape} != ({layout.n_image}, d)"
-                )
-
-    def stage_inputs(self, layer: int, survivors: np.ndarray) -> StageInputs:
-        if layer not in self._scores or layer not in self._hidden:
-            raise ValidationError(f"no stage data recorded for scheduled layer {layer}")
-        survivors = np.asarray(survivors, dtype=np.int64)
-        return StageInputs(
-            layer=layer,
-            survivors=survivors,
-            scores=self._scores[layer][survivors],
-            hidden=self._hidden[layer][survivors],
-            layout=self.layout,
-        )
-
-
 def trace_stage_provider(
     manifest: TraceManifest, tensors: Mapping[str, TensorBlob], layers: Iterable[int]
-) -> ArrayStageProvider:
-    """Build a provider from trace tensors named ``attn_l{i}``/``hidden_l{i}``.
+) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
+    """Per-layer scores and hidden rows from trace tensors ``attn_l{i}``/``hidden_l{i}``.
 
     ``attn_l{i}`` is the last prompt position's attention row at layer i
     ([seq] or [heads, seq]); ``hidden_l{i}`` holds that layer's input
     hidden states for the image segment ([n_image, d], or [seq, d] from
     which the image rows are sliced).  Names and shapes of every layer are
     checked; attention rows are read and scored only at ``layers``, the
-    layers a schedule runs a stage at.  Hidden payloads stay unread until
-    a stage slices its survivors' rows.
+    layers a schedule runs a stage at.  Returns the float64 [n_image] score
+    vectors of those layers and uncopied [n_image, d] image-row views of
+    every hidden payload, which stay unread until a stage gathers its
+    survivors' rows: the mappings ``run_schedule`` takes.
     """
     layout = manifest.layout
     attn = layer_tensors(tensors, "attn_l")
@@ -261,7 +222,7 @@ def trace_stage_provider(
         for layer in layers
         if layer in attn
     }
-    return ArrayStageProvider(layout, scores, hidden)
+    return scores, hidden
 
 
 class ScheduleDriver:
@@ -288,22 +249,41 @@ class ScheduleDriver:
 
 
 def run_schedule(
-    provider, schedule: PruningSchedule, cfg: DiversityConfig = DiversityConfig()
+    layout: TokenLayout,
+    scores_by_layer: Mapping[int, np.ndarray],
+    hidden_by_layer: Mapping[int, np.ndarray],
+    schedule: PruningSchedule,
+    cfg: DiversityConfig = DiversityConfig(),
 ) -> SelectionResult:
-    """Run every stage of ``schedule`` against a stage-input provider.
+    """Run every stage of ``schedule`` on per-layer scores and hidden states.
 
-    ``provider`` exposes ``layout`` and ``stage_inputs(layer, survivors)``;
-    see ``ArrayStageProvider``.  Scores and hidden states are re-read at
-    each stage layer, restricted to the tokens still alive.  Each stage
-    runs through ``run_stage``, diagnostics included, and its inputs are
-    dropped before the next stage's are built.
+    ``scores_by_layer[l]`` is the image-segment score vector ([n_image]) at
+    layer l and ``hidden_by_layer[l]`` its image hidden rows ([n_image, d]);
+    only the schedule's layers are read and checked.  Each stage runs
+    through ``run_stage``, diagnostics included, on the rows of the tokens
+    still alive; those inputs are built in the call, so they are dropped
+    before the next stage's are gathered.
     """
-    survivors = np.arange(provider.layout.n_image, dtype=np.int64)
+    survivors = np.arange(layout.n_image, dtype=np.int64)
     per_stage = []
     for stage in schedule.stages:
+        layer = stage.layer
+        if layer not in scores_by_layer or layer not in hidden_by_layer:
+            raise ValidationError(f"no stage data recorded for scheduled layer {layer}")
+        scores = np.asarray(scores_by_layer[layer])
+        hidden = np.asarray(hidden_by_layer[layer])
+        if scores.shape != (layout.n_image,):
+            raise ValidationError(
+                f"layer {layer}: score vector shape {scores.shape} != ({layout.n_image},)"
+            )
+        if hidden.ndim != 2 or hidden.shape[0] != layout.n_image:
+            raise ValidationError(
+                f"layer {layer}: hidden shape {hidden.shape} != ({layout.n_image}, d)"
+            )
+        # through the module global, which perfbench/traced_cli.py wraps
         selection = run_stage(
-            provider.stage_inputs(stage.layer, survivors), stage, cfg,
-            final=stage is schedule.stages[-1],
+            StageInputs(layer, survivors, scores[survivors], hidden[survivors], layout),
+            stage, cfg, final=stage is schedule.stages[-1],
         )
         per_stage.append(selection)
         survivors = np.array(selection.kept_indices, dtype=np.int64)

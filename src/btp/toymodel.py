@@ -290,9 +290,10 @@ def forward(
 
     ``prune_hook`` is called after every layer with a ``StageInputs`` view
     (survivor indices, their scores from this layer's last-row attention,
-    and this layer's input hidden states); it returns the image indices to
-    keep, or None to keep everything.  Rows pruned at layer l are gone
-    before layer l+1: later layers never see their keys or values.
+    and this layer's input hidden states, a read-only view of its rows); it
+    returns the image indices to keep, or None to keep everything.  Rows
+    pruned at layer l are gone before layer l+1: later layers never see
+    their keys or values.
 
     ``prefix`` is the record of an unpruned forward of the same inputs
     through the first layers of this model, computed with the same
@@ -337,15 +338,11 @@ def forward(
         attn_rows.append(last_row)
 
         if prune_hook is not None and alive.size > 0:
-            image_mask = layout.image_mask(positions)
-            view = StageInputs(
-                layer=layer,
-                survivors=alive,
-                scores=last_row[image_mask],
-                hidden=x[image_mask],
-                layout=layout,
-            )
-            kept = prune_hook(view)
+            # pruning keeps row order, so the alive image rows are contiguous
+            image = slice(layout.n_system, layout.n_system + alive.size)
+            image_rows = x[image]
+            image_rows.flags.writeable = False  # the record keeps x
+            kept = prune_hook(StageInputs(layer, alive, last_row[image], image_rows, layout))
             if kept is not None:
                 kept = np.asarray(kept, dtype=np.int64).reshape(-1)
                 if np.unique(kept).size != kept.size:
@@ -356,10 +353,10 @@ def forward(
                         f"prune hook returned non-survivor indices at layer {layer}"
                     )
                 if kept.size < alive.size:
-                    keep_mask = np.ones(x_next.shape[0], dtype=bool)
-                    keep_mask[image_mask] = np.isin(alive, kept)
-                    x_next = x_next[keep_mask]
-                    positions = positions[keep_mask]
+                    rows = np.r_[:image.start, image.start + np.searchsorted(alive, kept),
+                                 image.stop:x_next.shape[0]]
+                    x_next = x_next[rows]
+                    positions = positions[rows]
                     reused = 0  # the prefix holds the unpruned rows only
                 alive = kept
 

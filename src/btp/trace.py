@@ -180,11 +180,6 @@ class TokenLayout:
     def image_slice(self) -> slice:
         return slice(self.n_system, self.n_system + self.n_image)
 
-    def image_mask(self, positions) -> np.ndarray:
-        """Which of the sequence ``positions`` fall in the image segment."""
-        positions = np.asarray(positions)
-        return (positions >= self.n_system) & (positions < self.n_system + self.n_image)
-
     def image_rows(self, mat: np.ndarray, name: str) -> np.ndarray:
         """View of the image rows of tensor ``name``.
 

@@ -31,7 +31,6 @@ from btp.oracles import (
 )
 from btp.scoring import rebalanced_topk
 from btp.selector import (
-    ArrayStageProvider,
     ScheduleDriver,
     StageInputs,
     run_schedule,
@@ -232,9 +231,8 @@ def test_criterion_6_nesting_and_determinism():
         rng = np.random.default_rng([6000, seed])
         scores = {l: rng.random(layout.n_image) + 1e-3 for l in (1, 3, 5)}
         hidden = {l: rng.standard_normal((layout.n_image, 10)) for l in (1, 3, 5)}
-        provider = ArrayStageProvider(layout, scores, hidden)
-        first = run_schedule(provider, schedule)
-        second = run_schedule(provider, schedule)
+        first = run_schedule(layout, scores, hidden, schedule)
+        second = run_schedule(layout, scores, hidden, schedule)
         sets = [set(s.kept_indices) for s in first.per_stage]
         assert sets[2] < sets[1] < sets[0] < set(range(layout.n_image))
         assert json.dumps(first.to_json_dict()) == json.dumps(second.to_json_dict())

@@ -1318,6 +1318,7 @@ def test_oracle_guard_refusal(capsys):
 @pytest.mark.parametrize("kind,flags,message", [
     ("mmdp", ["--max-n", "5"], "max_n must be >= 6, got 5"),
     ("mmdp", ["--max-k", "1"], "max_k must be >= 2, got 1"),
+    ("single_layer", ["--max-n", "3"], "max_n must be >= 4, got 3"),
     ("mmdp", ["--instances", "-5"], "instances must be >= 0, got -5"),
     ("single_layer", ["--instances", "-5"], "instances must be >= 0, got -5"),
     ("roundtrip", ["--instances", "-5"], "instances must be >= 0, got -5"),
@@ -1325,12 +1326,24 @@ def test_oracle_guard_refusal(capsys):
     ("mmdp", ["--seed", "-1"], "seed must be >= 0, got -1"),
     ("single_layer", ["--seed", "-1"], "seed must be >= 0, got -1"),
     ("roundtrip", ["--seed", "-1"], "seed must be >= 0, got -1"),
-], ids=["mmdp-max-n", "mmdp-max-k", "mmdp-instances", "single_layer-instances",
-        "roundtrip-instances", "mmdp-seed", "single_layer-seed", "roundtrip-seed"])
+], ids=["mmdp-max-n", "mmdp-max-k", "single_layer-max-n", "mmdp-instances",
+        "single_layer-instances", "roundtrip-instances", "mmdp-seed", "single_layer-seed",
+        "roundtrip-seed"])
 def test_oracle_rejects_out_of_range_sizes(capsys, kind, flags, message):
     code, out, err = _run(capsys, ["oracle", kind, *flags])
     assert code == 1 and out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("kind,flag", [
+    ("single_layer", "--max-k"), ("single_layer", "--guard"),
+    ("roundtrip", "--max-n"), ("roundtrip", "--max-k"), ("roundtrip", "--guard"),
+])
+def test_oracle_refuses_a_flag_its_suite_does_not_take(capsys, kind, flag):
+    # these flags were once accepted and silently ignored
+    code, out, err = _run(capsys, ["oracle", kind, flag, "8"])
+    assert code == 1 and out == ""
+    assert err == f"error: {flag} does not apply to the {kind} suite\n"
 
 
 def test_oracle_unknown_kind(capsys):

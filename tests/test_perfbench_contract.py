@@ -150,6 +150,13 @@ def test_traced_select_reads_distance_matrix_shapes(tmp_path):
         assert calls and all(by_id[s["parent"]]["name"] == "selector.stage" for s in calls), name
     # scoring.used_ratio counts scored layers a stage then runs at
     assert [s["layer"] for s in spans if s["name"] == "scoring.importance"] == [1]
+    # cmd_select calls both names through btp.cli, where the harness wraps them,
+    # and every stage runs inside run_schedule
+    provider, schedule = ([s for s in spans if s["name"] == name]
+                          for name in ("selector.provider", "selector.run_schedule"))
+    assert len(provider) == len(schedule) == 1
+    stages = [s for s in spans if s["name"] == "selector.stage"]
+    assert stages and all(s["parent"] == schedule[0]["id"] for s in stages)
 
 
 def test_traced_calibrate_reads_snapshot_stack_shapes(tmp_path):

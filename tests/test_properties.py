@@ -1,5 +1,6 @@
 """Property tests: invariants of the stage selector, the trace manifest
-reader and ``btp calibrate``'s flag handling over generated inputs."""
+reader, ``btp calibrate``'s flag handling, and ``btp select`` and
+``btp cost`` over generated inputs."""
 
 import json
 
@@ -13,7 +14,7 @@ from btp import cli
 from btp.calibration import synthetic_shift_stack
 from btp.diversity import SEED_RULES, SEMANTIC_METRICS, SPATIAL_METRICS, DiversityConfig
 from btp.errors import TraceError, ValidationError
-from btp.selector import ArrayStageProvider, StageInputs, run_schedule, select_stage
+from btp.selector import StageInputs, run_schedule, select_stage
 from btp.trace import (
     MANIFEST_NAME,
     ModelShape,
@@ -52,8 +53,8 @@ def _hidden(draw, n, d):
     return hidden
 
 
-def _stages(draw, count):
-    layers = sorted(draw(st.sets(st.integers(0, 7), min_size=count, max_size=count)))
+def _stages(draw, count, depth=8):
+    layers = sorted(draw(st.sets(st.integers(0, depth - 1), min_size=count, max_size=count)))
     balances = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=count, max_size=count)))
     retentions = draw(st.lists(
         st.floats(0.0, 1.0, exclude_min=True), min_size=count, max_size=count
@@ -106,17 +107,16 @@ def schedule_cases(draw):
     scores = {s.layer: draw(arrays(np.float64, layout.n_image, elements=SCORE_VALUES))
               for s in stages}
     hidden = {s.layer: _hidden(draw, layout.n_image, d) for s in stages}
-    provider = ArrayStageProvider(layout, scores, hidden)
-    return provider, PruningSchedule(stages=stages, num_layers=8)
+    return layout, scores, hidden, PruningSchedule(stages=stages, num_layers=8)
 
 
 @PROPERTY_SETTINGS
 @given(case=schedule_cases(), cfg=CONFIGS)
 def test_run_schedule_stages_are_nested(case, cfg):
-    provider, schedule = case
-    result = _select(run_schedule, provider, schedule, cfg)
-    alive = set(range(provider.layout.n_image))
-    for selection, want in zip(result.per_stage, schedule.kept_counts(provider.layout.n_image),
+    layout, scores, hidden, schedule = case
+    result = _select(run_schedule, layout, scores, hidden, schedule, cfg)
+    alive = set(range(layout.n_image))
+    for selection, want in zip(result.per_stage, schedule.kept_counts(layout.n_image),
                                strict=True):
         kept = list(selection.kept_indices)
         assert kept == sorted(set(kept)) and len(kept) == want
@@ -325,3 +325,152 @@ def test_calibrate_flags_are_checked_before_any_trace_is_read(calib_dir, flags):
         assert [s.balance for s in schedule.stages] == balances
         assert all(1 <= l < depth for l in layers)
         assert all(b - a >= flags["min_gap"] for a, b in zip(layers, layers[1:]))
+
+
+# ---------------------------------------------------------------------------
+# select and cost
+
+
+@pytest.fixture(scope="module")
+def cli_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli")
+
+
+def _run_cli(argv):
+    code = cli.main([str(a) for a in argv])
+    assert code in (0, 1, 2)
+    return code
+
+
+def _attention_row(draw, size):
+    row = draw(arrays(np.float32, size, elements=st.floats(0.0, 1.0, width=32)))
+    row[-1] += not row.any()  # no softmax gives an all-zero row
+    return row
+
+
+@st.composite
+def select_cases(draw):
+    """A small trace, a schedule for its depth and the diversity flags.
+
+    Half the time one fault is planted: a stored attention row one entry
+    short, a stage layer's tensors left out, or a schedule for another depth.
+    """
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    layout = TokenLayout(draw(st.integers(0, 2)), rows * cols, draw(st.integers(0, 2)),
+                         rows, cols)
+    depth, d = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    schedule = PruningSchedule(_stages(draw, draw(st.integers(0, min(3, depth))), depth), depth)
+    stored = sorted({s.layer for s in schedule.stages} | draw(st.sets(st.integers(0, depth - 1))))
+    tensors = {}
+    for layer in stored:
+        tensors[f"attn_l{layer}"] = _attention_row(draw, layout.total())
+        tensors[f"hidden_l{layer}"] = _hidden(
+            draw, layout.total() if draw(st.booleans()) else layout.n_image, d)
+    fault = draw(st.sampled_from([None] * 3 + ["short_row", "missing_layer", "depth"]))
+    if fault == "short_row" and stored and layout.total() > 1:
+        name = f"attn_l{draw(st.sampled_from(stored))}"
+        tensors[name] = tensors[name][:-1]
+    elif fault == "missing_layer" and schedule.stages:
+        layer = draw(st.sampled_from(schedule.stages)).layer
+        for prefix in draw(st.sampled_from([("attn_l",), ("hidden_l",), ("attn_l", "hidden_l")])):
+            del tensors[f"{prefix}{layer}"]
+    elif fault == "depth":
+        schedule = PruningSchedule(schedule.stages, depth + 1)
+    else:
+        fault = None
+    return {"layout": layout, "shape": ModelShape(depth, d, 1, 2 * d), "schedule": schedule,
+            "tensors": tensors, "cfg": draw(CONFIGS), "fault": fault}
+
+
+def _select_example(fault):
+    layout = TokenLayout(n_system=1, n_image=4, n_text=1, grid_rows=2, grid_cols=2)
+    rng = np.random.default_rng(0)
+    tensors = {"attn_l1": np.full(layout.total() - (fault == "short_row"), 1 / 6),
+               "hidden_l1": rng.standard_normal((4, 3))}
+    stages = (PruningStage(1, 0.5, 0.5), PruningStage(2, 0.5, 1.0))
+    return {"layout": layout, "shape": ModelShape(3, 3, 1, 6),
+            "schedule": PruningSchedule(stages[: 1 + (fault == "missing_layer")], 3),
+            "tensors": tensors, "cfg": DiversityConfig(), "fault": fault}
+
+
+@PROPERTY_SETTINGS
+@given(case=select_cases())
+@example(case=_select_example("short_row"))
+@example(case=_select_example("missing_layer"))
+def test_select_exits_cleanly_with_nested_repeatable_stages(cli_dir, case):
+    blobs = {name: TensorBlob.from_array(name, a) for name, a in case["tensors"].items()}
+    write_trace(cli_dir / "trace", make_manifest(case["layout"], case["shape"], blobs), blobs)
+    schedule = case["schedule"]
+    (cli_dir / "schedule.json").write_text(json.dumps(schedule.to_json_dict()))
+    cfg = case["cfg"]
+    outs = [cli_dir / "first.json", cli_dir / "second.json"]
+    for out in outs:
+        out.unlink(missing_ok=True)
+
+    def select(out):
+        return _run_cli(["select", "--trace", cli_dir / "trace",
+                         "--schedule", cli_dir / "schedule.json", "--out", out,
+                         "--spatial-metric", cfg.spatial_metric,
+                         "--semantic-metric", cfg.semantic_metric, "--seed-rule", cfg.seed_rule])
+
+    code = select(outs[0])
+    if case["fault"] is not None:
+        assert code == 1
+    if code != 0:
+        assert not outs[0].exists()
+        return
+    stages = json.loads(outs[0].read_text())["stages"]
+    assert [s["layer"] for s in stages] == [s.layer for s in schedule.stages]
+    n_image = case["layout"].n_image
+    assert [len(s["kept_indices"]) for s in stages] == schedule.kept_counts(n_image)
+    alive = set(range(n_image))
+    for stage in stages:
+        kept = stage["kept_indices"]
+        assert kept == sorted(set(kept)) and set(kept) <= alive
+        alive = set(kept)
+    assert select(outs[1]) == 0
+    assert outs[1].read_bytes() == outs[0].read_bytes()
+
+
+@st.composite
+def cost_flags(draw):
+    """``btp cost`` flags in range, except that half the time one is drawn wider.
+
+    Returns the argv, the depth, the schedule JSON (None for
+    ``--num-layers``) and whether every flag is in range.
+    """
+    wild = draw(st.sampled_from([None] * 5 + ["layout", "d", "mlp", "kv_bytes", "depth"]))
+
+    def pick(name, in_range, wider):
+        return draw(wider if name == wild else in_range)
+
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    layout = pick("layout", st.just([draw(st.integers(0, 2)), rows * cols,
+                                     draw(st.integers(0, 2)), rows, cols]),
+                  st.lists(st.integers(-1, 4), min_size=4, max_size=6))
+    argv = ["cost", "--layout", ",".join(map(str, layout))]
+    for name in ("d", "mlp", "kv_bytes"):
+        argv += [f"--{name.replace('_', '-')}", pick(name, st.integers(1, 64), st.integers(-1, 64))]
+    depth = pick("depth", st.integers(1, 12), st.integers(-1, 12))
+    if draw(st.booleans()):
+        return argv + ["--num-layers", depth], depth, None, wild is None
+    stages = _stages(draw, draw(st.integers(0, min(3, max(depth, 1)))), max(depth, 1))
+    schedule = {"num_layers": depth, "stages": [
+        {"layer": s.layer, "retention": s.retention, "balance": s.balance} for s in stages]}
+    return argv, depth, schedule, wild is None
+
+
+@PROPERTY_SETTINGS
+@given(case=cost_flags())
+def test_cost_exits_cleanly_with_one_entry_per_layer(cli_dir, case):
+    argv, depth, schedule, in_range = case
+    if schedule is not None:
+        (cli_dir / "cost_schedule.json").write_text(json.dumps(schedule))
+        argv = argv + ["--schedule", cli_dir / "cost_schedule.json"]
+    out = cli_dir / "cost.json"
+    out.unlink(missing_ok=True)
+    code = _run_cli([*argv, "--out", out])
+    if in_range:
+        assert code == 0
+    if code == 0:
+        assert len(json.loads(out.read_text())["per_layer_tokens"]) == depth

@@ -1,4 +1,4 @@
-"""Staged selection: quota split, nesting, providers, and the model hook."""
+"""Staged selection: quota split, nesting, per-layer stage data, and the model hook."""
 
 import json
 import math
@@ -8,6 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
+import btp.selector
 from btp.diversity import (
     DiversityConfig,
     greedy_maxmin,
@@ -18,7 +19,6 @@ from btp.diversity import (
 from btp.errors import ValidationError
 from btp.scoring import rebalanced_topk
 from btp.selector import (
-    ArrayStageProvider,
     ScheduleDriver,
     StageInputs,
     run_schedule,
@@ -188,14 +188,15 @@ def test_diagnostics_contents():
 
 
 # ---------------------------------------------------------------------------
-# schedules over providers
+# schedules over per-layer arrays
 
 
-def _provider(seed, layers=(1, 3, 5)):
+def _arrays(seed, layers=(1, 3, 5)):
+    """Per-layer score vectors and hidden matrices for ``run_schedule``."""
     rng = np.random.default_rng(seed)
     scores = {l: rng.random(LAYOUT.n_image) + 1e-3 for l in layers}
     hidden = {l: rng.standard_normal((LAYOUT.n_image, 6)) for l in layers}
-    return ArrayStageProvider(LAYOUT, scores, hidden)
+    return scores, hidden
 
 
 def _schedule():
@@ -210,7 +211,7 @@ def _schedule():
 
 
 def test_run_schedule_produces_nested_stages():
-    result = run_schedule(_provider(9), _schedule())
+    result = run_schedule(LAYOUT, *_arrays(9), _schedule())
     sets = [set(s.kept_indices) for s in result.per_stage]
     assert len(sets) == 3
     assert [len(s) for s in sets] == [7, 3, 1]
@@ -218,8 +219,8 @@ def test_run_schedule_produces_nested_stages():
 
 
 def test_run_schedule_deterministic():
-    a = run_schedule(_provider(10), _schedule())
-    b = run_schedule(_provider(10), _schedule())
+    a = run_schedule(LAYOUT, *_arrays(10), _schedule())
+    b = run_schedule(LAYOUT, *_arrays(10), _schedule())
     assert a == b
     assert json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict())
 
@@ -229,20 +230,34 @@ def test_run_schedule_drop_all_final_stage():
         stages=(PruningStage(1, 0.5, 0.5), PruningStage(3, 0.05, 1.0)),
         num_layers=8,
     )
-    result = run_schedule(_provider(11), sched)
+    result = run_schedule(LAYOUT, *_arrays(11), sched)
     assert result.per_stage[-1].kept_indices == ()
     assert len(result.per_stage[0].kept_indices) == 6
 
 
-def test_provider_validation():
+def test_run_schedule_validates_each_stage_layer():
     rng = np.random.default_rng(12)
-    with pytest.raises(ValidationError):
-        ArrayStageProvider(LAYOUT, {1: rng.random(5)}, {1: rng.standard_normal((12, 4))})
-    with pytest.raises(ValidationError):
-        ArrayStageProvider(LAYOUT, {1: rng.random(12)}, {1: rng.standard_normal((5, 4))})
-    provider = _provider(13, layers=(1,))
-    with pytest.raises(ValidationError, match="layer 2"):
-        provider.stage_inputs(2, np.arange(12))
+    one_stage = PruningSchedule((PruningStage(1, 0.5, 0.5),), num_layers=8)
+    good_scores, good_hidden = rng.random(12), rng.standard_normal((12, 4))
+    # too short would index past the end, too long would be read in part
+    for n in (5, 20):
+        with pytest.raises(ValidationError, match=re.escape(f"layer 1: score vector shape ({n},)")):
+            run_schedule(LAYOUT, {1: rng.random(n)}, {1: good_hidden}, one_stage)
+    for bad in (rng.standard_normal((5, 4)), rng.standard_normal((20, 4)), rng.random(12)):
+        with pytest.raises(ValidationError, match=re.escape(f"layer 1: hidden shape {bad.shape}")):
+            run_schedule(LAYOUT, {1: good_scores}, {1: bad}, one_stage)
+    scores, hidden = _arrays(13, layers=(1,))
+    more_scores, more_hidden = _arrays(14, layers=(1, 2))
+    two_stages = PruningSchedule((PruningStage(1, 0.5, 0.5), PruningStage(2, 0.5, 0.5)), 8)
+    # layer 2 missing from both mappings, from the scores only, from the hidden only
+    for data in ((scores, hidden), (scores, more_hidden), (more_scores, hidden)):
+        with pytest.raises(ValidationError, match="no stage data recorded for scheduled layer 2"):
+            run_schedule(LAYOUT, *data, two_stages)
+    # only the schedule's layers are read
+    wrong = {7: rng.random(3)}
+    assert run_schedule(LAYOUT, scores | wrong, hidden | wrong, one_stage) == run_schedule(
+        LAYOUT, scores, hidden, one_stage
+    )
 
 
 def test_trace_provider_parses_tensor_names():
@@ -258,12 +273,12 @@ def test_trace_provider_parses_tensor_names():
         "hidden_l3": TensorBlob.from_array("hidden_l3", image_hidden),
     }
     manifest = make_manifest(LAYOUT, ModelShape(layers=8, d=5, heads=1, m=10), blobs)
-    provider = trace_stage_provider(manifest, blobs, [1, 3])
-    inputs = provider.stage_inputs(1, np.arange(12))
-    np.testing.assert_allclose(inputs.scores, row[LAYOUT.image_slice])
-    np.testing.assert_allclose(inputs.hidden, full_hidden[LAYOUT.image_slice])
-    inputs3 = provider.stage_inputs(3, np.arange(12))
-    np.testing.assert_allclose(inputs3.hidden, image_hidden)
+    scores, hidden = trace_stage_provider(manifest, blobs, [1, 3])
+    assert sorted(scores) == sorted(hidden) == [1, 3]
+    assert scores[1].dtype == np.float64
+    np.testing.assert_allclose(scores[1], row[LAYOUT.image_slice])
+    np.testing.assert_allclose(hidden[1], full_hidden[LAYOUT.image_slice])
+    np.testing.assert_allclose(hidden[3], image_hidden)
 
 
 def test_trace_provider_rejects_bad_tensors():
@@ -300,7 +315,7 @@ def test_trace_provider_checks_shapes_now_and_values_when_used():
     with pytest.raises(ValidationError, match=re.escape("got (1, 1, 17)")):
         trace_stage_provider(make_manifest(LAYOUT, dims, cube), cube, [1])
     # a negative entry is a value: found when a scheduled layer is scored,
-    # which is when the provider is built; an unscheduled layer is never read
+    # which is before any stage runs; an unscheduled layer is never read
     blobs = {
         "attn_l1": TensorBlob.from_array("attn_l1", row),
         "hidden_l1": TensorBlob.from_array("hidden_l1", hidden),
@@ -310,34 +325,42 @@ def test_trace_provider_checks_shapes_now_and_values_when_used():
     manifest = make_manifest(LAYOUT, dims, blobs)
     with pytest.raises(ValidationError, match="negative entries"):
         trace_stage_provider(manifest, blobs, [1, 5])
-    provider = trace_stage_provider(manifest, blobs, [1])
-    assert provider.stage_inputs(1, np.arange(12)).scores.size == 12
+    scores, hidden = trace_stage_provider(manifest, blobs, [1])
+    assert list(scores) == [1] and scores[1].size == 12
+    sched = PruningSchedule((PruningStage(1, 0.5, 0.5), PruningStage(5, 0.5, 0.5)), 8)
     with pytest.raises(ValidationError, match="no stage data recorded for scheduled layer 5"):
-        provider.stage_inputs(5, np.arange(12))
+        run_schedule(LAYOUT, scores, hidden, sched)
 
 
 # ---------------------------------------------------------------------------
 # driver hook
 
 
-def test_run_schedule_releases_each_stage_inputs():
+def test_run_schedule_releases_each_stage_inputs(monkeypatch):
     # each stage's inputs hold their own copy of the survivors' hidden rows
-    # (a trace provider slices them from the payload on request): run_schedule
-    # must drop one stage's inputs before it asks for the next stage's, or it
-    # would hold every stage's rows at once
-    provider = _provider(17)
+    # (gathered from a trace's payload at that stage): run_schedule must drop
+    # one stage's inputs before it gathers the next stage's, or it would hold
+    # every stage's rows at once
+    scores, hidden = _arrays(17)
+    expect = run_schedule(LAYOUT, scores, hidden, _schedule())
     handed_out = []
 
-    class Watching:
-        layout = provider.layout
+    def all_released():
+        return [ref() for ref in handed_out] == [None] * len(handed_out)
 
-        def stage_inputs(self, layer, survivors):
-            assert [ref() for ref in handed_out] == [None] * len(handed_out)
-            inputs = provider.stage_inputs(layer, survivors)
-            handed_out.append(weakref.ref(inputs))
-            return inputs
+    def watching_run_stage(inputs, *args, **kwargs):
+        assert all_released()
+        handed_out.append(weakref.ref(inputs))
+        return run_stage(inputs, *args, **kwargs)
 
-    assert run_schedule(Watching(), _schedule()) == run_schedule(provider, _schedule())
+    class Watching(dict):
+        # a stage layer's rows are read before they are gathered
+        def __getitem__(self, layer):
+            assert all_released()
+            return super().__getitem__(layer)
+
+    monkeypatch.setattr(btp.selector, "run_stage", watching_run_stage)
+    assert run_schedule(LAYOUT, Watching(scores), Watching(hidden), _schedule()) == expect
     assert len(handed_out) == 3
 
 
@@ -350,14 +373,16 @@ def test_driver_skips_unscheduled_layers():
 
 
 def test_driver_matches_run_schedule():
-    provider = _provider(17)
+    scores, hidden = _arrays(17)
     sched = _schedule()
-    expect = run_schedule(provider, sched)
+    expect = run_schedule(LAYOUT, scores, hidden, sched)
     driver = ScheduleDriver(sched)
     survivors = np.arange(LAYOUT.n_image)
     got = []
     for layer in range(8):
         if layer in {1, 3, 5}:
-            survivors = driver(provider.stage_inputs(layer, survivors))
+            survivors = driver(StageInputs(
+                layer, survivors, scores[layer][survivors], hidden[layer][survivors], LAYOUT
+            ))
             got.append((layer, tuple(survivors.tolist())))
     assert got == [(s.layer, s.kept_indices) for s in expect.per_stage]

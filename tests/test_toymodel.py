@@ -41,9 +41,11 @@ def _inputs(seed, layout=LAYOUT, cfg=CFG):
 
 def _image_rows(rec, layer):
     """Layer ``layer``'s last-row attention and value rows over its image tokens."""
-    image_mask = rec.layout.image_mask(rec.positions[layer])
+    # pruning keeps row order, so the alive image rows are contiguous
+    start = rec.layout.n_system
+    image = slice(start, start + rec.image_survivors[layer].size)
     values = value_rows(rec.hidden[layer], layer, rec.config, init_weights(rec.config))
-    return rec.attn_last[layer][image_mask], values[image_mask]
+    return rec.attn_last[layer][image], values[image]
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +344,7 @@ def test_hook_sees_current_survivors_and_layer_state():
     seen = []
 
     def hook(view):
-        seen.append((view.layer, view.survivors.copy(), view.scores.copy()))
+        seen.append((view.layer, view.survivors.copy(), view.scores.copy(), view.hidden))
         return view.survivors[: max(1, view.survivors.size - 2)]
 
     rec = forward(x, LAYOUT, CFG, prune_hook=hook)
@@ -351,6 +353,11 @@ def test_hook_sees_current_survivors_and_layer_state():
     # scores are the image slice of that layer's recorded last attention row
     image_mask = (rec.positions[1] >= 2) & (rec.positions[1] < 10)
     np.testing.assert_array_equal(seen[1][2], rec.attn_last[1][image_mask])
+    # hidden states are the recorded rows themselves, which a hook cannot write
+    np.testing.assert_array_equal(seen[1][3], rec.hidden[1][image_mask])
+    assert np.shares_memory(seen[1][3], rec.hidden[1])
+    with pytest.raises(ValueError, match="read-only"):
+        seen[1][3][0] = 0.0
 
 
 def test_pruned_rows_are_physically_gone():

@@ -80,9 +80,6 @@ def test_layout_accessors():
     np.testing.assert_array_equal(coords[0], [0.0, 0.0])
     np.testing.assert_array_equal(coords[4], [1.0, 1.0])
     np.testing.assert_array_equal(coords[5], [1.0, 2.0])
-    np.testing.assert_array_equal(
-        lay.image_mask([0, 1, 2, 7, 8, 10]), [False, False, True, True, False, False]
-    )
     full = np.arange(11 * 4, dtype=np.float32).reshape(11, 4)
     rows = lay.image_rows(full, "h")
     np.testing.assert_array_equal(rows, full[2:8])
