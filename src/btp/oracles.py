@@ -9,6 +9,7 @@ from the command line.
 
 from __future__ import annotations
 
+import inspect
 import math
 import tempfile
 from dataclasses import dataclass, field
@@ -193,6 +194,10 @@ def single_layer_suite(instances: int = 20, seed: int = 7, max_n: int = 10) -> S
     _check_at_least("instances", instances, 0)
     _check_at_least("seed", seed, 0)
     _check_at_least("max_n", max_n, 4)
+    # the largest instance that single_layer_optimality_check takes
+    cap = inspect.signature(single_layer_optimality_check).parameters["max_image_tokens"].default
+    if max_n > cap:
+        raise ValidationError(f"max_n must be <= {cap}, got {max_n}")
     report = SuiteReport("single_layer")
     all_ok = True
     detail = ""

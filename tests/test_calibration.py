@@ -1,8 +1,6 @@
 """Shift profiling, pruning-layer selection, and the synthetic stack builder."""
 
-import concurrent.futures
 import re
-import sys
 import tracemalloc
 
 import numpy as np
@@ -35,13 +33,6 @@ from btp.trace import (
 
 def _profile(counts):
     return ShiftProfile(tuple(int(c) for c in counts))
-
-
-def _profile_on(workers, stack, **kwargs):
-    """``shift_profile`` with ``BTP_THREADS`` set to ``workers``."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setenv("BTP_THREADS", str(workers))
-        return shift_profile(stack, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +112,7 @@ def _dense_shift_counts(stack, tau):
     return np.count_nonzero(_dense_cosines(stack) < tau, axis=1)
 
 
-def _assert_counts_match_dense(given, stack, workers=1):
+def _assert_counts_match_dense(given, stack):
     """Counts at tau 0.93 and at taus equal to computed cosines, where a
     single rounding difference flips a token."""
     cos = _dense_cosines(stack)
@@ -130,7 +121,7 @@ def _assert_counts_match_dense(given, stack, workers=1):
     assert len(taus) > 1
     for tau in taus:
         np.testing.assert_array_equal(
-            _profile_on(workers, given, tau=tau).counts,
+            shift_profile(given, tau=tau).counts,
             _dense_shift_counts(stack, tau),
         )
 
@@ -152,87 +143,6 @@ def test_shift_profile_matches_dense_reference():
             _assert_counts_match_dense(given, stack)
         if stack.size < 10**5:
             _assert_counts_match_dense([snap.tolist() for snap in stack], stack)
-
-
-@pytest.mark.parametrize("workers", [1, 2, 3, 5])
-def test_shift_profile_does_not_depend_on_workers(workers):
-    # the stacks hold n = 1 (fewer rows than workers), 300 rows of width
-    # 257 (blocks of 127 rows, the last one short) and 64 rows of width
-    # 4096 (8 blocks of 8 rows)
-    for stack in _random_stacks():
-        _assert_counts_match_dense(stack, stack, workers=workers)
-
-
-@pytest.mark.parametrize("zeros", [
-    [(2, 3)],             # first worker's range only
-    [(1, 63)],            # last worker's range only
-    [(3, 5), (2, 60)],    # both: the earlier snapshot is named
-    [(2, 7), (2, 56)],    # both, one snapshot: the earlier token is named
-])
-def test_shift_profile_zero_norm_error_does_not_depend_on_workers(zeros):
-    stack = np.random.default_rng(45).standard_normal((5, 64, 4096), dtype=np.float32)
-    for snap, tok in zeros:
-        stack[snap, tok] = 0.0
-    with pytest.raises(ValidationError) as serial:
-        _profile_on(1, stack)
-    for workers in (2, 3, 5):
-        with pytest.raises(ValidationError) as split:
-            _profile_on(workers, stack)
-        assert str(split.value) == str(serial.value)
-
-
-class InlinePool:
-    """Stands in for ``ThreadPoolExecutor``: appends ``max_workers`` to
-    ``created`` and runs each job when it is submitted, so no thread starts
-    and no initializer runs."""
-
-    def __init__(self, max_workers, created, **initializer):
-        created.append(max_workers)
-
-    def shutdown(self, wait=True, cancel_futures=False):
-        pass
-
-    def submit(self, fn, *args, **kwargs):
-        job = concurrent.futures.Future()
-        try:
-            job.set_result(fn(*args, **kwargs))
-        except Exception as exc:
-            job.set_exception(exc)
-        return job
-
-
-def test_shift_profile_starts_no_more_threads_than_row_blocks(monkeypatch):
-    created = []  # max_workers of each pool
-    monkeypatch.setattr(
-        concurrent.futures, "ThreadPoolExecutor",
-        lambda max_workers, **initializer: InlinePool(max_workers, created, **initializer),
-    )
-    stack = list(_random_stacks())[4]  # 64 rows of width 4096: 8 blocks
-    serial = _profile_on(1, stack)
-    assert created == []
-    assert _profile_on(100000, stack) == serial
-    assert _profile_on(3, stack) == serial
-    assert created == [8, 3]
-    _profile_on(100000, list(_random_stacks())[0])  # one row, one block
-    assert created == [8, 3]
-    with pytest.raises(ValidationError, match="BTP_THREADS must be >= 1, got 0"):
-        _profile_on(0, stack)
-
-
-def test_shift_profile_workers_switching_every_microsecond():
-    # more threads than cores, each writing its own rows of the shared
-    # sums: a row written by two threads or by none changes the counts
-    stack = np.cumsum(
-        np.random.default_rng(46).standard_normal((9, 200, 1024), dtype=np.float32), axis=0
-    )
-    serial = _profile_on(1, stack)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(5):
-            assert _profile_on(7, stack) == serial
-    finally:
-        sys.setswitchinterval(interval)
 
 
 def test_shift_profile_reads_memory_mapped_trace_views(tmp_path):
@@ -288,29 +198,34 @@ def test_shift_profile_memory_is_below_one_snapshot():
     assert peak < snapshot_bytes, f"peak {peak / 2**20:.1f} MiB"
 
 
+# 64 rows of width 4096 make 4 blocks of 16 rows: tokens 1, 3, 5 and 7 share
+# the first block, tokens 56, 60 and 63 the last.  Each case is the bad cells
+# and the message that names the first of them.
 @pytest.mark.parametrize("bad", [
-    [(2, 3, np.nan)],                       # first worker's range only
-    [(1, 63, np.inf)],                      # last worker's range only
-    [(3, 5, -np.inf), (2, 60, np.nan)],     # both: the earlier snapshot is named
-    [(2, 7, np.nan), (2, 56, np.inf)],      # both, one snapshot: the earlier token
-    [(2, 40, np.nan), (3, 1, 0.0)],         # a zero row after a non-finite one
-    [(1, 40, 0.0), (3, 1, np.nan)],         # a non-finite row after a zero one
+    ([(2, 3, np.nan)], "non-finite hidden state at snapshot 2, image token 3"),
+    ([(1, 63, np.inf)], "non-finite hidden state at snapshot 1, image token 63"),
+    # the earlier snapshot is named, though its token is in a later block
+    ([(3, 5, -np.inf), (2, 60, np.nan)], "non-finite hidden state at snapshot 2, image token 60"),
+    ([(2, 7, np.nan), (2, 56, np.inf)], "non-finite hidden state at snapshot 2, image token 7"),
+    ([(2, 40, np.nan), (3, 1, 0.0)], "non-finite hidden state at snapshot 2, image token 40"),
+    ([(1, 40, 0.0), (3, 1, np.nan)], "zero-norm hidden state at snapshot 1, image token 40"),
+    ([(2, 3, 0.0)], "zero-norm hidden state at snapshot 2, image token 3"),
+    ([(1, 63, 0.0)], "zero-norm hidden state at snapshot 1, image token 63"),
+    ([(3, 5, 0.0), (2, 60, 0.0)], "zero-norm hidden state at snapshot 2, image token 60"),
+    ([(2, 7, 0.0), (2, 56, 0.0)], "zero-norm hidden state at snapshot 2, image token 7"),
 ])
 def test_shift_profile_names_the_first_bad_hidden_state(bad):
+    cells, message = bad
     stack = np.random.default_rng(48).standard_normal((5, 64, 4096), dtype=np.float32)
-    for snap, tok, value in bad:
+    for snap, tok, value in cells:
         if value == 0.0:
             stack[snap, tok] = 0.0
         else:
             stack[snap, tok, 11] = value
-    snap, tok, value = min(bad, key=lambda b: b[:2])
-    what = "zero-norm" if value == 0.0 else "non-finite"
-    message = f"{what} hidden state at snapshot {snap}, image token {tok}"
     for hidden in (stack, stack.astype(np.float64)):
-        for workers in (1, 2, 3, 5):
-            with pytest.raises(ValidationError) as info:
-                _profile_on(workers, hidden)
-            assert str(info.value) == message
+        with pytest.raises(ValidationError) as info:
+            shift_profile(hidden)
+        assert str(info.value) == message
 
 
 def _recording_exact_sums(monkeypatch):
@@ -326,31 +241,30 @@ def _recording_exact_sums(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("workers", [1, 3])
-def test_shift_profile_refines_only_the_rows_near_tau(monkeypatch, workers):
+def test_shift_profile_refines_only_the_rows_near_tau(monkeypatch):
     calls = _recording_exact_sums(monkeypatch)
     rng = np.random.default_rng(49)
     far = synthetic_shift_stack(rng, num_layers=6, n_image=64, d=4096, shifted={2: 30},
                                 stable_cos=0.999, shift_cos=0.5)
-    assert _profile_on(workers, far).counts == (0, 0, 30, 0, 0, 0)
+    assert shift_profile(far).counts == (0, 0, 30, 0, 0, 0)
     assert calls == []
 
     # 1e-7 from tau, far inside the float32 bound of 5e-4 at d = 4096
     near = synthetic_shift_stack(rng, num_layers=6, n_image=64, d=4096, shifted={4: 64},
                                  stable_cos=0.93 + 1e-7, shift_cos=0.93 - 1e-7)
-    rows = [3, 8, 9, 10, 17, 40, 63]  # in the first, second, third, sixth and last block
+    rows = [3, 8, 9, 10, 17, 40, 63]  # in each of the four blocks
     mixed = far.copy()
     mixed[:, rows] = near[:, rows]
     want = shift_profile(mixed.astype(np.float64)).counts
     calls.clear()
-    assert _profile_on(workers, mixed).counts == want
+    assert shift_profile(mixed).counts == want
     assert sorted(sum(calls, [])) == rows
 
 
 def test_shift_profile_sends_other_dtypes_through_the_exact_sums(monkeypatch):
     calls = _recording_exact_sums(monkeypatch)
-    stack = list(_random_stacks())[4]  # 64 rows of width 4096: 8 blocks
-    _profile_on(2, stack.astype(np.float64))
+    stack = list(_random_stacks())[4]  # 64 rows of width 4096: 4 blocks
+    shift_profile(stack.astype(np.float64))
     assert sorted(sum(calls, [])) == list(range(64))
 
 
@@ -410,9 +324,9 @@ def filter_cases(draw):
     return stack, tau
 
 
-def _outcome(stack, tau, workers=1):
+def _outcome(stack, tau):
     try:
-        return _profile_on(workers, stack, tau=tau).counts
+        return shift_profile(stack, tau=tau).counts
     except ValidationError as exc:
         return str(exc)
 
@@ -422,11 +336,10 @@ def _outcome(stack, tau, workers=1):
 def test_float32_filter_gives_the_float64_outcome(case):
     stack, tau = case
     want = _outcome(stack.astype(np.float64), tau)  # every row through the float64 sums
-    # blocks of 3 rows, so that 24 rows give up to 8 blocks over 3 workers
+    # blocks of 3 rows, so that 24 rows give up to 8 blocks
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(btp.calibration, "_BLOCK_BYTES", 24 * stack.shape[2])
-        for workers in (1, 2, 3):
-            assert _outcome(stack, tau, workers) == want
+        assert _outcome(stack, tau) == want
 
 
 def test_synthetic_stack_plants_exact_counts():

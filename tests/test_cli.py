@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import btp.calibration
 import btp.cli
 import btp.threads
 import btp.toymodel
@@ -290,55 +289,25 @@ def test_calibrate_rejects_more_stages_than_a_flat_profile_can_hold(tmp_path, ca
     assert err == "error: could not place 2 layers with min_gap=2 in 3 layers\n"
 
 
-def test_calibrate_thread_env(tmp_path, capsys, monkeypatch):
-    traces = [
-        _write_calib_trace(tmp_path, f"p{i}", seed=10 + i, planted={5: 8})
-        for i in range(3)
-    ]
-    serial_out = tmp_path / "serial.json"
-    monkeypatch.delenv("BTP_THREADS", raising=False)
-    code, _, serial_table = _run(capsys, ["calibrate", *traces, "--out", str(serial_out)])
-    assert code == 0 and "pruning layers:" in serial_table
+def test_calibrate_starts_no_thread(tmp_path, capsys, monkeypatch):
+    # 48 image rows of width 4096 make 3 row blocks; the walk over them is
+    # one thread's, whatever BTP_THREADS says
+    trace = _write_calib_trace(tmp_path, "t", seed=3, planted={5: 8}, n_image=48, d=4096)
+    monkeypatch.setenv("BTP_THREADS", "4")
+    outs = [tmp_path / "unpatched.json", tmp_path / "patched.json"]
+    assert _run(capsys, ["calibrate", trace, "--out", str(outs[0])])[0] == 0
 
-    threaded_out = tmp_path / "threaded.json"
-    monkeypatch.setenv("BTP_THREADS", "3")
-    code, _, threaded_table = _run(capsys, ["calibrate", *traces, "--out", str(threaded_out)])
-    assert code == 0
-    assert threaded_table == serial_table
-    assert threaded_out.read_bytes() == serial_out.read_bytes()
+    def refuse(thread):
+        raise RuntimeError(f"calibrate started thread {thread.name}")
 
-
-def test_calibrate_thread_count_defaults_to_usable_cpus(tmp_path, capsys, monkeypatch):
-    traces = [
-        _write_calib_trace(tmp_path, f"p{i}", seed=10 + i, planted={5: 8})
-        for i in range(2)
-    ]
-    sizes = []  # the worker count of each pool
-    pool = btp.calibration.pinned_pool
-
-    def recording(workers):
-        sizes.append(workers)
-        return pool(workers)
-
-    monkeypatch.setattr(btp.calibration, "pinned_pool", recording)
-    # blocks of 2 rows, so that each trace's 12 image rows make 6 blocks
-    monkeypatch.setattr(btp.calibration, "_BLOCK_BYTES", 2 * 8 * 8)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    monkeypatch.delenv("BTP_THREADS", raising=False)
-    code, default_out, default_table = _run(capsys, ["calibrate", *traces])
-    assert code == 0 and sizes == [3, 3]
-    # a huge count is capped at the number of row blocks; one thread starts
-    # no pool
-    for env, workers in (("2", [2, 2]), ("100000", [6, 6]), ("1", [])):
-        sizes.clear()
-        monkeypatch.setenv("BTP_THREADS", env)
-        assert _run(capsys, ["calibrate", *traces]) == (0, default_out, default_table)
-        assert sizes == workers
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert _run(capsys, ["calibrate", trace, "--out", str(outs[1])])[0] == 0
+    assert outs[1].read_bytes() == outs[0].read_bytes()
 
 
 def test_calibrate_maps_one_trace_at_a_time(tmp_path):
-    # two traces of 40 MB each, profiled on two threads: the high-water RSS
-    # grows by one trace's pages, not both
+    # two traces of 40 MB each: the high-water RSS grows by one trace's
+    # pages, not both
     if not Path("/proc/self/status").exists():
         pytest.skip("no /proc/self/status")
     n_image, d, num_layers = 576, 1024, 16
@@ -369,7 +338,7 @@ def test_calibrate_maps_one_trace_at_a_time(tmp_path):
         "print(code, before, status('VmHWM'))\n"
     )
     src = str(Path(btp.cli.__file__).resolve().parents[1])
-    env = dict(os.environ, BTP_THREADS="2", PYTHONDONTWRITEBYTECODE="1")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     argv = ["calibrate", *traces, "--lambdas", "1.0", "--out", str(tmp_path / "s.json")]
     proc = subprocess.run([sys.executable, "-c", launcher, *argv], env=env,
@@ -381,18 +350,6 @@ def test_calibrate_maps_one_trace_at_a_time(tmp_path):
         f"high-water RSS grew by {(peak - before) / 2**20:.1f} MiB, "
         f"one trace is {payload / 2**20:.1f} MiB"
     )
-
-
-def test_calibrate_rejects_bad_thread_env(tmp_path, capsys, monkeypatch):
-    trace = _write_calib_trace(tmp_path, "t", seed=1, planted={5: 8})
-    monkeypatch.setenv("BTP_THREADS", "many")
-    code, _, err = _run(capsys, ["calibrate", trace])
-    assert code == 1 and "BTP_THREADS" in err
-    monkeypatch.setenv("BTP_THREADS", "0")
-    code, _, err = _run(capsys, ["calibrate", trace])
-    assert code == 1 and "BTP_THREADS" in err
-    # named as it is, not as a fault of the first trace
-    assert err == "error: BTP_THREADS must be >= 1, got 0\n"
 
 
 def test_calibrate_argument_mismatches(tmp_path, capsys):
@@ -469,19 +426,15 @@ def test_calibrate_json_is_pinned(tmp_path, capsys, monkeypatch):
         shifted={3: 20, 7: 10}, stable_cos=0.93 + 1e-7, shift_cos=0.93 - 1e-7,
     ))
     monkeypatch.chdir(tmp_path)  # the payload records the paths as given
-    for threads in ("1", "3"):
-        monkeypatch.setenv("BTP_THREADS", threads)
-        code, _, _ = _run(capsys, [
-            "calibrate", "a", "b", "c", "--lambdas", "0.6,1.0", "--out", "schedule.json",
-        ])
-        assert code == 0
-        digest = hashlib.sha256((tmp_path / "schedule.json").read_bytes()).hexdigest()
-        assert digest == CALIBRATE_JSON_SHA256
+    code, _, _ = _run(capsys, [
+        "calibrate", "a", "b", "c", "--lambdas", "0.6,1.0", "--out", "schedule.json",
+    ])
+    assert code == 0
+    digest = hashlib.sha256((tmp_path / "schedule.json").read_bytes()).hexdigest()
+    assert digest == CALIBRATE_JSON_SHA256
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_calibrate_names_the_trace_of_a_bad_hidden_state(tmp_path, capsys, monkeypatch, threads):
-    monkeypatch.setenv("BTP_THREADS", threads)
+def test_calibrate_names_the_trace_of_a_bad_hidden_state(tmp_path, capsys):
     good = _write_calib_trace(tmp_path, "good", seed=5, planted={5: 8})
     stack = synthetic_shift_stack(
         np.random.default_rng(6), num_layers=12, n_image=40, d=2048, shifted={5: 8},
@@ -1319,6 +1272,8 @@ def test_oracle_guard_refusal(capsys):
     ("mmdp", ["--max-n", "5"], "max_n must be >= 6, got 5"),
     ("mmdp", ["--max-k", "1"], "max_k must be >= 2, got 1"),
     ("single_layer", ["--max-n", "3"], "max_n must be >= 4, got 3"),
+    # past the exhaustive check's cap: refused before any instance runs
+    ("single_layer", ["--max-n", "13"], "max_n must be <= 12, got 13"),
     ("mmdp", ["--instances", "-5"], "instances must be >= 0, got -5"),
     ("single_layer", ["--instances", "-5"], "instances must be >= 0, got -5"),
     ("roundtrip", ["--instances", "-5"], "instances must be >= 0, got -5"),
@@ -1326,9 +1281,9 @@ def test_oracle_guard_refusal(capsys):
     ("mmdp", ["--seed", "-1"], "seed must be >= 0, got -1"),
     ("single_layer", ["--seed", "-1"], "seed must be >= 0, got -1"),
     ("roundtrip", ["--seed", "-1"], "seed must be >= 0, got -1"),
-], ids=["mmdp-max-n", "mmdp-max-k", "single_layer-max-n", "mmdp-instances",
-        "single_layer-instances", "roundtrip-instances", "mmdp-seed", "single_layer-seed",
-        "roundtrip-seed"])
+], ids=["mmdp-max-n", "mmdp-max-k", "single_layer-max-n", "single_layer-max-n-cap",
+        "mmdp-instances", "single_layer-instances", "roundtrip-instances", "mmdp-seed",
+        "single_layer-seed", "roundtrip-seed"])
 def test_oracle_rejects_out_of_range_sizes(capsys, kind, flags, message):
     code, out, err = _run(capsys, ["oracle", kind, *flags])
     assert code == 1 and out == ""

@@ -1,8 +1,9 @@
 """Property tests: invariants of the stage selector, the trace manifest
-reader, ``btp calibrate``'s flag handling, and ``btp select`` and
-``btp cost`` over generated inputs."""
+reader, ``btp calibrate``'s flag handling, and ``btp select``, ``btp cost``
+and ``btp simulate`` over generated inputs."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from btp.calibration import synthetic_shift_stack
 from btp.diversity import SEED_RULES, SEMANTIC_METRICS, SPATIAL_METRICS, DiversityConfig
 from btp.errors import TraceError, ValidationError
 from btp.selector import StageInputs, run_schedule, select_stage
+from btp.toymodel import DISTANCE_METRICS, VALUE_NORM_MODES
 from btp.trace import (
     MANIFEST_NAME,
     ModelShape,
@@ -474,3 +476,54 @@ def test_cost_exits_cleanly_with_one_entry_per_layer(cli_dir, case):
         assert code == 0
     if code == 0:
         assert len(json.loads(out.read_text())["per_layer_tokens"]) == depth
+
+
+@st.composite
+def simulate_flags(draw):
+    """``btp simulate`` flags for a toy model of d <= 16, up to 6 layers and
+    up to 16 image tokens.  d is a multiple of the head count, so d = 1,
+    which is refused, comes only with one head; a layout without text
+    tokens or a schedule for another depth is drawn now and then.  Returns
+    the argv, the depth and the schedule JSON."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    n_text = draw(st.sampled_from([1, 2, 3] * 3 + [0]))
+    layout = [draw(st.integers(0, 2)), rows * cols, n_text, rows, cols]
+    depth, heads = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    argv = ["simulate", "--layout", ",".join(map(str, layout)), "--layers", depth,
+            "--d", heads * draw(st.integers(1, 16 // heads)), "--heads", heads,
+            "--mlp", draw(st.integers(1, 16)), "--seed", draw(st.integers(0, 3)),
+            "--value-norm", draw(st.sampled_from(VALUE_NORM_MODES)),
+            "--metric", draw(st.sampled_from(DISTANCE_METRICS)),
+            "--spatial-metric", draw(st.sampled_from(SPATIAL_METRICS)),
+            "--semantic-metric", draw(st.sampled_from(SEMANTIC_METRICS)),
+            "--seed-rule", draw(st.sampled_from(SEED_RULES))]
+    stages = _stages(draw, draw(st.integers(0, min(3, depth))), depth)
+    schedule = {"num_layers": depth + draw(st.sampled_from([0] * 5 + [1])), "stages": [
+        {"layer": s.layer, "retention": s.retention, "balance": s.balance} for s in stages]}
+    return argv, depth, schedule
+
+
+@PROPERTY_SETTINGS
+@given(case=simulate_flags())
+def test_simulate_exits_cleanly_with_one_finite_row_per_layer(cli_dir, case):
+    argv, depth, schedule = case
+    (cli_dir / "sim_schedule.json").write_text(json.dumps(schedule))
+    argv = argv + ["--schedule", cli_dir / "sim_schedule.json"]
+    results = []
+    for threads in ("1", "2"):
+        out = cli_dir / f"sim_{threads}.csv"
+        out.unlink(missing_ok=True)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("BTP_THREADS", threads)
+            code = _run_cli([*argv, "--out", out])
+        results.append((code, out.read_text() if code == 0 else None))
+    assert results[1] == results[0]
+    code, csv = results[0]
+    if code != 0:
+        return
+    header, *lines = csv.splitlines()
+    assert header == "layer,btp,attention_only,diversity_only"
+    rows = [line.split(",") for line in lines]
+    assert [int(row[0]) for row in rows] == list(range(1, depth + 1))
+    for row in rows:
+        assert len(row) == 4 and all(math.isfinite(float(v)) for v in row[1:]), row
