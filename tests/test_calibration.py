@@ -241,7 +241,10 @@ def _recording_exact_sums(monkeypatch):
     return calls
 
 
-def test_shift_profile_refines_only_the_rows_near_tau(monkeypatch):
+# BTP_THREADS caps simulate's pool only: the walk here is the same under any value
+@pytest.mark.parametrize("threads", [1, 3])
+def test_shift_profile_refines_only_the_rows_near_tau(monkeypatch, threads):
+    monkeypatch.setenv("BTP_THREADS", str(threads))
     calls = _recording_exact_sums(monkeypatch)
     rng = np.random.default_rng(49)
     far = synthetic_shift_stack(rng, num_layers=6, n_image=64, d=4096, shifted={2: 30},

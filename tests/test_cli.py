@@ -434,7 +434,10 @@ def test_calibrate_json_is_pinned(tmp_path, capsys, monkeypatch):
     assert digest == CALIBRATE_JSON_SHA256
 
 
-def test_calibrate_names_the_trace_of_a_bad_hidden_state(tmp_path, capsys):
+# calibrate does not read BTP_THREADS: the message is the same under any value
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_calibrate_names_the_trace_of_a_bad_hidden_state(tmp_path, capsys, monkeypatch, threads):
+    monkeypatch.setenv("BTP_THREADS", threads)
     good = _write_calib_trace(tmp_path, "good", seed=5, planted={5: 8})
     stack = synthetic_shift_stack(
         np.random.default_rng(6), num_layers=12, n_image=40, d=2048, shifted={5: 8},
