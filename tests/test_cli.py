@@ -812,25 +812,34 @@ def test_simulate_csv_out_file(tmp_path, capsys):
 # SHA-256 of the CSV as the out-of-place softmax wrote it: any later
 # rounding drift in the toy decoder fails here
 SIMULATE_CSV_SHA256 = {
-    ("raw", 1): "f3298ce6f64d9d5b007551f1ff1db425c6ab1a70342f24dbc82d67ee5bdca312",
-    ("raw", 7): "6e956134632cbcf39be45829817d476b70dd00b8a188207963d12949bb827f70",
-    ("unit", 1): "90f4a227834455b3dd2eb314dd9f9509d73ff7a5f7c1d784a758b5289444d6e0",
-    ("unit", 7): "ce1e4c25a499d5edf84a52cec88d08dcf40740407d8db4113b7469527d6fd91a",
+    ("raw", 1, ""): "f3298ce6f64d9d5b007551f1ff1db425c6ab1a70342f24dbc82d67ee5bdca312",
+    ("raw", 7, ""): "6e956134632cbcf39be45829817d476b70dd00b8a188207963d12949bb827f70",
+    ("unit", 1, ""): "90f4a227834455b3dd2eb314dd9f9509d73ff7a5f7c1d784a758b5289444d6e0",
+    ("unit", 7, ""): "ce1e4c25a499d5edf84a52cec88d08dcf40740407d8db4113b7469527d6fd91a",
+    # the simulate-toy benchmark's flags: the greedy runs on elementwise rows
+    ("raw", 1, "euclidean"): "f8e24f2e2c2eb2027dad0c9ea0189e0894f8c9482d239c62df4dac7c5a5b22e7",
+    ("raw", 7, "euclidean"): "6c7792dc90ec55aa5068c0999b1481760d024e369c63462b5f68f28cfa4ea893",
+    ("unit", 1, "euclidean"): "ac203c0fc9a937d26d896bd5431979505e3fa9ddcb73f50efcbb23d0f0347c12",
+    ("unit", 7, "euclidean"): "0a82e30e3b95c318a7debd5bda00ba1ff96ab137a02092ff333640604caf3350",
 }
 
 
-@pytest.mark.parametrize("value_norm,seed", sorted(SIMULATE_CSV_SHA256))
-def test_simulate_csv_is_pinned(tmp_path, capsys, value_norm, seed):
+@pytest.mark.parametrize("value_norm,seed,diversity", [
+    pytest.param(*key, id="-".join(str(part) for part in key if part))
+    for key in sorted(SIMULATE_CSV_SHA256)
+])
+def test_simulate_csv_is_pinned(tmp_path, capsys, value_norm, seed, diversity):
     sched = _write_schedule(tmp_path, [(1, 0.5, 0.5), (3, 0.5, 1.0)], num_layers=6)
     out_path = tmp_path / "sim.csv"
+    metrics = ["--semantic-metric", diversity, "--spatial-metric", diversity] if diversity else []
     code, _, _ = _run(capsys, [
         "simulate", "--schedule", sched, "--layout", "2,16,6,4,4", "--layers", "6",
         "--d", "16", "--heads", "2", "--seed", str(seed), "--value-norm", value_norm,
-        "--out", str(out_path),
+        *metrics, "--out", str(out_path),
     ])
     assert code == 0
     digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
-    assert digest == SIMULATE_CSV_SHA256[value_norm, seed]
+    assert digest == SIMULATE_CSV_SHA256[value_norm, seed, diversity]
 
 
 @pytest.mark.parametrize("stages", [[(1, 0.5, 0.5), (3, 0.5, 1.0)], [(5, 0.5, 0.6)], []])
@@ -920,7 +929,7 @@ def test_simulate_computes_no_stage_diagnostics(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(btp.selector, "_stage_diagnostics", unread)
     monkeypatch.setattr(btp.selector, "run_stage", unread)
-    test_simulate_csv_is_pinned(tmp_path, capsys, "raw", 7)
+    test_simulate_csv_is_pinned(tmp_path, capsys, "raw", 7, "")
 
 
 def test_simulate_rejects_a_non_integer_layout(tmp_path, capsys):
