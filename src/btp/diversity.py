@@ -7,12 +7,13 @@ set).  For metrics satisfying the triangle inequality the greedy set's
 minimum distance is at least half the optimum; ``brute_force_maxmin`` is
 the exhaustive reference used to check that bound on small instances.
 
-Manhattan and euclidean distances all come from ``distance_rows``, which
-takes the distances from a block of centres to every point at a time, so no
-[N, N, d] difference tensor is ever built: the greedy pulls only the row of
-each point it picks, O(k * N * d) work and O(N * d) memory.  Cosine distance is one [N, N] matrix product of float64
-unit rows, which ``unit_rows`` builds once per candidate set, a
-cache-sized block of rows at a time, straight from the caller's rows.
+Manhattan and euclidean distances all come from ``distance_rows``, one
+centre's row of distances to every point per call, so no [N, N, d]
+difference tensor is ever built: the greedy pulls only the row of each
+point it picks, O(k * N * d) work and O(N * d) memory.  Cosine distance is
+one [N, N] matrix product of float64 unit rows, which ``unit_rows`` builds
+once per candidate set, a cache-sized block of rows at a time, straight
+from the caller's rows.
 """
 
 from __future__ import annotations
@@ -30,9 +31,6 @@ SPATIAL_METRICS = ("manhattan", "euclidean")
 SEMANTIC_METRICS = ("cosine_distance", "euclidean")
 SEED_RULES = ("spatial_first_point", "farthest_from_centroid")
 
-# largest [centres, N, d] float64 difference block distance_rows allocates;
-# a single centre's row is computed whole even when it is larger
-BLOCK_BYTES = 32 * 2**20
 # float64 bytes of the block of rows unit_rows normalises at a time, small
 # enough to stay in cache across its passes; a single row is done whole
 UNIT_BLOCK_BYTES = 256 * 2**10
@@ -80,19 +78,13 @@ class DiversityConfig:
             raise ValidationError(f"unknown seed rule {self.seed_rule!r}")
 
 
-def _check_points(pts: np.ndarray) -> np.ndarray:
-    if pts.ndim != 2:
-        raise ValidationError(f"points must be [N, d], got shape {pts.shape}")
-    return pts
-
-
-def _as_points(points) -> np.ndarray:
-    return _check_points(np.asarray(points, dtype=np.float64))
-
-
-def _float_rows(src: np.ndarray, index) -> np.ndarray:
-    """``src[index]`` (all of ``src`` when index is None) as float64; indexes first."""
-    return np.asarray(src if index is None else src[index], dtype=np.float64)
+def _points(points, index=None, dtype=None) -> np.ndarray:
+    """Rows ``index`` (all when None) of the [N, d] ``points`` as ``dtype``
+    (unchanged when None); indexes before it casts."""
+    src = np.asarray(points)
+    if src.ndim != 2:
+        raise ValidationError(f"points must be [N, d], got shape {src.shape}")
+    return np.asarray(src if index is None else src[index], dtype=dtype)
 
 
 def unit_rows(points, index=None) -> np.ndarray:
@@ -105,7 +97,7 @@ def unit_rows(points, index=None) -> np.ndarray:
     without their copy.  A zero-norm row raises ``ZeroNormRow`` naming its
     row of ``points``.
     """
-    src = _check_points(np.asarray(points))
+    src = _points(points)
     rows = None if index is None else np.asarray(index, dtype=np.int64).reshape(-1)
     n = src.shape[0] if rows is None else rows.size
     d = src.shape[1]
@@ -128,30 +120,24 @@ def unit_rows(points, index=None) -> np.ndarray:
     return out
 
 
-def distance_rows(points, centres, metric: str) -> np.ndarray:
-    """Manhattan or euclidean distances from each centre to every point.
+def distance_rows(points, centre, metric: str) -> np.ndarray:
+    """Manhattan or euclidean distances from one [d] ``centre`` to every point.
 
-    ``centres`` is [C, d] or one [d] centre; returns float64 [C, N].
-    Centres are taken in blocks whose [c, N, d] difference stays within
-    ``BLOCK_BYTES``; each distance reduces the same contiguous d-axis as a
-    dense [C, N, d] computation would, so the values are bit-identical to it.
+    Returns float64 [N].  Each distance reduces one contiguous length-d row
+    of the float64 difference, as a dense [N, N, d] computation would, so
+    the values are bit-identical to it.
     """
-    pts = _as_points(points)
+    pts = _points(points, dtype=np.float64)
     if metric not in SPATIAL_METRICS:
         raise ValidationError(f"unknown elementwise metric {metric!r}")
-    n, d = pts.shape
-    centres = np.atleast_2d(np.asarray(centres, dtype=np.float64))
-    out = np.empty((centres.shape[0], n))
-    step = max(1, BLOCK_BYTES // max(1, n * d * 8))
-    for start in range(0, centres.shape[0], step):
-        diff = centres[start:start + step, None, :] - pts[None, :, :]
-        block = out[start:start + step]
-        if metric == "manhattan":
-            np.abs(diff, out=diff).sum(axis=2, out=block)
-        else:
-            np.multiply(diff, diff, out=diff).sum(axis=2, out=block)
-            np.sqrt(block, out=block)
-    return out
+    centre = np.asarray(centre, dtype=np.float64)
+    if centre.shape != pts.shape[1:]:
+        raise ValidationError(f"centre must be [{pts.shape[1]}], got shape {centre.shape}")
+    diff = centre - pts
+    if metric == "manhattan":
+        return np.abs(diff, out=diff).sum(axis=1)
+    out = np.multiply(diff, diff, out=diff).sum(axis=1)
+    return np.sqrt(out, out=out)
 
 
 def distance_matrix(points, metric: str) -> np.ndarray:
@@ -167,10 +153,13 @@ def distance_matrix(points, metric: str) -> np.ndarray:
         np.subtract(1.0, dmat, out=dmat)
         np.fill_diagonal(dmat, 0.0)
         return dmat
-    pts = _as_points(points)
-    if metric in SPATIAL_METRICS:
-        return distance_rows(pts, pts, metric)
-    raise ValidationError(f"unknown metric {metric!r}")
+    pts = _points(points, dtype=np.float64)
+    if metric not in SPATIAL_METRICS:
+        raise ValidationError(f"unknown metric {metric!r}")
+    dmat = np.empty((len(pts), len(pts)))
+    for i, centre in enumerate(pts):
+        dmat[i] = distance_rows(pts, centre, metric)
+    return dmat
 
 
 def pair_distances(points, subset, metric: str) -> np.ndarray:
@@ -180,7 +169,7 @@ def pair_distances(points, subset, metric: str) -> np.ndarray:
     are computed one row of the upper triangle at a time, in
     O(len(subset) * d) memory.
     """
-    src = _check_points(np.asarray(points))
+    src = _points(points)
     idx = np.asarray(list(subset), dtype=np.int64)
     m = idx.size
     if m < 2:
@@ -188,10 +177,8 @@ def pair_distances(points, subset, metric: str) -> np.ndarray:
     if metric == "cosine_distance":
         unit = UnitRows(unit_rows(src, idx))
         return distance_matrix(unit, metric)[np.triu_indices(m, k=1)]
-    pts = _float_rows(src, idx)
-    return np.concatenate(
-        [distance_rows(pts[i + 1:], pts[i], metric)[0] for i in range(m - 1)]
-    )
+    pts = _points(src, idx, np.float64)
+    return np.concatenate([distance_rows(pts[i + 1:], pts[i], metric) for i in range(m - 1)])
 
 
 def min_pairwise_distance(points, subset, metric: str) -> float:
@@ -257,8 +244,8 @@ def greedy_maxmin(
         # one GEMM matrix: per-row GEMVs are memory-bound and round differently
         row_of = distance_matrix(UnitRows(unit), metric).__getitem__
     else:
-        pts = _float_rows(src, rows)
-        row_of = lambda s: distance_rows(pts, pts[s], metric)[0]
+        pts = _points(src, rows, np.float64)
+        row_of = lambda s: distance_rows(pts, pts[s], metric)
 
     if initial is not None and len(initial) > 0:
         seed = [int(i) for i in initial]
@@ -272,7 +259,7 @@ def greedy_maxmin(
         seed = [0]
     elif seed_rule == "farthest_from_centroid":
         if metric == "cosine_distance":  # the raw rows are needed for the centroid only
-            centroid = _float_rows(src, rows).mean(axis=0)
+            centroid = _points(src, rows, np.float64).mean(axis=0)
             cnorm = np.linalg.norm(centroid)
             if cnorm == 0:
                 raise ValidationError(
@@ -280,7 +267,7 @@ def greedy_maxmin(
                 )
             dist = 1.0 - np.clip(unit @ (centroid / cnorm), -1.0, 1.0)
         else:
-            dist = distance_rows(pts, pts.mean(axis=0), metric)[0]
+            dist = distance_rows(pts, pts.mean(axis=0), metric)
         seed = [int(np.argmax(dist))]
     else:
         raise ValidationError(f"unknown seed rule {seed_rule!r}")
@@ -309,7 +296,7 @@ def spatial_init(grid_rows: int, grid_cols: int, k: int, metric: str = "manhatta
     if not 0 < k <= n:
         raise ValidationError(f"k must be in [1, {n}], got {k}")
     coords = grid_coordinates(grid_rows, grid_cols)
-    row_of = lambda s: distance_rows(coords, coords[s], metric)[0]
+    row_of = lambda s: distance_rows(coords, coords[s], metric)
     return np.asarray(_greedy_extend(row_of, n, k, [0]), dtype=np.int64)
 
 

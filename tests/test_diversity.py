@@ -98,10 +98,8 @@ def _dense_distance_rows(pts, centres, metric):
     return np.sqrt((diff * diff).sum(axis=2))
 
 
-def test_distance_rows_match_dense_reference(monkeypatch):
+def test_distance_rows_match_dense_reference():
     rng, sets = _corpus()
-    # a small block cap forces several centre blocks per call
-    monkeypatch.setattr(diversity, "BLOCK_BYTES", 4096)
     for pts in sets:
         # two points of the set, its centroid, and a point outside it
         centres = np.stack([
@@ -111,8 +109,14 @@ def test_distance_rows_match_dense_reference(monkeypatch):
             dense = _dense_distance_matrix(pts, metric)
             assert np.array_equal(distance_matrix(pts, metric), dense)
             want = _dense_distance_rows(pts, centres, metric)
-            assert np.array_equal(distance_rows(pts, centres, metric), want)
-            assert np.array_equal(distance_rows(pts, centres[2], metric), want[2:3])
+            for centre, row in zip(centres, want):
+                got = distance_rows(pts, centre, metric)
+                assert got.shape == (len(pts),) and np.array_equal(got, row)
+            # one [d] centre only: the points themselves as centres would
+            # broadcast into a silently wrong row
+            for bad in (centres, pts, centres[:1], np.ones(pts.shape[1] + 1)):
+                with pytest.raises(ValidationError, match="centre must be"):
+                    distance_rows(pts, bad, metric)
         assert np.array_equal(
             distance_matrix(pts, "cosine_distance"), _dense_distance_matrix(pts, "cosine_distance")
         )
