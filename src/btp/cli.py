@@ -439,18 +439,18 @@ def cmd_cost(args) -> int:
 def cmd_oracle(args) -> int:
     suite = {"mmdp": mmdp_suite, "single_layer": single_layer_suite,
              "roundtrip": roundtrip_suite}[args.kind]
-    # a size flag left out, or --instances 0, leaves the suite's own default
-    sizes = {name: getattr(args, name) for name in ("max_n", "max_k", "guard")
+    # a flag left out, or --instances 0, leaves the suite's own default
+    given = {name: getattr(args, name) for name in ("seed", "max_n", "max_k", "guard")
              if getattr(args, name) is not None}
     if args.instances:
-        sizes["instances"] = args.instances
+        given["instances"] = args.instances
     takes = inspect.signature(suite).parameters
-    for name in sizes:
+    for name in given:
         if name not in takes:
             raise ValidationError(
                 f"--{name.replace('_', '-')} does not apply to the {args.kind} suite"
             )
-    report = suite(seed=args.seed, **sizes)
+    report = suite(**given)
     for line in report.lines():
         print(line)
     return 0 if report.ok else 3
@@ -517,8 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     orc = sub.add_parser("oracle", help="run a verification suite")
     orc.add_argument("kind", choices=("mmdp", "single_layer", "roundtrip"))
     orc.add_argument("--instances", type=int, default=0, help="0 = suite default")
-    orc.add_argument("--seed", type=int, default=2024)
-    for flag in ("--max-n", "--max-k", "--guard"):
+    for flag in ("--seed", "--max-n", "--max-k", "--guard"):
         orc.add_argument(flag, type=int, help="suite default when not given")
     orc.set_defaults(func=cmd_oracle)
     return parser

@@ -20,6 +20,7 @@ import btp.threads
 import btp.toymodel
 from btp.calibration import synthetic_shift_stack
 from btp.cli import main
+from btp.oracles import roundtrip_suite, single_layer_suite
 from btp.selector import ScheduleDriver
 from btp.trace import (
     ModelShape,
@@ -1264,15 +1265,31 @@ def test_oracle_suites_pass(capsys, kind):
 
 
 def test_oracle_single_layer_output_is_pinned(capsys):
-    # the equal-norm value rows are Fortran-ordered; summing them in that
-    # order reads a worst gap of 0.00e+00 instead of 1.46e-16
     code, out, _ = _run(capsys, ["oracle", "single_layer"])
     assert code == 0
     assert out == (
-        "[ok] top-k optimal on 20 equal-norm instances: worst relative gap 1.46e-16\n"
+        "[ok] top-k optimal on 20 equal-norm instances: worst relative gap 2.03e-16\n"
         "[ok] unequal norms break top-k optimality: top-k error 4.0112 vs best 0.5831\n"
         "single_layer: 2/2 checks passed\n"
     )
+    # the equal-norm value rows are Fortran-ordered; summing them in that
+    # order reads a worst gap of 0.00e+00 here, while the default seed's
+    # 2.03e-16 is the same in either order
+    code, out, _ = _run(capsys, ["oracle", "single_layer", "--seed", "2024"])
+    assert code == 0
+    assert out.splitlines()[0] == (
+        "[ok] top-k optimal on 20 equal-norm instances: worst relative gap 1.46e-16"
+    )
+
+
+@pytest.mark.parametrize("kind,suite", [
+    ("single_layer", single_layer_suite), ("roundtrip", roundtrip_suite),
+], ids=["single_layer", "roundtrip"])
+def test_oracle_without_flags_runs_the_suite_defaults(capsys, kind, suite):
+    # the CLI once seeded every suite with mmdp's 2024
+    code, out, _ = _run(capsys, ["oracle", kind])
+    assert code == 0
+    assert out.splitlines() == suite().lines()
 
 
 def test_oracle_guard_refusal(capsys):
