@@ -93,11 +93,11 @@ def _write_tiny_schedule(tmp_path):
     return str(tmp_path / "schedule.json")
 
 
-def test_traced_simulate_reads_toymodel_call_shapes(tmp_path):
+def _check_traced_simulate(tmp_path, diversity_flags):
     spans = _traced_run(tmp_path, [
         "simulate", "--schedule", _write_tiny_schedule(tmp_path),
         "--layout", "1,16,2,4,4", "--layers", "6", "--d", "16", "--heads", "2",
-        "--mlp", "32", "--out", str(tmp_path / "out.csv"),
+        "--mlp", "32", *diversity_flags, "--out", str(tmp_path / "out.csv"),
     ])
     steps = [s for s in spans if s["name"] == "toymodel.layer_step"]
     # the shared head's layers 0..1 (the stage is at layer 1), then layers
@@ -121,6 +121,16 @@ def test_traced_simulate_reads_toymodel_call_shapes(tmp_path):
     toy = {k: v for k, v in metrics.items() if k.startswith(("toymodel.", "costs."))}
     assert len(toy) == 7
     assert all(math.isfinite(v) for v in toy.values()), toy
+
+
+def test_traced_simulate_reads_toymodel_call_shapes(tmp_path):
+    _check_traced_simulate(tmp_path, [])
+
+
+def test_traced_simulate_reads_toymodel_call_shapes_under_euclidean_diversity(tmp_path):
+    # the simulate-toy workload's flags, which its --trace 1 run takes
+    _check_traced_simulate(tmp_path, ["--semantic-metric", "euclidean",
+                                      "--spatial-metric", "euclidean"])
 
 
 def test_traced_select_reads_distance_matrix_shapes(tmp_path):
