@@ -37,6 +37,7 @@ import itertools
 import math
 import threading
 from collections.abc import Sequence
+from concurrent.futures import Future
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -87,61 +88,39 @@ class ToyWeights:
     w2: Sequence[np.ndarray]
 
 
-class _LayerDraw:
-    """A thread that fills weight stacks layer by layer, in order.
-
-    ``wait(layer)`` returns once that layer of every stack is written.  If
-    the draw fails first, it raises the draw's error instead, after the
-    thread has ended.
-    """
-
-    def __init__(self, rng: np.random.Generator, bound: float, stacks) -> None:
-        self._drawn = 0
-        self._error: BaseException | None = None
-        self._cond = threading.Condition()
-        self._thread = threading.Thread(
-            target=self._draw, args=(rng, bound, stacks), name="btp-init-weights", daemon=True
-        )
-        self._thread.start()
-
-    def _draw(self, rng, bound, stacks) -> None:
+def _draw(rng: np.random.Generator, bound: float, stacks, drawn) -> None:
+    """Fill ``stacks`` layer by layer, in order, resolving ``drawn[layer]``
+    with that layer's matrices.  A failed draw is set on its layer's future
+    and on every later one."""
+    for layer, future in enumerate(drawn):
         try:
-            for layer in range(stacks[0].shape[0]):
-                for stack in stacks:
-                    stack[layer] = rng.uniform(-bound, bound, size=stack.shape[1:])
-                with self._cond:
-                    self._drawn = layer + 1
-                    self._cond.notify_all()
-        except BaseException as exc:  # handed to every reader of a later layer
-            with self._cond:
-                self._error = exc
-                self._cond.notify_all()
-
-    def wait(self, layer: int) -> None:
-        with self._cond:
-            self._cond.wait_for(lambda: self._drawn > layer or self._error is not None)
-            if self._drawn > layer:
-                return
-        self._thread.join()
-        raise self._error
+            for stack in stacks:
+                stack[layer] = rng.uniform(-bound, bound, size=stack.shape[1:])
+        except BaseException as exc:  # handed to every reader of this or a later layer
+            for later in drawn[layer:]:
+                later.set_exception(exc)
+            return
+        future.set_result(tuple(stack[layer] for stack in stacks))
 
 
 class _DrawnLayers(Sequence):
-    """The per-layer matrices of one stack that a ``_LayerDraw`` fills."""
+    """One field's per-layer matrices, read from the futures ``_draw`` resolves."""
 
-    def __init__(self, stack: np.ndarray, draw: _LayerDraw) -> None:
-        self._stack = stack
-        self._draw = draw
+    def __init__(self, drawn: list[Future], field: int, thread: threading.Thread) -> None:
+        self._drawn = drawn
+        self._field = field
+        self._thread = thread
 
     def __len__(self) -> int:
-        return self._stack.shape[0]
+        return len(self._drawn)
 
     def __getitem__(self, layer):
         if isinstance(layer, slice):
             return tuple(self[i] for i in range(len(self))[layer])
-        layer = range(len(self))[layer]  # IndexError and TypeError as a tuple raises them
-        self._draw.wait(layer)
-        return self._stack[layer]
+        future = self._drawn[layer]
+        if future.exception() is not None:
+            self._thread.join()  # the error surfaces once the draw has ended
+        return future.result()[self._field]
 
 
 def init_weights(cfg: ToyConfig) -> ToyWeights:
@@ -152,13 +131,18 @@ def init_weights(cfg: ToyConfig) -> ToyWeights:
     allocated here, and a thread then writes the draws into them layer by
     layer, so a forward can run its first layers while later ones are
     drawn.  Reading a layer's matrix waits until that layer is drawn, and
-    raises the draw's error if it failed before.
+    raises the draw's error if it failed at or before that layer.
     """
     d, mlp = cfg.d, cfg.mlp
     shapes = [(d, d)] * 4 + [(d, mlp), (mlp, d)]
     stacks = [np.empty((cfg.num_layers, rows, cols), dtype=np.float32) for rows, cols in shapes]
-    draw = _LayerDraw(np.random.default_rng(cfg.seed), 1.0 / math.sqrt(d), stacks)
-    return ToyWeights(*(_DrawnLayers(stack, draw) for stack in stacks))
+    drawn = [Future() for _ in range(cfg.num_layers)]
+    thread = threading.Thread(
+        target=_draw, args=(np.random.default_rng(cfg.seed), 1.0 / math.sqrt(d), stacks, drawn),
+        name="btp-init-weights", daemon=True,
+    )
+    thread.start()
+    return ToyWeights(*(_DrawnLayers(drawn, field, thread) for field in range(len(stacks))))
 
 
 def sinusoidal_encoding(positions, d: int) -> np.ndarray:

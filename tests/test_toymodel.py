@@ -168,6 +168,8 @@ def test_forward_raises_a_failed_draw_without_blocking(monkeypatch):
     # the layers drawn before the failure stay readable, the rest raise
     assert weights.w2[2].tobytes() == want.w2[2].tobytes()
     with pytest.raises(MemoryError, match="cannot draw layer 3"):
+        weights.w1[3]
+    with pytest.raises(MemoryError, match="cannot draw layer 3"):
         weights.wq[4]
 
 
