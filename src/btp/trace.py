@@ -400,8 +400,6 @@ class ModelShape:
 
 
 def _check_tensor_filename(name: str, file: str) -> None:
-    if not file:
-        raise TraceError(f"tensor {name!r}: empty file name")
     if os.path.isabs(file) or any(c in file for c in "/\\\0") or file in (".", ".."):
         raise TraceError(f"tensor {name!r}: file name {file!r} must be a plain basename")
     if file == MANIFEST_NAME:

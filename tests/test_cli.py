@@ -1,10 +1,12 @@
 """End-to-end command-line behavior, exit codes, and output determinism."""
 
 import errno
+import functools
 import hashlib
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -16,6 +18,7 @@ import numpy as np
 import pytest
 
 import btp.cli
+import btp.oracles
 import btp.threads
 import btp.toymodel
 from btp.calibration import synthetic_shift_stack
@@ -625,6 +628,53 @@ def test_select_missing_trace(tmp_path, capsys):
         "select", "--trace", str(tmp_path / "absent"), "--schedule", sched,
     ])
     assert code == 2 and err.startswith("error:")
+
+
+def _select_argv(tmp_path, edit_manifest=None, stage=None):
+    """``select`` over a valid trace and schedule, after ``edit_manifest``
+    has changed the manifest's path and ``stage`` the first stage."""
+    trace = _write_select_trace(tmp_path)
+    sched = _write_schedule(tmp_path, [(1, 0.5, 0.5)], num_layers=6)
+    if edit_manifest is not None:
+        edit_manifest(Path(trace) / "manifest.json")
+    if stage is not None:
+        obj = json.loads(Path(sched).read_text())
+        obj["stages"][0].update(stage)
+        Path(sched).write_text(json.dumps(obj))
+    return ["select", "--trace", trace, "--schedule", sched]
+
+
+def _manifest_to_directory(manifest):
+    manifest.unlink()
+    manifest.mkdir()
+
+
+def _unencodable_file_name(manifest):
+    obj = json.loads(manifest.read_text())
+    obj["tensors"][0]["file"] = "\ud800"
+    manifest.write_text(json.dumps(obj))
+
+
+def _cost_argv(layout):
+    return ["cost", f"--layout={layout}", "--num-layers", "2", "--d", "8", "--mlp", "16"]
+
+
+@pytest.mark.parametrize("argv,code,message", [
+    (lambda tmp: _select_argv(tmp, edit_manifest=_manifest_to_directory),
+     2, "no manifest.json found"),
+    (lambda tmp: _select_argv(tmp, edit_manifest=_unencodable_file_name),
+     2, "file name '\\ud800' is not encodable"),
+    (lambda tmp: _select_argv(tmp, stage={"retention": "0.5"}),
+     2, "retention must be a number, got '0.5'"),
+    # the = form: argparse reads "--layout -1,..." as a flag
+    (lambda tmp: _cost_argv("-1,4,1,2,2"), 1, "segment sizes must be non-negative"),
+    (lambda tmp: _cost_argv("1,0,1,0,2"), 1, "grid extents must be positive"),
+], ids=["manifest-is-a-directory", "unencodable-file", "string-retention",
+        "negative-segment", "zero-grid-extent"])
+def test_bad_trace_schedule_or_layout_is_one_error_line(tmp_path, capsys, argv, code, message):
+    got, out, err = _run(capsys, argv(tmp_path))
+    assert (got, out) == (code, "")
+    assert err.startswith("error: ") and err.endswith(f"{message}\n") and err.count("\n") == 1
 
 
 def test_select_malformed_schedule_json(tmp_path, capsys):
@@ -1290,6 +1340,41 @@ def test_oracle_without_flags_runs_the_suite_defaults(capsys, kind, suite):
     code, out, _ = _run(capsys, ["oracle", kind])
     assert code == 0
     assert out.splitlines() == suite().lines()
+
+
+def _flip_first_payload_byte(read_trace):
+    def read(path):
+        manifest, blobs = read_trace(path)
+        blob = next(iter(blobs.values()))
+        data = bytearray(blob.data.tobytes())
+        data[0] ^= 1
+        flipped = np.frombuffer(bytes(data), dtype=np.float32)
+        return manifest, {**blobs, blob.name: TensorBlob(blob.name, blob.shape, flipped)}
+    return read
+
+
+@pytest.mark.parametrize("kind,name,broken,failed,passed", [
+    ("mmdp", "min_pairwise_distance", lambda real: lambda *args: 0.0,
+     r"\[FAIL\] greedy within 0\.5x of optimum on 2 instances, both metrics: "
+     r"instance 1 \(cosine_distance, n=\d+, k=\d+\): ratio 0\.000", "0/1"),
+    # wraps keeps the signature, whose max_image_tokens the suite reads
+    ("single_layer", "single_layer_optimality_check",
+     lambda real: functools.wraps(real)(lambda *args: (2.0, 1.0)),
+     r"\[FAIL\] top-k optimal on 2 equal-norm instances: "
+     r"instance 1: n=\d+ k=\d+ relative gap 1\.00e\+00", "1/2"),
+    ("roundtrip", "read_trace", _flip_first_payload_byte,
+     r"\[FAIL\] 2 seeded traces round-trip bit-exact: trace 1: tensor_0 payload bytes changed",
+     "0/1"),
+], ids=["mmdp", "single_layer", "roundtrip"])
+def test_oracle_failing_suite_exits_3(capsys, monkeypatch, kind, name, broken, failed, passed):
+    # the README promises exit 3 for a failed check; each suite is broken
+    # through one name it looks up in btp.oracles
+    monkeypatch.setattr(btp.oracles, name, broken(getattr(btp.oracles, name)))
+    code, out, _ = _run(capsys, ["oracle", kind, "--instances", "2"])
+    lines = out.splitlines()
+    assert code == 3
+    assert any(re.fullmatch(failed, line) for line in lines), out
+    assert lines[-1] == f"{kind}: {passed} checks passed"
 
 
 def test_oracle_guard_refusal(capsys):
