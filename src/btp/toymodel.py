@@ -96,7 +96,7 @@ def _draw(rng: np.random.Generator, bound: float, stacks, drawn) -> None:
         try:
             for stack in stacks:
                 stack[layer] = rng.uniform(-bound, bound, size=stack.shape[1:])
-        except BaseException as exc:  # handed to every reader of this or a later layer
+        except BaseException as exc:  # not re-raised here: the readers raise it
             for later in drawn[layer:]:
                 later.set_exception(exc)
             return

@@ -631,8 +631,9 @@ def test_select_missing_trace(tmp_path, capsys):
 
 
 def _select_argv(tmp_path, edit_manifest=None, stage=None):
-    """``select`` over a valid trace and schedule, after ``edit_manifest``
-    has changed the manifest's path and ``stage`` the first stage."""
+    """``select`` over a valid trace and schedule, once ``edit_manifest``
+    has been called on the manifest's path and ``stage`` merged into the
+    first stage."""
     trace = _write_select_trace(tmp_path)
     sched = _write_schedule(tmp_path, [(1, 0.5, 0.5)], num_layers=6)
     if edit_manifest is not None:
@@ -1343,6 +1344,7 @@ def test_oracle_without_flags_runs_the_suite_defaults(capsys, kind, suite):
 
 
 def _flip_first_payload_byte(read_trace):
+    """``read_trace``, but the first tensor's first payload byte comes back changed."""
     def read(path):
         manifest, blobs = read_trace(path)
         blob = next(iter(blobs.values()))
