@@ -46,7 +46,14 @@ from .toymodel import (
     init_weights,
     layer_output_distance,
 )
-from .trace import PruningSchedule, TokenLayout, layer_tensors, read_trace, staging_path
+from .trace import (
+    PruningSchedule,
+    TokenLayout,
+    layer_tensors,
+    read_schedule,
+    read_trace,
+    staging_path,
+)
 
 LAMBDA_PRESETS = {
     "llava7b": (0.6, 0.8, 1.0),
@@ -87,14 +94,6 @@ def _parse_layout(text: str) -> TokenLayout:
     except ValueError as exc:
         raise ValidationError(f"layout fields must be integers, got {text!r}") from exc
     return TokenLayout(*nums)
-
-
-def _load_schedule(path: str) -> PruningSchedule:
-    try:
-        obj = json.loads(Path(path).read_bytes())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise TraceError(f"{path}: malformed schedule JSON: {exc}") from exc
-    return PruningSchedule.from_json_dict(obj, where=path)
 
 
 def _check_fits_in_memory(what: str, nbytes: int) -> None:
@@ -265,7 +264,7 @@ def _diversity_config(args) -> DiversityConfig:
 
 def cmd_select(args) -> int:
     manifest, tensors = read_trace(args.trace)
-    schedule = _load_schedule(args.schedule)
+    schedule = read_schedule(args.schedule)
     if schedule.num_layers != manifest.model_dims.layers:
         raise ValidationError(
             f"schedule covers {schedule.num_layers} layers, trace says "
@@ -311,7 +310,7 @@ def cmd_simulate(args) -> int:
         seed=args.seed,
         value_norm=args.value_norm,
     )
-    schedule = _load_schedule(args.schedule)
+    schedule = read_schedule(args.schedule)
     if schedule.num_layers != cfg.num_layers:
         raise ValidationError(
             f"schedule covers {schedule.num_layers} layers, model has {cfg.num_layers}"
@@ -406,10 +405,8 @@ _COST_BYTES_PER_LAYER = 128
 
 def cmd_cost(args) -> int:
     layout = _parse_layout(args.layout)
-    if args.num_layers is None:
-        schedule = _load_schedule(args.schedule)
-    else:
-        schedule = PruningSchedule(stages=(), num_layers=args.num_layers)
+    schedule = (read_schedule(args.schedule) if args.num_layers is None
+                else PruningSchedule(stages=(), num_layers=args.num_layers))
     _check_fits_in_memory("cost", schedule.num_layers * _COST_BYTES_PER_LAYER)
     dims = ModelDims(
         num_layers=schedule.num_layers,
@@ -530,7 +527,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (TraceError, OSError, json.JSONDecodeError) as exc:
+    except (TraceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

@@ -44,6 +44,12 @@ class SuiteReport:
     def add(self, label: str, ok: bool, detail: str = "") -> None:
         self.checks.append((label, bool(ok), detail))
 
+    def add_failures(self, label: str, failures: list[str], detail: str = "") -> None:
+        """A check that passes without ``failures``, or names the first and counts the rest."""
+        if failures:
+            detail = failures[0] + (f" (and {len(failures) - 1} more)" if failures[1:] else "")
+        self.add(label, not failures, detail)
+
     @property
     def ok(self) -> bool:
         return all(ok for _, ok, _ in self.checks)
@@ -91,8 +97,7 @@ def mmdp_suite(
     _check_at_least("max_k", max_k, 2)
     report = SuiteReport("mmdp")
     worst = math.inf
-    all_ok = True
-    detail = ""
+    failures = []
     for i in range(instances):
         rng = np.random.default_rng([seed, i])
         n = int(rng.integers(6, max_n + 1))
@@ -106,12 +111,11 @@ def mmdp_suite(
             ratio = got / opt if opt > 0 else math.inf
             worst = min(worst, ratio)
             if got < 0.5 * opt - 1e-12:
-                all_ok = False
-                detail = f"instance {i} ({metric}, n={n}, k={k}): ratio {ratio:.3f}"
-    report.add(
+                failures.append(f"instance {i} ({metric}, n={n}, k={k}): ratio {ratio:.3f}")
+    report.add_failures(
         f"greedy within 0.5x of optimum on {instances} instances, both metrics",
-        all_ok,
-        detail or f"worst ratio {worst:.3f}",
+        failures,
+        f"worst ratio {worst:.3f}",
     )
     return report
 
@@ -199,8 +203,7 @@ def single_layer_suite(instances: int = 20, seed: int = 7, max_n: int = 10) -> S
     if max_n > cap:
         raise ValidationError(f"max_n must be <= {cap}, got {max_n}")
     report = SuiteReport("single_layer")
-    all_ok = True
-    detail = ""
+    failures = []
     worst_gap = 0.0
     for i in range(instances):
         rng = np.random.default_rng([seed, i])
@@ -212,12 +215,11 @@ def single_layer_suite(instances: int = 20, seed: int = 7, max_n: int = 10) -> S
         gap = (err_topk - err_best) / max(err_best, 1e-300)
         worst_gap = max(worst_gap, gap)
         if gap >= 1e-6:
-            all_ok = False
-            detail = f"instance {i}: n={n} k={k} relative gap {gap:.2e}"
-    report.add(
+            failures.append(f"instance {i}: n={n} k={k} relative gap {gap:.2e}")
+    report.add_failures(
         f"top-k optimal on {instances} equal-norm instances",
-        all_ok,
-        detail or f"worst relative gap {worst_gap:.2e}",
+        failures,
+        f"worst relative gap {worst_gap:.2e}",
     )
 
     attn, values, k = unequal_norm_counterexample()
@@ -259,8 +261,7 @@ def roundtrip_suite(instances: int = 100, seed: int = 11, base_dir=None) -> Suit
     _check_at_least("instances", instances, 0)
     _check_at_least("seed", seed, 0)
     report = SuiteReport("roundtrip")
-    all_ok = True
-    detail = ""
+    failures = []
     with tempfile.TemporaryDirectory(dir=base_dir) as tmp:
         for i in range(instances):
             rng = np.random.default_rng([seed, i])
@@ -275,10 +276,8 @@ def roundtrip_suite(instances: int = 100, seed: int = 11, base_dir=None) -> Suit
             _, loaded = read_trace(path)
             for name, blob in blobs.items():
                 if loaded[name].shape != blob.shape:
-                    all_ok = False
-                    detail = f"trace {i}: {name} shape changed"
+                    failures.append(f"trace {i}: {name} shape changed")
                 elif loaded[name].data.tobytes() != blob.data.tobytes():
-                    all_ok = False
-                    detail = f"trace {i}: {name} payload bytes changed"
-    report.add(f"{instances} seeded traces round-trip bit-exact", all_ok, detail)
+                    failures.append(f"trace {i}: {name} payload bytes changed")
+    report.add_failures(f"{instances} seeded traces round-trip bit-exact", failures)
     return report

@@ -33,7 +33,8 @@ import numbers
 import os
 import shutil
 import uuid
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Mapping
 
@@ -49,28 +50,44 @@ _DTYPE_TAG = "f32le"
 
 
 def _is_int(value) -> bool:
-    # JSON booleans are ints to Python, and a float such as 12.9 must be
-    # rejected rather than truncated by int()
+    # a JSON boolean is a Python int, and int() would truncate a float such as 12.9
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _json_int(value, field: str) -> int:
-    if not _is_int(value):
-        raise TypeError(f"{field} must be an integer, got {value!r}")
-    return int(value)
+def _json(kind: type, value, field: str):
+    """``value`` if it is of JSON type ``kind``: int, float (any number), str, list or dict.
+
+    Booleans are none of these, and str() or tuple() would accept 5 as
+    tensor "5", or "" as no tensors.
+    """
+    test, name = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number")}.get(
+        kind, (kind, f"a {kind.__name__}"))
+    if isinstance(value, bool) or not isinstance(value, test):
+        raise TypeError(f"{field} must be {name}, got {value!r}")
+    return kind(value) if kind in (int, float) else value
 
 
-def _json_of(kind: type, value, field: str):
-    # str() or tuple() would accept 5 as tensor "5", or "" as no tensors
-    if not isinstance(value, kind):
-        raise TypeError(f"{field} must be a {kind.__name__}, got {value!r}")
-    return value
+def _decode(raw: bytes, where, what: str):
+    # ValueError is bad syntax or UTF-8, or an integer past Python's digit
+    # limit; RecursionError is nesting too deep for the decoder
+    try:
+        return json.loads(raw)
+    except (ValueError, RecursionError) as exc:
+        raise TraceError(f"{where}: malformed {what}: {exc}") from exc
 
 
-def _json_number(value, field: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise TypeError(f"{field} must be a number, got {value!r}")
-    return float(value)
+@contextmanager
+def _json_fields(obj, where, what: str):
+    # a root that is no object, or a field the block reads that is missing,
+    # of the wrong type or breaks a rule, is one error naming ``where``
+    try:
+        if not isinstance(obj, dict):
+            raise TypeError("root must be an object")
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        # ValidationError and TraceError are ValueErrors too
+        detail = f"missing field {exc.args[0]!r}" if isinstance(exc, KeyError) else exc
+        raise TraceError(f"{where}: malformed {what}: {detail}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -143,9 +160,6 @@ def layer_tensors(tensors: Mapping[str, TensorBlob], prefix: str) -> dict[int, T
 # token layout
 
 
-_LAYOUT_FIELDS = ("n_system", "n_image", "n_text", "grid_rows", "grid_cols")
-
-
 @dataclass(frozen=True)
 class TokenLayout:
     """Prompt segmentation: system prefix, image grid, trailing text.
@@ -198,12 +212,12 @@ class TokenLayout:
         return mat
 
     def to_json_dict(self) -> dict:
-        return {name: getattr(self, name) for name in _LAYOUT_FIELDS}
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "TokenLayout":
         try:
-            return cls(**{name: _json_int(obj[name], name) for name in _LAYOUT_FIELDS})
+            return cls(**{f.name: _json(int, obj[f.name], f.name) for f in fields(cls)})
         except KeyError as exc:
             raise ValidationError(f"layout is missing field {exc.args[0]!r}") from exc
 
@@ -310,21 +324,16 @@ class PruningSchedule:
         ``TraceError`` naming ``where``; a well-formed schedule whose values
         break a rule (retention 1.5, say) is a ``ValidationError``.
         """
-        if not isinstance(obj, dict):
-            raise TraceError(f"{where}: malformed schedule: root must be an object")
-        try:
+        with _json_fields(obj, where, "schedule"):
             # iterating "" or {} would read as a schedule with no stages
-            entries = _json_of(list, obj["stages"], "stages")
+            entries = _json(list, obj["stages"], "stages")
             stages = [
-                (_json_int(s["layer"], "stage layer"),
-                 _json_number(s["retention"], "retention"),
-                 _json_number(s["balance"], "balance"))
-                for s in (_json_of(dict, entry, "stage") for entry in entries)
+                (_json(int, s["layer"], "stage layer"),
+                 _json(float, s["retention"], "retention"),
+                 _json(float, s["balance"], "balance"))
+                for s in (_json(dict, entry, "stage") for entry in entries)
             ]
-            num_layers = _json_int(obj["num_layers"], "num_layers")
-        except (KeyError, TypeError, ValueError) as exc:
-            detail = f"missing field {exc.args[0]!r}" if isinstance(exc, KeyError) else exc
-            raise TraceError(f"{where}: malformed schedule: {detail}") from exc
+            num_layers = _json(int, obj["num_layers"], "num_layers")
         return cls(stages=tuple(PruningStage(*s) for s in stages), num_layers=num_layers)
 
 
@@ -381,9 +390,6 @@ class SelectionResult:
 # manifests
 
 
-_MODEL_FIELDS = ("layers", "d", "heads", "m")
-
-
 @dataclass(frozen=True)
 class ModelShape:
     """Decoder dimensions recorded alongside a trace."""
@@ -394,9 +400,9 @@ class ModelShape:
     m: int
 
     def __post_init__(self) -> None:
-        for name in _MODEL_FIELDS:
-            if getattr(self, name) < 1:
-                raise ValidationError(f"model dim {name!r} must be >= 1")
+        for f in fields(self):
+            if getattr(self, f.name) < 1:
+                raise ValidationError(f"model dim {f.name!r} must be >= 1")
 
 
 def _check_tensor_filename(name: str, file: str) -> None:
@@ -455,7 +461,7 @@ class TraceManifest:
     def to_json_dict(self) -> dict:
         return {
             "version": self.version,
-            "model_dims": {name: getattr(self.model_dims, name) for name in _MODEL_FIELDS},
+            "model_dims": asdict(self.model_dims),
             "layout": self.layout.to_json_dict(),
             "tensors": [
                 {
@@ -481,10 +487,10 @@ def make_manifest(
 
 def _spec_from_json(entry) -> TensorSpec:
     # fields are read in manifest order, so the first bad one is the one named
-    name = _json_of(str, entry["name"], "tensor name")
-    shape = tuple(_json_of(list, entry["shape"], "shape"))
-    tag = _json_of(str, entry["dtype"], "dtype")
-    spec = TensorSpec(name=name, shape=shape, file=_json_of(str, entry["file"], "file"))
+    name = _json(str, entry["name"], "tensor name")
+    shape = tuple(_json(list, entry["shape"], "shape"))
+    tag = _json(str, entry["dtype"], "dtype")
+    spec = TensorSpec(name=name, shape=shape, file=_json(str, entry["file"], "file"))
     if tag != _DTYPE_TAG:
         raise TraceError(f"tensor {spec.name!r}: unknown dtype tag {tag!r}")
     # TensorSpec names an empty file after its tensor; a manifest must name it
@@ -495,24 +501,19 @@ def _spec_from_json(entry) -> TensorSpec:
 
 def _manifest_from_json(obj, where: str) -> TraceManifest:
     """Parse a manifest object; every malformed field is a ``TraceError``."""
-    if not isinstance(obj, dict):
-        raise TraceError(f"{where}: manifest root must be an object")
-    try:
-        version = _json_of(str, obj["version"], "version")
+    with _json_fields(obj, where, "manifest"):
+        version = _json(str, obj["version"], "version")
         if version != TRACE_VERSION:
             raise TraceError(f"unsupported trace version {version!r}")
         dims = obj["model_dims"]
-        specs = tuple(_spec_from_json(entry) for entry in _json_of(list, obj["tensors"], "tensors"))
+        specs = tuple(_spec_from_json(entry) for entry in _json(list, obj["tensors"], "tensors"))
         return TraceManifest(
             version=version,
-            model_dims=ModelShape(**{name: _json_int(dims[name], name) for name in _MODEL_FIELDS}),
+            model_dims=ModelShape(**{f.name: _json(int, dims[f.name], f.name)
+                                     for f in fields(ModelShape)}),
             layout=TokenLayout.from_json_dict(obj["layout"]),
             tensors=specs,
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        # ValidationError and TraceError are ValueErrors too
-        detail = f"missing field {exc.args[0]!r}" if isinstance(exc, KeyError) else exc
-        raise TraceError(f"{where}: malformed manifest: {detail}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -546,12 +547,8 @@ def read_trace(path) -> tuple[TraceManifest, dict[str, TensorBlob]]:
                 raw = fh.read()
         except (FileNotFoundError, IsADirectoryError) as exc:
             raise TraceError(f"{root}: no {MANIFEST_NAME} found") from exc
-        manifest_path = root / MANIFEST_NAME
-        try:
-            obj = json.loads(raw)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise TraceError(f"{manifest_path}: malformed JSON: {exc}") from exc
-        manifest = _manifest_from_json(obj, where=str(manifest_path))
+        where = root / MANIFEST_NAME
+        manifest = _manifest_from_json(_decode(raw, where, "JSON"), where=str(where))
 
         tensors: dict[str, TensorBlob] = {}
         for spec in manifest.tensors:
@@ -573,6 +570,12 @@ def read_trace(path) -> tuple[TraceManifest, dict[str, TensorBlob]]:
     finally:
         os.close(dir_fd)
     return manifest, tensors
+
+
+def read_schedule(path) -> PruningSchedule:
+    """The schedule in file ``path``, decoded and checked by the manifest's rules."""
+    raw = Path(path).read_bytes()
+    return PruningSchedule.from_json_dict(_decode(raw, path, "schedule JSON"), where=str(path))
 
 
 def staging_path(path: Path, tag: str) -> Path:

@@ -345,6 +345,22 @@ def test_float32_filter_gives_the_float64_outcome(case):
         assert _outcome(stack, tau) == want
 
 
+def test_filter_bounds_are_infinite_past_float32_reach(monkeypatch):
+    # from d = 3355443 on, (d + 1) * 2**-24 exceeds 0.2 and the float32 sums
+    # bound nothing
+    margin, floor = btp.calibration._filter_bounds(3_355_442)
+    assert 0 < margin < np.inf and 0 < floor < np.inf
+    for d in (3_355_443, 4_000_000):
+        assert btp.calibration._filter_bounds(d) == (np.inf, np.inf)
+    # infinite bounds send every row of a float32 stack through the float64 sums
+    stack = list(_random_stacks())[2]  # 50 rows of width 17
+    want = shift_profile(stack.astype(np.float64)).counts
+    monkeypatch.setattr(btp.calibration, "_filter_bounds", lambda d: (np.inf, np.inf))
+    calls = _recording_exact_sums(monkeypatch)
+    assert shift_profile(stack).counts == want
+    assert sorted(sum(calls, [])) == list(range(50))
+
+
 def test_synthetic_stack_plants_exact_counts():
     rng = np.random.default_rng(21)
     stack = synthetic_shift_stack(rng, num_layers=8, n_image=12, d=16, shifted={1: 5, 6: 9})

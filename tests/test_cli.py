@@ -702,6 +702,38 @@ def test_schedule_that_is_not_utf8_exits_2(tmp_path, capsys, command, payload):
     assert err.count("\n") == 1
 
 
+# JSON that json.loads refuses with no JSONDecodeError: nesting far past the
+# decoder's recursion limit (RecursionError), and an integer literal past
+# Python's limit of 4300 digits (ValueError)
+UNDECODABLE_JSON = {
+    "deep-nesting": "[" * 100_000 + "]" * 100_000,
+    "5000-digit-int": '{"num_layers": ' + "7" * 5000 + "}",
+}
+
+
+@pytest.mark.parametrize("payload", list(UNDECODABLE_JSON))
+@pytest.mark.parametrize("command,source", [
+    ("select", "schedule"), ("simulate", "schedule"), ("cost", "schedule"),
+    ("select", "manifest"), ("calibrate", "manifest"),
+], ids=["select-schedule", "simulate-schedule", "cost-schedule",
+        "select-manifest", "calibrate-manifest"])
+def test_undecodable_json_is_one_error_line(tmp_path, capsys, command, source, payload):
+    trace = _write_select_trace(tmp_path)
+    sched = _write_schedule(tmp_path, [(1, 0.5, 0.5), (3, 0.5, 1.0)], num_layers=6)
+    bad = Path(sched) if source == "schedule" else Path(trace) / "manifest.json"
+    bad.write_text(UNDECODABLE_JSON[payload])
+    argv = {
+        "select": ["select", "--trace", trace, "--schedule", sched],
+        "simulate": ["simulate", "--schedule", sched, "--layers", "6"],
+        "cost": ["cost", "--layout", "0,4,0,2,2", "--d", "8", "--mlp", "8", "--schedule", sched],
+        "calibrate": ["calibrate", trace],
+    }[command]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    what = "schedule JSON" if source == "schedule" else "JSON"
+    assert err.startswith(f"error: {bad}: malformed {what}: ") and err.count("\n") == 1
+
+
 # each edit turns the valid two-stage schedule of _write_schedule into a
 # malformed one
 SCHEDULE_EDITS = {
@@ -1213,6 +1245,37 @@ def test_out_survives_a_failed_write(tmp_path, capsys, command):
     assert [p.name for p in out_dir.iterdir()] == ["result"]
 
 
+@pytest.mark.parametrize("error", [KeyboardInterrupt, MemoryError])
+def test_out_survives_a_write_cut_by_a_non_os_error(tmp_path, capsys, monkeypatch, error):
+    # the staged file takes part of the result, then the write is cut: the
+    # error goes on (MemoryError as exit 1), and the previous --out survives
+    # whole, with no temporary file left beside it
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out_path = out_dir / "report.json"
+    out_path.write_bytes(b"previous result\n")
+    written = []
+    write_text = Path.write_text
+
+    def write_part(self, text, *args, **kwargs):
+        written.append(self)
+        write_text(self, text[:10], *args, **kwargs)
+        raise error
+
+    monkeypatch.setattr(Path, "write_text", write_part)
+    argv = ["cost", "--layout", "0,4,0,2,2", "--num-layers", "2", "--d", "8", "--mlp", "16",
+            "--out", str(out_path)]
+    if error is KeyboardInterrupt:
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+        assert capsys.readouterr().out == ""
+    else:
+        assert _run(capsys, argv) == (1, "", "error: out of memory\n")
+    assert len(written) == 1 and written[0].parent == out_dir and written[0] != out_path
+    assert out_path.read_bytes() == b"previous result\n"
+    assert [p.name for p in out_dir.iterdir()] == ["report.json"]
+
+
 def test_out_writes_through_a_fifo_and_a_symlink(tmp_path, capsys):
     argv = ["cost", "--layout", "0,4,0,2,2", "--num-layers", "2", "--d", "8", "--mlp", "16"]
     code, expected, _ = _run(capsys, argv)
@@ -1358,19 +1421,20 @@ def _flip_first_payload_byte(read_trace):
 @pytest.mark.parametrize("kind,name,broken,failed,passed", [
     ("mmdp", "min_pairwise_distance", lambda real: lambda *args: 0.0,
      r"\[FAIL\] greedy within 0\.5x of optimum on 2 instances, both metrics: "
-     r"instance 1 \(cosine_distance, n=\d+, k=\d+\): ratio 0\.000", "0/1"),
+     r"instance 0 \(euclidean, n=\d+, k=\d+\): ratio 0\.000 \(and 3 more\)", "0/1"),
     # wraps keeps the signature, whose max_image_tokens the suite reads
     ("single_layer", "single_layer_optimality_check",
      lambda real: functools.wraps(real)(lambda *args: (2.0, 1.0)),
      r"\[FAIL\] top-k optimal on 2 equal-norm instances: "
-     r"instance 1: n=\d+ k=\d+ relative gap 1\.00e\+00", "1/2"),
+     r"instance 0: n=\d+ k=\d+ relative gap 1\.00e\+00 \(and 1 more\)", "1/2"),
     ("roundtrip", "read_trace", _flip_first_payload_byte,
-     r"\[FAIL\] 2 seeded traces round-trip bit-exact: trace 1: tensor_0 payload bytes changed",
-     "0/1"),
+     r"\[FAIL\] 2 seeded traces round-trip bit-exact: "
+     r"trace 0: tensor_0 payload bytes changed \(and 1 more\)", "0/1"),
 ], ids=["mmdp", "single_layer", "roundtrip"])
 def test_oracle_failing_suite_exits_3(capsys, monkeypatch, kind, name, broken, failed, passed):
     # the README promises exit 3 for a failed check; each suite is broken
-    # through one name it looks up in btp.oracles
+    # through one name it looks up in btp.oracles, and its [FAIL] line names
+    # the first failing instance and counts the others
     monkeypatch.setattr(btp.oracles, name, broken(getattr(btp.oracles, name)))
     code, out, _ = _run(capsys, ["oracle", kind, "--instances", "2"])
     lines = out.splitlines()

@@ -437,6 +437,16 @@ def test_brute_force_guard_refuses_large_instances():
         brute_force_maxmin(pts, 10, "euclidean", guard=1000)
 
 
+def test_brute_force_bounds():
+    pts = np.ones((3, 2))
+    for bad in (np.ones(3), np.ones((3, 2, 1)), np.zeros((0, 2))):
+        with pytest.raises(ValidationError, match="candidates must be"):
+            brute_force_maxmin(bad, 1, "euclidean")
+    for k in (0, 4):
+        with pytest.raises(ValidationError, match=rf"k must be in \[1, 3\], got {k}"):
+            brute_force_maxmin(pts, k, "euclidean")
+
+
 def test_greedy_never_beats_brute_force():
     rng = np.random.default_rng(13)
     for _ in range(10):

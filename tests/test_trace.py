@@ -42,6 +42,11 @@ def test_blob_rejects_zero_extent():
         TensorBlob(name="t", shape=(2, 0), data=np.zeros(0, dtype=np.float32))
 
 
+def test_blob_rejects_empty_name():
+    with pytest.raises(ValidationError, match="tensor name must be non-empty"):
+        TensorBlob(name="", shape=(1,), data=np.zeros(1, dtype=np.float32))
+
+
 def test_blob_from_array_and_view_roundtrip():
     arr = np.arange(12, dtype=np.float32).reshape(3, 4)
     blob = TensorBlob.from_array("t", arr)
@@ -127,6 +132,8 @@ def test_stage_kept_count_floors():
     assert stage_kept_count(0.01, 36, final=True) == 0  # final stage may drop all
     assert stage_kept_count(0.01, 36, final=False) == 1
     assert stage_kept_count(1.0, 7, final=False) == 7
+    with pytest.raises(ValidationError, match="survivor count must be non-negative"):
+        stage_kept_count(0.5, -1, final=False)
 
 
 def test_five_stage_halving_with_drop_all_tail():
@@ -282,11 +289,17 @@ def test_read_maps_payloads_read_only(tmp_path):
     assert got["hidden_l0"].data.tobytes() == blobs["hidden_l0"].data.tobytes()
 
 
-def test_read_rejects_undecodable_manifest(tmp_path):
+# besides bad UTF-8: nesting far past the decoder's recursion limit
+# (RecursionError) and an integer literal past Python's 4300 digits (ValueError)
+@pytest.mark.parametrize("payload", [
+    b"\xff\xfe{", b"[" * 100_000 + b"]" * 100_000, b'{"version": ' + b"7" * 5000 + b"}",
+], ids=["not-utf8", "deep-nesting", "5000-digit-int"])
+def test_read_rejects_undecodable_manifest(tmp_path, payload):
     root = tmp_path / "trace"
     _write_simple_trace(root)
-    (root / "manifest.json").write_bytes(b"\xff\xfe{")
-    with pytest.raises(TraceError, match="malformed JSON"):
+    manifest = root / "manifest.json"
+    manifest.write_bytes(payload)
+    with pytest.raises(TraceError, match=f"^{re.escape(str(manifest))}: malformed JSON: "):
         read_trace(root)
 
 
