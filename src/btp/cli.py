@@ -13,6 +13,9 @@ to stdout, which then carries nothing else; tables and the resolved
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
+import importlib
 import inspect
 import json
 import os
@@ -31,22 +34,13 @@ from .calibration import (
     select_pruning_layers,
     shift_profile,
 )
-from .costs import ModelDims, schedule_flops
-from .diversity import SEED_RULES, SEMANTIC_METRICS, SPATIAL_METRICS, DiversityConfig
 from .errors import TraceError, ValidationError
-from .oracles import mmdp_suite, roundtrip_suite, single_layer_suite
-from .selector import ScheduleDriver, run_schedule, trace_stage_provider
-from .threads import openblas_thread_setter, pinned_pool, thread_count
-from . import toymodel
-from .toymodel import (
-    DISTANCE_METRICS,
-    VALUE_NORM_MODES,
-    ToyConfig,
-    forward,
-    init_weights,
-    layer_output_distance,
-)
 from .trace import (
+    DISTANCE_METRICS,
+    SEED_RULES,
+    SEMANTIC_METRICS,
+    SPATIAL_METRICS,
+    VALUE_NORM_MODES,
     PruningSchedule,
     TokenLayout,
     layer_tensors,
@@ -54,6 +48,38 @@ from .trace import (
     read_trace,
     staging_path,
 )
+
+# the names each command imports when it runs, so that a command loads only
+# the modules it calls.  ``_load`` binds them as globals of this module, and
+# the commands call them through those globals, so that a wrapper set on
+# ``btp.cli`` before the command runs is what it calls.
+_DEFERRED = {
+    "costs": ("ModelDims", "schedule_flops"),
+    "diversity": ("DiversityConfig",),
+    "oracles": ("mmdp_suite", "roundtrip_suite", "single_layer_suite"),
+    "selector": ("ScheduleDriver", "run_schedule", "trace_stage_provider"),
+    "threads": ("openblas_thread_setter", "pinned_pool", "thread_count"),
+    "toymodel": ("ToyConfig", "forward", "init_weights", "layer_output_distance"),
+}
+
+
+def _load(module: str):
+    """Import ``btp.<module>`` and bind its deferred names here, leaving any
+    name already bound as it is; returns the module."""
+    loaded = importlib.import_module(f".{module}", __package__)
+    for name in _DEFERRED[module]:
+        globals().setdefault(name, getattr(loaded, name))
+    return loaded
+
+
+def __getattr__(name: str):
+    # a deferred name is an attribute of this module before any command runs
+    for module, names in _DEFERRED.items():
+        if name in names:
+            _load(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 LAMBDA_PRESETS = {
     "llava7b": (0.6, 0.8, 1.0),
@@ -259,10 +285,12 @@ def cmd_calibrate(args) -> int:
 
 
 def _diversity_config(args) -> DiversityConfig:
+    _load("diversity")
     return DiversityConfig(args.spatial_metric, args.semantic_metric, args.seed_rule)
 
 
 def cmd_select(args) -> int:
+    _load("selector")
     manifest, tensors = read_trace(args.trace)
     schedule = read_schedule(args.schedule)
     if schedule.num_layers != manifest.model_dims.layers:
@@ -298,7 +326,21 @@ def cmd_select(args) -> int:
 # simulate
 
 
+def _text_rows(record, n_text: int):
+    """``record`` cut to its last ``n_text`` rows at every depth, the text
+    rows, which pruning never removes; copied, so the rest can be freed."""
+    return replace(
+        record,
+        hidden=tuple(rows[-n_text:].copy() for rows in record.hidden),
+        positions=tuple(rows[-n_text:].copy() for rows in record.positions),
+        attn_last=tuple(rows[-n_text:].copy() for rows in record.attn_last),
+    )
+
+
 def cmd_simulate(args) -> int:
+    toymodel = _load("toymodel")
+    _load("selector")
+    _load("threads")
     layout = _parse_layout(args.layout)
     if layout.n_text < 1:
         raise ValidationError("simulate needs at least one text token to compare on")
@@ -356,9 +398,15 @@ def cmd_simulate(args) -> int:
         # baseline first, as it is the longest; results are read in
         # submission order, so the first failure raised is the serial one.
         # The head goes in by position: a tracer reads prune_hook alone.
+        # The CSV compares text rows alone, so each job keeps only those of
+        # its record, and the rest is freed while later forwards run.
         hooks = [None] + [ScheduleDriver(sched, dcfg) for sched in strategies.values()]
-        jobs = [pool.submit(forward, inputs, layout, cfg, weights, head, prune_hook=hook)
-                for hook in hooks]
+
+        def compared(hook):
+            record = forward(inputs, layout, cfg, weights, head, prune_hook=hook)
+            return _text_rows(record, layout.n_text)
+
+        jobs = [pool.submit(compared, hook) for hook in hooks]
         baseline, *pruned = [job.result() for job in jobs]
     records = dict(zip(strategies, pruned))
 
@@ -404,6 +452,7 @@ _COST_BYTES_PER_LAYER = 128
 
 
 def cmd_cost(args) -> int:
+    _load("costs")
     layout = _parse_layout(args.layout)
     schedule = (read_schedule(args.schedule) if args.num_layers is None
                 else PruningSchedule(stages=(), num_layers=args.num_layers))
@@ -434,6 +483,7 @@ def cmd_cost(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    _load("oracles")
     suite = {"mmdp": mmdp_suite, "single_layer": single_layer_suite,
              "roundtrip": roundtrip_suite}[args.kind]
     # a flag left out, or --instances 0, leaves the suite's own default
@@ -521,6 +571,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Every output is written and closed before this returns, so the
+    # interpreter's final collections need not walk the objects the exiting
+    # process frees anyway: freeze them first.  Registered once, however
+    # often main runs in one process.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)

@@ -25,11 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-
-# also the elementwise metrics, which distance_rows computes for any points
-SPATIAL_METRICS = ("manhattan", "euclidean")
-SEMANTIC_METRICS = ("cosine_distance", "euclidean")
-SEED_RULES = ("spatial_first_point", "farthest_from_centroid")
+from .trace import SEED_RULES, SEMANTIC_METRICS, SPATIAL_METRICS
 
 # float64 bytes of the block of rows unit_rows normalises at a time, small
 # enough to stay in cache across its passes; a single row is done whole

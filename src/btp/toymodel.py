@@ -44,9 +44,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .selector import StageInputs
-from .trace import TokenLayout
+from .trace import DISTANCE_METRICS, VALUE_NORM_MODES, TokenLayout
 
-VALUE_NORM_MODES = ("raw", "unit")
 # logits per softmax block in ``layer_step``: all heads, whole rows
 SOFTMAX_BLOCK_BYTES = 1 << 20
 
@@ -375,9 +374,6 @@ def _check_prefix(
         raise ValidationError("prefix has pruned tokens")
     if not np.array_equal(prefix.hidden[0], positioned):
         raise ValidationError("prefix was run on other inputs")
-
-
-DISTANCE_METRICS = ("cosine_similarity", "euclidean")
 
 
 def layer_output_distance(

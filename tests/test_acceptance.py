@@ -40,6 +40,7 @@ from btp.toymodel import (
     ToyConfig,
     forward,
     init_weights,
+    layer_output_distance,
     local_prune_error,
     single_layer_optimality_check,
     value_rows,
@@ -299,3 +300,39 @@ def test_criterion_9_trace_roundtrip(tmp_path):
     """100 seeded trace directories survive write -> read bit-exactly."""
     report = roundtrip_suite(instances=100, base_dir=tmp_path)
     assert report.ok, report.failures
+
+
+def test_criterion_10_diversity_serves_later_layers():
+    """Diversity-only beats attention-only at the last layer on >= 80 of 100 seeds.
+
+    The error is 1 - cosine similarity of the text rows against the
+    unpruned run, under both value norms, on ``simulate``'s input draw.
+    """
+    layout = TokenLayout(n_system=2, n_image=36, n_text=6, grid_rows=6, grid_cols=6)
+    text = range(layout.n_system + layout.n_image, layout.total())
+    one_sided = {
+        balance: PruningSchedule(
+            stages=tuple(PruningStage(layer, 0.5, balance) for layer in (1, 3, 5)), num_layers=8
+        )
+        for balance in (0.0, 1.0)
+    }
+    for value_norm in ("raw", "unit"):
+        wins = 0
+        for seed in range(100):
+            cfg = ToyConfig(num_layers=8, d=64, heads=4, mlp=128, seed=seed,
+                            value_norm=value_norm)
+            rng = np.random.default_rng([seed, 1])
+            x = rng.standard_normal((layout.total(), cfg.d)).astype(np.float32)
+            weights = init_weights(cfg)
+            base = forward(x, layout, cfg, weights)
+            error = {
+                balance: 1.0 - layer_output_distance(
+                    base,
+                    forward(x, layout, cfg, weights, prune_hook=ScheduleDriver(schedule)),
+                    cfg.num_layers,
+                    text,
+                )
+                for balance, schedule in one_sided.items()
+            }
+            wins += error[0.0] < error[1.0]
+        assert wins >= 80, f"{value_norm}: diversity-only won only {wins}/100 at the last layer"

@@ -950,6 +950,28 @@ def test_simulate_csv_matches_four_whole_forwards(tmp_path, capsys, monkeypatch,
     assert prefixes == [head_depth] * 4
 
 
+def test_simulate_keeps_only_the_text_rows_it_compares(tmp_path, capsys, monkeypatch):
+    # each forward's record is cut to its text rows as the forward ends, so
+    # the records the CSV reads hold nothing else
+    sched = _write_schedule(tmp_path, [(1, 0.5, 0.5), (3, 0.5, 1.0)], num_layers=6)
+    compared = []
+    distance = btp.toymodel.layer_output_distance
+
+    def recording(a, b, *args, **kwargs):
+        compared.extend((a, b))
+        return distance(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(btp.cli, "layer_output_distance", recording)
+    code, _, _ = _run(capsys, ["simulate", "--schedule", sched, "--layout", "2,16,6,4,4",
+                               "--layers", "6"])
+    assert code == 0 and len(compared) == 2 * 6 * 3
+    text = np.arange(18, 24)
+    for record in compared:
+        assert [rows.shape for rows in record.hidden] == [(6, 32)] * 7
+        assert all(np.array_equal(rows, text) for rows in record.positions)
+        assert all(rows.base is None for rows in record.hidden)
+
+
 @pytest.mark.parametrize("stages", [[(1, 0.5, 0.5), (3, 0.5, 1.0)], [(5, 0.5, 0.6)], []])
 def test_simulate_runs_each_head_layer_once(tmp_path, capsys, monkeypatch, stages):
     # the layers up to and including the first stage's are the same in all
