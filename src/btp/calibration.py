@@ -51,10 +51,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .trace import PruningSchedule, PruningStage
+from .trace import DEFAULT_TAU, PruningSchedule, PruningStage
 
-DEFAULT_TAU = 0.93
-DEFAULT_CALIBRATION_SIZE = 64
 # shift_profile's row blocks would hold about this many bytes in float64
 # (half as many in float32), so they stay in cache.  Half this size made
 # the walk 37% slower at d = 4096 on a 2-CPU x86-64 machine, as it doubles

@@ -26,16 +26,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibration import (
-    DEFAULT_CALIBRATION_SIZE,
-    DEFAULT_TAU,
-    aggregate_profiles,
-    build_schedule,
-    select_pruning_layers,
-    shift_profile,
-)
 from .errors import TraceError, ValidationError
 from .trace import (
+    DEFAULT_CALIBRATION_SIZE,
+    DEFAULT_TAU,
     DISTANCE_METRICS,
     SEED_RULES,
     SEMANTIC_METRICS,
@@ -54,6 +48,8 @@ from .trace import (
 # the commands call them through those globals, so that a wrapper set on
 # ``btp.cli`` before the command runs is what it calls.
 _DEFERRED = {
+    "calibration": ("aggregate_profiles", "build_schedule", "select_pruning_layers",
+                    "shift_profile"),
     "costs": ("ModelDims", "schedule_flops"),
     "diversity": ("DiversityConfig",),
     "oracles": ("mmdp_suite", "roundtrip_suite", "single_layer_suite"),
@@ -213,6 +209,7 @@ def _profile_one_trace(trace_dir: str, tau: float):
 
 
 def cmd_calibrate(args) -> int:
+    _load("calibration")
     if args.calib_size < 1:
         raise ValidationError(f"--calib-size must be >= 1, got {args.calib_size}")
     if not 0.0 < args.tau < 1.0:

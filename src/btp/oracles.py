@@ -9,7 +9,6 @@ from the command line.
 
 from __future__ import annotations
 
-import inspect
 import math
 import tempfile
 from dataclasses import dataclass, field
@@ -25,7 +24,7 @@ from .diversity import (
     spatial_init,
 )
 from .errors import ValidationError
-from .toymodel import single_layer_optimality_check
+from .toymodel import MAX_EXHAUSTIVE_IMAGE_TOKENS, single_layer_optimality_check
 from .trace import (
     ModelShape,
     TensorBlob,
@@ -199,9 +198,8 @@ def single_layer_suite(instances: int = 20, seed: int = 7, max_n: int = 10) -> S
     _check_at_least("seed", seed, 0)
     _check_at_least("max_n", max_n, 4)
     # the largest instance that single_layer_optimality_check takes
-    cap = inspect.signature(single_layer_optimality_check).parameters["max_image_tokens"].default
-    if max_n > cap:
-        raise ValidationError(f"max_n must be <= {cap}, got {max_n}")
+    if max_n > MAX_EXHAUSTIVE_IMAGE_TOKENS:
+        raise ValidationError(f"max_n must be <= {MAX_EXHAUSTIVE_IMAGE_TOKENS}, got {max_n}")
     report = SuiteReport("single_layer")
     failures = []
     worst_gap = 0.0

@@ -48,6 +48,8 @@ from .trace import DISTANCE_METRICS, VALUE_NORM_MODES, TokenLayout
 
 # logits per softmax block in ``layer_step``: all heads, whole rows
 SOFTMAX_BLOCK_BYTES = 1 << 20
+# the most image tokens ``single_layer_optimality_check`` tries every keep-set of
+MAX_EXHAUSTIVE_IMAGE_TOKENS = 12
 
 
 @dataclass(frozen=True)
@@ -447,7 +449,7 @@ def local_prune_error(attn, values, kept) -> float:
 
 
 def single_layer_optimality_check(
-    attn, values, k: int, max_image_tokens: int = 12
+    attn, values, k: int, max_image_tokens: int = MAX_EXHAUSTIVE_IMAGE_TOKENS
 ) -> tuple[float, float]:
     """Attention top-k versus the exhaustive best keep-set at one layer.
 

@@ -45,15 +45,18 @@ from .errors import TraceError, ValidationError
 TRACE_VERSION = "1"
 MANIFEST_NAME = "manifest.json"
 
-# the choices of the command line's diversity and toy-model flags, defined
-# here, which every command loads, so that its parser lists them without
-# importing the modules that use them.  The spatial metrics are also the
-# elementwise ones, which ``diversity.distance_rows`` computes for any points.
+# the choices of the command line's diversity and toy-model flags and the
+# calibration defaults, defined here, which every command loads, so that its
+# parser lists them without importing the modules that use them.  The
+# spatial metrics are also the elementwise ones, which
+# ``diversity.distance_rows`` computes for any points.
 SPATIAL_METRICS = ("manhattan", "euclidean")
 SEMANTIC_METRICS = ("cosine_distance", "euclidean")
 SEED_RULES = ("spatial_first_point", "farthest_from_centroid")
 VALUE_NORM_MODES = ("raw", "unit")
 DISTANCE_METRICS = ("cosine_similarity", "euclidean")
+DEFAULT_TAU = 0.93
+DEFAULT_CALIBRATION_SIZE = 64
 
 # the manifest tag of the one payload dtype of version "1", numpy's "<f4"
 _DTYPE_TAG = "f32le"

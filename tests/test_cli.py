@@ -1,7 +1,6 @@
 """End-to-end command-line behavior, exit codes, and output determinism."""
 
 import errno
-import functools
 import hashlib
 import json
 import math
@@ -197,6 +196,19 @@ def test_cost_takes_one_depth_flag(tmp_path, capsys):
         "cost", "--layout", "2,8,3,2,4", "--schedule", "", "--d", "8", "--mlp", "16",
     ])
     assert (code, out) == (2, "") and err.startswith("error:")
+
+
+def test_zero_depth_is_refused(tmp_path, capsys):
+    # the depth from --num-layers and from a schedule file meet one rule
+    sched = tmp_path / "zero.json"
+    sched.write_text(json.dumps({"num_layers": 0, "stages": []}))
+    for argv in (
+        ["cost", "--layout", "2,8,3,2,4", "--num-layers", "0", "--d", "8", "--mlp", "16"],
+        ["cost", "--layout", "2,8,3,2,4", "--schedule", str(sched), "--d", "8", "--mlp", "16"],
+        ["select", "--trace", _write_select_trace(tmp_path), "--schedule", str(sched)],
+    ):
+        code, out, err = _run(capsys, argv)
+        assert (code, out, err) == (1, "", "error: num_layers must be >= 1\n"), argv
 
 
 def test_cost_out_file(tmp_path, capsys):
@@ -1440,19 +1452,29 @@ def _flip_first_payload_byte(read_trace):
     return read
 
 
+def _reshape_first_tensor(read_trace):
+    """``read_trace``, but the first tensor comes back, payload unchanged, under another shape."""
+    def read(path):
+        manifest, blobs = read_trace(path)
+        blob = next(iter(blobs.values()))
+        return manifest, {**blobs, blob.name: TensorBlob(blob.name, (*blob.shape, 1), blob.data)}
+    return read
+
+
 @pytest.mark.parametrize("kind,name,broken,failed,passed", [
     ("mmdp", "min_pairwise_distance", lambda real: lambda *args: 0.0,
      r"\[FAIL\] greedy within 0\.5x of optimum on 2 instances, both metrics: "
      r"instance 0 \(euclidean, n=\d+, k=\d+\): ratio 0\.000 \(and 3 more\)", "0/1"),
-    # wraps keeps the signature, whose max_image_tokens the suite reads
-    ("single_layer", "single_layer_optimality_check",
-     lambda real: functools.wraps(real)(lambda *args: (2.0, 1.0)),
+    ("single_layer", "single_layer_optimality_check", lambda real: lambda *args: (2.0, 1.0),
      r"\[FAIL\] top-k optimal on 2 equal-norm instances: "
      r"instance 0: n=\d+ k=\d+ relative gap 1\.00e\+00 \(and 1 more\)", "1/2"),
     ("roundtrip", "read_trace", _flip_first_payload_byte,
      r"\[FAIL\] 2 seeded traces round-trip bit-exact: "
      r"trace 0: tensor_0 payload bytes changed \(and 1 more\)", "0/1"),
-], ids=["mmdp", "single_layer", "roundtrip"])
+    ("roundtrip", "read_trace", _reshape_first_tensor,
+     r"\[FAIL\] 2 seeded traces round-trip bit-exact: "
+     r"trace 0: tensor_0 shape changed \(and 1 more\)", "0/1"),
+], ids=["mmdp", "single_layer", "roundtrip", "roundtrip-shape"])
 def test_oracle_failing_suite_exits_3(capsys, monkeypatch, kind, name, broken, failed, passed):
     # the README promises exit 3 for a failed check; each suite is broken
     # through one name it looks up in btp.oracles, and its [FAIL] line names

@@ -1,5 +1,5 @@
-"""The start-up contract: ``import btp`` loads no submodule, a command loads
-only the modules it runs, and each name ``btp`` exports resolves on first use.
+"""The start-up contract: ``import btp`` loads no submodule, and a command
+loads only the modules it runs.
 
 What is loaded is checked in a child interpreter, so that what this test
 process has imported does not count.
@@ -18,7 +18,15 @@ import pytest
 import btp
 import btp.cli
 from btp.calibration import synthetic_shift_stack
-from btp.trace import ModelShape, TensorBlob, TokenLayout, make_manifest, write_trace
+from btp.trace import (
+    ModelShape,
+    PruningSchedule,
+    PruningStage,
+    TensorBlob,
+    TokenLayout,
+    make_manifest,
+    write_trace,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 # what calibrate never calls
@@ -28,6 +36,10 @@ NOT_CALIBRATE = ("btp.diversity", "btp.toymodel", "btp.selector", "btp.scoring",
 PRINT_LOADED = ("import json, sys; "
                 "print(json.dumps(sorted(m for m in sys.modules if m.startswith('btp.'))), "
                 "file=sys.stderr)")
+# runs ``main`` on its arguments and ends in sys.exit, as the installed
+# ``btp`` script does, after printing what was loaded
+RUN_MAIN = (f"import sys\nfrom btp.cli import main\ncode = main(sys.argv[1:])\n"
+            f"{PRINT_LOADED}\nsys.exit(code)")
 
 
 def _child(code: str, *args: str) -> subprocess.CompletedProcess:
@@ -46,6 +58,12 @@ def test_import_btp_loads_no_submodule():
     proc = _child(f"import btp\n{PRINT_LOADED}")
     assert proc.returncode == 0, proc.stderr
     assert _loaded(proc) == []
+    # a submodule still imports by name, and an unknown name is no attribute
+    from btp import toymodel
+
+    assert toymodel is importlib.import_module("btp.toymodel")
+    with pytest.raises(AttributeError):
+        btp.no_such_name
 
 
 def test_calibrate_loads_only_what_it_runs(tmp_path, capsys):
@@ -56,10 +74,7 @@ def test_calibrate_loads_only_what_it_runs(tmp_path, capsys):
     trace = tmp_path / "trace"
     write_trace(trace, make_manifest(layout, ModelShape(layers=6, d=8, heads=1, m=16), blobs),
                 blobs)
-    # the child ends in sys.exit(main(...)), as the installed ``btp`` script does
-    proc = _child(f"import sys\nfrom btp.cli import main\ncode = main(sys.argv[1:])\n"
-                  f"{PRINT_LOADED}\nsys.exit(code)",
-                  "calibrate", str(trace), "--lambdas", "0.6,1.0")
+    proc = _child(RUN_MAIN, "calibrate", str(trace), "--lambdas", "0.6,1.0")
     assert proc.returncode == 0, proc.stderr
     loaded = _loaded(proc)
     assert "btp.calibration" in loaded
@@ -70,16 +85,34 @@ def test_calibrate_loads_only_what_it_runs(tmp_path, capsys):
     assert json.loads(proc.stdout)["num_layers"] == 6
 
 
-def test_every_export_resolves_to_its_modules_object():
-    for module, names in btp._EXPORTS.items():
-        defined = importlib.import_module(f"btp.{module}")
-        for name in names:
-            assert getattr(btp, name) is getattr(defined, name), name
-    assert sorted(btp.__all__) == sorted(n for names in btp._EXPORTS.values() for n in names)
-    assert set(btp.__all__) <= set(dir(btp))
-    # a submodule still imports by name, and an unknown name is no attribute
-    from btp import toymodel
+def _one_stage_inputs(tmp_path) -> tuple[str, str]:
+    """A trace scored and selected at layer 1 of 2, and its one-stage schedule."""
+    rng = np.random.default_rng(0)
+    layout = TokenLayout(n_system=0, n_image=16, n_text=1, grid_rows=4, grid_cols=4)
+    attn = rng.random(layout.total()) + 1e-3
+    arrays = {"attn_l1": attn / attn.sum(), "hidden_l1": rng.standard_normal((16, 8))}
+    blobs = {name: TensorBlob.from_array(name, a) for name, a in arrays.items()}
+    trace = tmp_path / "trace"
+    write_trace(trace, make_manifest(layout, ModelShape(layers=2, d=8, heads=1, m=16), blobs),
+                blobs)
+    schedule = tmp_path / "schedule.json"
+    schedule.write_text(json.dumps(
+        PruningSchedule(stages=(PruningStage(1, 0.5, 0.5),), num_layers=2).to_json_dict()
+    ))
+    return str(trace), str(schedule)
 
-    assert toymodel is importlib.import_module("btp.toymodel")
-    with pytest.raises(AttributeError):
-        btp.no_such_name
+
+@pytest.mark.parametrize("command", ["select", "simulate", "cost", "oracle"])
+def test_only_calibrate_loads_calibration(tmp_path, command):
+    trace, schedule = _one_stage_inputs(tmp_path)
+    argv = {
+        "select": ["select", "--trace", trace, "--schedule", schedule],
+        "simulate": ["simulate", "--schedule", schedule, "--layout", "0,16,1,4,4",
+                     "--layers", "2", "--d", "8", "--heads", "1", "--mlp", "16"],
+        "cost": ["cost", "--layout", "0,16,1,4,4", "--num-layers", "2", "--d", "8",
+                 "--mlp", "16"],
+        "oracle": ["oracle", "roundtrip", "--instances", "1"],
+    }[command]
+    proc = _child(RUN_MAIN, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert "btp.calibration" not in _loaded(proc)
