@@ -136,6 +136,30 @@ def _check_fits_in_memory(what: str, nbytes: int) -> None:
         )
 
 
+def _keep_freed_heap() -> None:
+    """Let glibc's malloc keep the heap a command frees, for its next use.
+
+    Each toy layer frees a few MB of temporaries that the next layer
+    allocates again.  Under glibc's default thresholds the freed top of
+    each thread's heap goes back to the system at every layer and is
+    faulted in again page by page: at simulate-toy's shape on two workers,
+    about 63k minor faults per command instead of 19k, and about 7% more
+    CPU time.  The values are those glibc's own dynamic thresholds reach at
+    their cap (mmap 32 MiB, trim twice that).  Nothing happens without
+    ``mallopt``.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # no C library with mallopt
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+
+
 def _emit(text: str, out: str | None) -> None:
     """Write a command's result to ``out``, or to stdout without one.
 
@@ -323,17 +347,6 @@ def cmd_select(args) -> int:
 # simulate
 
 
-def _text_rows(record, n_text: int):
-    """``record`` cut to its last ``n_text`` rows at every depth, the text
-    rows, which pruning never removes; copied, so the rest can be freed."""
-    return replace(
-        record,
-        hidden=tuple(rows[-n_text:].copy() for rows in record.hidden),
-        positions=tuple(rows[-n_text:].copy() for rows in record.positions),
-        attn_last=tuple(rows[-n_text:].copy() for rows in record.attn_last),
-    )
-
-
 def cmd_simulate(args) -> int:
     toymodel = _load("toymodel")
     _load("selector")
@@ -361,21 +374,25 @@ def cmd_simulate(args) -> int:
     workers = min(4, thread_count())
     if not openblas_thread_setter() or forward is not toymodel.forward:
         workers = 1
-    # the float32 weight stacks; four records whose float32 hidden and
-    # attention rows and int64 positions and survivors are at most as long
-    # as the unpruned sequence; and the float32 [heads, n, n] logits of each
-    # forward that runs at once, one per worker
-    rows = (cfg.num_layers + 1) * layout.total()
+    # the float32 weight stacks; the head's record, whose float32 hidden
+    # and attention rows and int64 positions and survivors span the whole
+    # sequence at each of its depths; four records of the text rows alone,
+    # with int64 survivors at most n_image long; and the float32 [n, n]
+    # logits of one head in each forward that runs at once, one per worker
+    n = layout.total()
+    head_depths = schedule.stages[0].layer + 2 if schedule.stages else 0
     _check_fits_in_memory(
         "simulate",
         4 * cfg.num_layers * (4 * cfg.d * cfg.d + 2 * cfg.d * cfg.mlp)
-        + 4 * rows * (4 * cfg.d + 4 + 8 + 8)
-        + 4 * workers * cfg.heads * layout.total() ** 2,
+        + head_depths * n * (4 * cfg.d + 4 + 8 + 8)
+        + 4 * (cfg.num_layers + 1) * (layout.n_text * (4 * cfg.d + 4 + 8) + 8 * layout.n_image)
+        + 4 * workers * n * n,
     )
+    _keep_freed_heap()
     # returns at once: a thread draws the layers while the head and forwards run
     weights = init_weights(cfg)
     rng = np.random.default_rng([cfg.seed, 1])
-    inputs = rng.standard_normal((layout.total(), cfg.d)).astype(np.float32)
+    inputs = rng.standard_normal((n, cfg.d)).astype(np.float32)
 
     strategies = {"btp": schedule} | {
         name: replace(schedule, stages=tuple(replace(s, balance=b) for s in schedule.stages))
@@ -394,16 +411,14 @@ def cmd_simulate(args) -> int:
             head = pool.submit(toymodel.forward, inputs, layout, head_cfg, weights).result()
         # baseline first, as it is the longest; results are read in
         # submission order, so the first failure raised is the serial one.
-        # The head goes in by position: a tracer reads prune_hook alone.
-        # The CSV compares text rows alone, so each job keeps only those of
-        # its record, and the rest is freed while later forwards run.
+        # The CSV compares text rows alone, so each forward records only
+        # those (``text_only``), and every other row is freed as its layer
+        # ends; the head's record stays whole, as the forwards start from
+        # it.  The head and ``text_only`` go in by position: a tracer reads
+        # prune_hook alone.
         hooks = [None] + [ScheduleDriver(sched, dcfg) for sched in strategies.values()]
-
-        def compared(hook):
-            record = forward(inputs, layout, cfg, weights, head, prune_hook=hook)
-            return _text_rows(record, layout.n_text)
-
-        jobs = [pool.submit(compared, hook) for hook in hooks]
+        jobs = [pool.submit(forward, inputs, layout, cfg, weights, head, True, prune_hook=hook)
+                for hook in hooks]
         baseline, *pruned = [job.result() for job in jobs]
     records = dict(zip(strategies, pruned))
 
@@ -451,6 +466,8 @@ _COST_BYTES_PER_LAYER = 128
 def cmd_cost(args) -> int:
     _load("costs")
     layout = _parse_layout(args.layout)
+    if args.num_layers is not None and args.num_layers < 1:
+        raise ValidationError(f"--num-layers must be >= 1, got {args.num_layers}")
     schedule = (read_schedule(args.schedule) if args.num_layers is None
                 else PruningSchedule(stages=(), num_layers=args.num_layers))
     _check_fits_in_memory("cost", schedule.num_layers * _COST_BYTES_PER_LAYER)

@@ -12,18 +12,21 @@ bit-identical.  A prune hook may drop image rows after any layer; dropped
 rows leave the sequence (and thus all later keys/values) entirely, while
 surviving rows keep the position encoding of their original index.
 
-The attention softmax runs in place on one float32 [heads, n, n] buffer,
-so the attention memory of a layer is that one logits buffer.  Its passes
-run over blocks of query rows holding about ``SOFTMAX_BLOCK_BYTES`` (1 MiB)
-of logits, all heads and whole rows, so that each block stays in cache
-across them; a buffer smaller than that is one block.  Each block of rows
-[start, stop) is scaled, its columns >= stop are set to -inf, and a
-float32 triangular bias (0 / -inf) is added on its [start:stop, start:stop]
-diagonal tile only; the max, subtract, exp, sum and divide passes then run
-over whole contiguous rows.  No key is cut off: each row still reduces its
-whole length-n axis, and ``q @ k.T`` and ``probs @ v`` run on the whole
-buffer.  The outputs are bit-identical to the out-of-place softmax with an
-``np.where`` mask, which the tests keep as their reference.
+Attention runs one head at a time, with the softmax in place on one
+float32 [n, n] logits buffer, so the attention memory of a layer is one
+head's logits, not all heads'.  Each head makes the ``q @ k.T`` and
+``probs @ v`` SGEMM calls that a batched matmul over all heads makes, and
+the head-averaged last row is taken from a [heads, n] stack of the heads'
+last rows.  The softmax passes run over blocks of query rows holding
+about ``SOFTMAX_BLOCK_BYTES`` (1 MiB) of one head's logits, whole rows, so
+that each block stays in cache across them; a buffer smaller than that is
+one block.  Each block of rows [start, stop) is scaled, its columns
+>= stop are set to -inf, and a float32 triangular bias (0 / -inf) is added
+on its [start:stop, start:stop] diagonal tile only; the max, subtract,
+exp, sum and divide passes then run over whole contiguous rows.  No key is
+cut off: each row still reduces its whole length-n axis.  The outputs are
+bit-identical to a batched out-of-place softmax with an ``np.where`` mask,
+which the tests keep as their reference.
 
 ``forward`` can start from the record of a shallower unpruned forward of
 the same inputs and weights (its ``prefix``): until the first prune, the
@@ -46,7 +49,7 @@ from .errors import ValidationError
 from .selector import StageInputs
 from .trace import DISTANCE_METRICS, VALUE_NORM_MODES, TokenLayout
 
-# logits per softmax block in ``layer_step``: all heads, whole rows
+# logits per softmax block in ``layer_step``: one head, whole rows
 SOFTMAX_BLOCK_BYTES = 1 << 20
 # the most image tokens ``single_layer_optimality_check`` tries every keep-set of
 MAX_EXHAUSTIVE_IMAGE_TOKENS = 12
@@ -216,7 +219,9 @@ def layer_step(
     qh = q.reshape(seq, cfg.heads, hd).transpose(1, 0, 2)
     kh = k.reshape(seq, cfg.heads, hd).transpose(1, 0, 2)
     vh = v.reshape(seq, cfg.heads, hd).transpose(1, 0, 2)
-    # in place on one buffer.  Keep this order (scale, mask, subtract the row
+    # one head at a time, in place on one [seq, seq] buffer; each head's
+    # ``q @ k.T`` and ``probs @ v`` are the SGEMM calls a batched matmul
+    # over all heads makes.  Keep this order (scale, mask, subtract the row
     # max, exp, divide by the row sum): scaling q instead of the logits, or
     # multiplying by the reciprocal of the sum, changes the rounding.  The
     # passes run over blocks of whole rows: each row still reduces its whole
@@ -224,25 +229,30 @@ def layer_step(
     # a block's diagonal tile the mask adds nothing (the bias would add 0),
     # right of it every logit becomes -inf.  Trimming the later passes to
     # the unmasked columns as well makes them strided, and slower.
-    probs = qh @ kh.transpose(0, 2, 1)
+    probs = np.empty((seq, seq), dtype=np.float32)
+    heads_out = np.empty((cfg.heads, seq, hd), dtype=np.float32)
+    last_rows = np.empty((cfg.heads, seq), dtype=np.float32)
     scale = np.float32(1.0 / math.sqrt(hd))
-    block_rows = min(seq, max(1, SOFTMAX_BLOCK_BYTES // (cfg.heads * seq * probs.itemsize)))
+    block_rows = min(seq, max(1, SOFTMAX_BLOCK_BYTES // (seq * probs.itemsize)))
     tile = np.triu(np.full((block_rows, block_rows), -np.inf, dtype=np.float32), k=1)
-    for start in range(0, seq, block_rows):
-        stop = min(start + block_rows, seq)
-        block = probs[:, start:stop]
-        block *= scale
-        block[:, :, stop:] = -np.inf
-        block[:, :, start:stop] += tile[: stop - start, : stop - start]
-        block -= block.max(axis=-1, keepdims=True)
-        np.exp(block, out=block)
-        block /= block.sum(axis=-1, keepdims=True, dtype=np.float32)
-    attn_out = (probs @ vh).transpose(1, 0, 2).reshape(seq, cfg.d) @ weights.wo[layer]
+    for head in range(cfg.heads):
+        np.matmul(qh[head], kh[head].T, out=probs)
+        for start in range(0, seq, block_rows):
+            stop = min(start + block_rows, seq)
+            block = probs[start:stop]
+            block *= scale
+            block[:, stop:] = -np.inf
+            block[:, start:stop] += tile[: stop - start, : stop - start]
+            block -= block.max(axis=-1, keepdims=True)
+            np.exp(block, out=block)
+            block /= block.sum(axis=-1, keepdims=True, dtype=np.float32)
+        np.matmul(probs, vh[head], out=heads_out[head])
+        last_rows[head] = probs[-1]
+    attn_out = heads_out.transpose(1, 0, 2).reshape(seq, cfg.d) @ weights.wo[layer]
 
     mid = attn_out + x
     x_next = x + attn_out + _gelu(_layernorm(mid) @ weights.w1[layer]) @ weights.w2[layer]
-    last_row = probs[:, -1, :].mean(axis=0)
-    return x_next, last_row
+    return x_next, last_rows.mean(axis=0)
 
 
 @dataclass(frozen=True)
@@ -253,6 +263,9 @@ class ForwardRecord:
     (index num_layers holds the final output); ``attn_last[l]`` was
     computed during layer l and aligns with ``positions[l]``.
     ``image_survivors[l]`` are the image indices alive entering layer l.
+    A record of ``forward(..., text_only=True)`` holds only the last
+    ``layout.n_text`` rows of ``hidden``, ``positions`` and ``attn_last``
+    at every depth, the text rows, which pruning never removes.
     """
 
     config: ToyConfig
@@ -269,6 +282,7 @@ def forward(
     cfg: ToyConfig,
     weights: ToyWeights | None = None,
     prefix: ForwardRecord | None = None,
+    text_only: bool = False,
     prune_hook=None,
 ) -> ForwardRecord:
     """Run the decoder, optionally pruning image rows between layers.
@@ -289,6 +303,10 @@ def forward(
     without ``prefix`` gives.  A prefix with another layout, a config that
     differs in more than ``num_layers``, more layers than ``cfg``, any
     pruned token, or another positioned input raises ``ValidationError``.
+
+    With ``text_only`` the record keeps copies of the text rows alone (see
+    ``ForwardRecord``), cut as each layer is recorded, so the other rows
+    are freed while the forward runs; such a record cannot be a prefix.
     """
     x = np.asarray(inputs, dtype=np.float32)
     if x.ndim != 2 or x.shape != (layout.total(), cfg.d):
@@ -308,8 +326,11 @@ def forward(
         _check_prefix(prefix, x, layout, cfg)
         reused = prefix.config.num_layers
 
-    hidden = [x]
-    pos_hist = [positions]
+    def recorded(rows: np.ndarray) -> np.ndarray:
+        return rows[rows.shape[0] - layout.n_text:].copy() if text_only else rows
+
+    hidden = [recorded(x)]
+    pos_hist = [recorded(positions)]
     alive_hist = [alive]
     attn_rows: list[np.ndarray] = []
 
@@ -320,13 +341,13 @@ def forward(
             x_next, last_row = layer_step(x, layer, cfg, weights)
             if not np.isfinite(x_next).all():
                 raise ValidationError(f"non-finite activations after layer {layer}")
-        attn_rows.append(last_row)
+        attn_rows.append(recorded(last_row))
 
         if prune_hook is not None and alive.size > 0:
             # pruning keeps row order, so the alive image rows are contiguous
             image = slice(layout.n_system, layout.n_system + alive.size)
             image_rows = x[image]
-            image_rows.flags.writeable = False  # the record keeps x
+            image_rows.flags.writeable = False  # a full record keeps x
             kept = prune_hook(StageInputs(layer, alive, last_row[image], image_rows, layout))
             if kept is not None:
                 kept = np.asarray(kept, dtype=np.int64).reshape(-1)
@@ -346,8 +367,8 @@ def forward(
                 alive = kept
 
         x = x_next
-        hidden.append(x)
-        pos_hist.append(positions)
+        hidden.append(recorded(x))
+        pos_hist.append(recorded(positions))
         alive_hist.append(alive)
 
     return ForwardRecord(
@@ -372,6 +393,8 @@ def _check_prefix(
         raise ValidationError(
             f"prefix has {prefix.config.num_layers} layers, model has {cfg.num_layers}"
         )
+    if prefix.positions[0].size != layout.total():
+        raise ValidationError("prefix holds only the text rows")
     if prefix.positions[-1].size != layout.total():
         raise ValidationError("prefix has pruned tokens")
     if not np.array_equal(prefix.hidden[0], positioned):

@@ -586,9 +586,17 @@ def read_trace(path) -> tuple[TraceManifest, dict[str, TensorBlob]]:
 
 
 def read_schedule(path) -> PruningSchedule:
-    """The schedule in file ``path``, decoded and checked by the manifest's rules."""
+    """The schedule in file ``path``, decoded and checked by the manifest's rules.
+
+    Every error names ``path``: a malformed file as a ``TraceError``, a
+    rule the schedule breaks (retention 1.5, say) as a ``ValidationError``.
+    """
     raw = Path(path).read_bytes()
-    return PruningSchedule.from_json_dict(_decode(raw, path, "schedule JSON"), where=str(path))
+    obj = _decode(raw, path, "schedule JSON")
+    try:
+        return PruningSchedule.from_json_dict(obj, where=str(path))
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def staging_path(path: Path, tag: str) -> Path:

@@ -199,16 +199,20 @@ def test_cost_takes_one_depth_flag(tmp_path, capsys):
 
 
 def test_zero_depth_is_refused(tmp_path, capsys):
-    # the depth from --num-layers and from a schedule file meet one rule
+    # the depth from --num-layers and from a schedule file meet one rule,
+    # and the error names the flag or the file it came from
     sched = tmp_path / "zero.json"
     sched.write_text(json.dumps({"num_layers": 0, "stages": []}))
+    code, out, err = _run(capsys, ["cost", "--layout", "2,8,3,2,4", "--num-layers", "0",
+                                   "--d", "8", "--mlp", "16"])
+    assert (code, out, err) == (1, "", "error: --num-layers must be >= 1, got 0\n")
     for argv in (
-        ["cost", "--layout", "2,8,3,2,4", "--num-layers", "0", "--d", "8", "--mlp", "16"],
         ["cost", "--layout", "2,8,3,2,4", "--schedule", str(sched), "--d", "8", "--mlp", "16"],
         ["select", "--trace", _write_select_trace(tmp_path), "--schedule", str(sched)],
+        ["simulate", "--schedule", str(sched)],
     ):
         code, out, err = _run(capsys, argv)
-        assert (code, out, err) == (1, "", "error: num_layers must be >= 1\n"), argv
+        assert (code, out, err) == (1, "", f"error: {sched}: num_layers must be >= 1\n"), argv
 
 
 def test_cost_out_file(tmp_path, capsys):
@@ -780,9 +784,14 @@ def test_select_rejects_out_of_range_schedule(tmp_path, capsys):
     obj = json.loads(Path(sched).read_text())
     obj["stages"][0]["retention"] = 1.5
     Path(sched).write_text(json.dumps(obj))
-    code, out, err = _run(capsys, ["select", "--trace", trace, "--schedule", sched])
-    assert code == 1 and out == ""
-    assert err == "error: retention must be in (0, 1], got 1.5\n"
+    for argv in (
+        ["select", "--trace", trace, "--schedule", sched],
+        ["cost", "--layout", "2,12,3,3,4", "--schedule", sched, "--d", "8", "--mlp", "16"],
+        ["simulate", "--schedule", sched, "--layers", "6"],
+    ):
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (1, ""), argv
+        assert err == f"error: {sched}: retention must be in (0, 1], got 1.5\n", argv
 
 
 def test_select_scores_only_scheduled_layers(tmp_path, capsys, monkeypatch):
@@ -951,9 +960,10 @@ def test_simulate_csv_matches_four_whole_forwards(tmp_path, capsys, monkeypatch,
     assert code == 0
     prefixes = []
 
-    def whole(inputs, layout, cfg, weights, prefix=None, prune_hook=None):
+    def whole(inputs, layout, cfg, weights, prefix=None, text_only=False, prune_hook=None):
         prefixes.append(prefix and prefix.config.num_layers)
-        return btp.toymodel.forward(inputs, layout, cfg, weights, prune_hook=prune_hook)
+        return btp.toymodel.forward(inputs, layout, cfg, weights, None, text_only,
+                                    prune_hook=prune_hook)
 
     monkeypatch.setattr(btp.cli, "forward", whole)
     code, unshared, _ = _run(capsys, argv)
@@ -1006,6 +1016,35 @@ def test_simulate_runs_each_head_layer_once(tmp_path, capsys, monkeypatch, stage
     head = stages[0][0] + 1 if stages else 0
     assert len(threads) == head + 4 * (6 - head)
     assert threading.main_thread() not in threads
+
+
+def test_simulate_peak_rss_is_bounded(tmp_path):
+    # 1500 rows at 8 heads on two workers: one head's float32 [n, n] logits
+    # are 8.6 MiB per running forward, and the child peaks near 73 MiB; all
+    # heads' [heads, n, n] logits would be 69 MiB each, and it peaked at 138
+    if not Path("/proc/self/status").exists():
+        pytest.skip("no /proc/self/status")
+    sched = _write_schedule(tmp_path, [(1, 0.5, 0.5)], num_layers=3)
+    # the child's own high-water mark: wait4's ru_maxrss also counts the
+    # parent's pages, which the child holds until its exec
+    launcher = (
+        "import sys, btp.cli\n"
+        "code = btp.cli.main(sys.argv[1:])\n"
+        "with open('/proc/self/status') as fh:\n"
+        "    line = next(l for l in fh if l.startswith('VmHWM:'))\n"
+        "print(code, int(line.split()[1]) * 1024)\n"
+    )
+    src = str(Path(btp.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, BTP_THREADS="2", PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    argv = ["simulate", "--schedule", sched, "--layout", "2,1400,98,35,40", "--layers", "3",
+            "--d", "64", "--heads", "8", "--mlp", "128", "--out", str(tmp_path / "sim.csv")]
+    proc = subprocess.run([sys.executable, "-c", launcher, *argv], env=env,
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, peak = map(int, proc.stdout.split())
+    assert code == 0, proc.stderr
+    assert peak < 100 << 20, f"simulate peaked at {peak / 2**20:.1f} MiB"
 
 
 def test_simulate_pool_is_capped_by_btp_threads(tmp_path, capsys, monkeypatch):

@@ -237,10 +237,11 @@ def _reference_layer_step(x, layer, cfg, weights):
 
 
 # d = 48 keeps 1/sqrt(d/heads) off a power of two for every head count, so
-# scaling q in place of the logits would change bits and fail here
+# scaling q in place of the logits would change bits and fail here; at 1100
+# rows each head's logits span five softmax blocks, the last one partial
 @pytest.mark.parametrize("value_norm", ["raw", "unit"])
 @pytest.mark.parametrize("heads", [1, 2, 8])
-@pytest.mark.parametrize("seq", [1, 2, 19, 300, 675])
+@pytest.mark.parametrize("seq", [1, 2, 19, 300, 675, 1100])
 def test_layer_step_matches_reference_bitwise(seq, heads, value_norm):
     cfg = ToyConfig(num_layers=2, d=48, heads=heads, mlp=96, seed=seq, value_norm=value_norm)
     weights = init_weights(cfg)
@@ -450,6 +451,31 @@ def test_driver_holds_no_stage_inputs():
     assert [ref() for ref in seen] == [None] * len(seen)
     # the stages at layers 0 and 1 ran: 8 image tokens, then 6, then 3
     assert [s.size for s in rec.image_survivors[:3]] == [8, 6, 3]
+
+
+@pytest.mark.parametrize("pruned", [False, True])
+def test_text_only_record_is_the_text_rows_of_a_full_one(pruned):
+    sched = PruningSchedule((PruningStage(0, 0.5, 0.5), PruningStage(1, 0.5, 1.0)), CFG.num_layers)
+    x, weights = _inputs(13), init_weights(CFG)
+
+    def run(text_only):
+        hook = ScheduleDriver(sched) if pruned else None
+        return forward(x, LAYOUT, CFG, weights, None, text_only, prune_hook=hook)
+
+    full, text = run(False), run(True)
+    for field in ("hidden", "positions", "attn_last", "image_survivors"):
+        got, want = getattr(text, field), getattr(full, field)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            if field != "image_survivors":  # the survivors are kept whole
+                w = w[-LAYOUT.n_text:]
+                assert g.base is None, field  # a copy: the other rows are freed
+            assert g.dtype == w.dtype and np.array_equal(g, w), field
+    if pruned:
+        assert full.positions[-1].size < LAYOUT.total()
+    # a text-only record cannot be the head a forward starts from
+    with pytest.raises(ValidationError, match="prefix holds only the text rows"):
+        forward(x, LAYOUT, CFG, weights, text)
 
 
 # ---------------------------------------------------------------------------
