@@ -53,7 +53,7 @@ _DEFERRED = {
     "costs": ("ModelDims", "schedule_flops"),
     "diversity": ("DiversityConfig",),
     "oracles": ("mmdp_suite", "roundtrip_suite", "single_layer_suite"),
-    "selector": ("ScheduleDriver", "run_schedule", "trace_stage_provider"),
+    "selector": ("ScheduleDriver", "run_schedule", "stage_peak_bytes", "trace_stage_provider"),
     "threads": ("openblas_thread_setter", "pinned_pool", "thread_count"),
     "toymodel": ("ToyConfig", "forward", "init_weights", "layer_output_distance"),
 }
@@ -320,6 +320,15 @@ def cmd_select(args) -> int:
             f"{manifest.model_dims.layers}"
         )
     cfg = _diversity_config(args)
+    # the widths of the stage layers' hidden rows, from the manifest alone;
+    # trace_stage_provider checks the names and shapes
+    blobs = [tensors.get(f"hidden_l{stage.layer}") for stage in schedule.stages]
+    widths = {stage.layer: blob.shape[1] for stage, blob in zip(schedule.stages, blobs)
+              if blob is not None and len(blob.shape) == 2}
+    _check_fits_in_memory(
+        "select",
+        stage_peak_bytes(schedule, manifest.layout.n_image, widths, cfg.semantic_metric),
+    )
     scores, hidden = trace_stage_provider(manifest, tensors, [s.layer for s in schedule.stages])
     result = run_schedule(manifest.layout, scores, hidden, schedule, cfg)
 
@@ -347,6 +356,24 @@ def cmd_select(args) -> int:
 # simulate
 
 
+def _simulate_serially(inputs, layout, cfg, hooks, head_layers, pool) -> list:
+    """The head, then one ``forward`` per hook, each run whole on ``pool``
+    after the last, with every layer's weights drawn by ``init_weights``.
+
+    The head calls ``toymodel.forward`` itself, so that the forwards are
+    the only calls of ``forward``; the head and ``text_only`` go in by
+    position, as a tracer reads ``prune_hook`` alone.
+    """
+    toymodel = _load("toymodel")
+    weights = init_weights(cfg)
+    head = None
+    if head_layers:
+        head_cfg = replace(cfg, num_layers=head_layers)
+        head = pool.submit(toymodel.forward, inputs, layout, head_cfg, weights).result()
+    return [pool.submit(forward, inputs, layout, cfg, weights, head, True, prune_hook=hook).result()
+            for hook in hooks]
+
+
 def cmd_simulate(args) -> int:
     toymodel = _load("toymodel")
     _load("selector")
@@ -369,28 +396,32 @@ def cmd_simulate(args) -> int:
         )
     dcfg = _diversity_config(args)
 
-    # one worker without the BLAS pin, or when a caller (a tracer, say) has
-    # replaced ``forward``, which is looked up here and need not be thread-safe
+    # A caller (a tracer, say) that has replaced ``forward``, which is looked
+    # up here and need not be thread-safe, gets the serial path below, on
+    # one worker.  Without the BLAS pin the pool has one worker too.
+    serial = forward is not toymodel.forward
     workers = min(4, thread_count())
-    if not openblas_thread_setter() or forward is not toymodel.forward:
+    if serial or not openblas_thread_setter():
         workers = 1
-    # the float32 weight stacks; the head's record, whose float32 hidden
-    # and attention rows and int64 positions and survivors span the whole
+    # the float32 weights of the layers held at once, every layer on the
+    # serial path, and the float64 block of rows the draw casts them from
+    # (one row at least); the head's record, whose float32 hidden and
+    # attention rows and int64 positions and survivors span the whole
     # sequence at each of its depths; four records of the text rows alone,
     # with int64 survivors at most n_image long; and the float32 [n, n]
     # logits of one head in each forward that runs at once, one per worker
     n = layout.total()
-    head_depths = schedule.stages[0].layer + 2 if schedule.stages else 0
+    head_layers = schedule.stages[0].layer + 1 if schedule.stages else 0
+    held = cfg.num_layers if serial else min(toymodel.WEIGHT_WINDOW, cfg.num_layers)
     _check_fits_in_memory(
         "simulate",
-        4 * cfg.num_layers * (4 * cfg.d * cfg.d + 2 * cfg.d * cfg.mlp)
-        + head_depths * n * (4 * cfg.d + 4 + 8 + 8)
+        4 * held * (4 * cfg.d * cfg.d + 2 * cfg.d * cfg.mlp)
+        + max(toymodel.DRAW_BLOCK_BYTES, 8 * max(cfg.d, cfg.mlp))
+        + (head_layers + 1 if head_layers else 0) * n * (4 * cfg.d + 4 + 8 + 8)
         + 4 * (cfg.num_layers + 1) * (layout.n_text * (4 * cfg.d + 4 + 8) + 8 * layout.n_image)
         + 4 * workers * n * n,
     )
     _keep_freed_heap()
-    # returns at once: a thread draws the layers while the head and forwards run
-    weights = init_weights(cfg)
     rng = np.random.default_rng([cfg.seed, 1])
     inputs = rng.standard_normal((n, cfg.d)).astype(np.float32)
 
@@ -399,27 +430,21 @@ def cmd_simulate(args) -> int:
         for name, b in (("attention_only", 1.0), ("diversity_only", 0.0))
     }
     # Up to and including the first stage's layer all four forwards compute
-    # the same unpruned layers, so a head job runs them once and every
-    # forward starts from its record.  The head runs on a worker: run on
-    # the main thread, it raised the peak RSS of a paper-shape run from 207
-    # to 234 MB.  It calls ``toymodel.forward`` itself, so the four forwards
-    # stay the only calls of ``forward``.
+    # the same unpruned layers, so a head runs them once and every forward
+    # starts from its record.  The head runs on a worker: run on the main
+    # thread, it raised the peak RSS of a paper-shape run from 207 to
+    # 234 MB.  The unpruned baseline comes
+    # first, as it is the longest; an error is that of the first failing
+    # forward in this order, as one forward after another would raise it.
+    # The CSV compares text rows alone, so each forward records only those
+    # (``text_only``); the head's record stays whole.
+    hooks = [None] + [ScheduleDriver(sched, dcfg) for sched in strategies.values()]
     with pinned_pool(workers) as pool:
-        head = None
-        if schedule.stages:
-            head_cfg = replace(cfg, num_layers=schedule.stages[0].layer + 1)
-            head = pool.submit(toymodel.forward, inputs, layout, head_cfg, weights).result()
-        # baseline first, as it is the longest; results are read in
-        # submission order, so the first failure raised is the serial one.
-        # The CSV compares text rows alone, so each forward records only
-        # those (``text_only``), and every other row is freed as its layer
-        # ends; the head's record stays whole, as the forwards start from
-        # it.  The head and ``text_only`` go in by position: a tracer reads
-        # prune_hook alone.
-        hooks = [None] + [ScheduleDriver(sched, dcfg) for sched in strategies.values()]
-        jobs = [pool.submit(forward, inputs, layout, cfg, weights, head, True, prune_hook=hook)
-                for hook in hooks]
-        baseline, *pruned = [job.result() for job in jobs]
+        if serial:
+            baseline, *pruned = _simulate_serially(inputs, layout, cfg, hooks, head_layers, pool)
+        else:
+            baseline, *pruned = toymodel.forward_many(inputs, layout, cfg, hooks, head_layers,
+                                                      pool, workers)
     records = dict(zip(strategies, pruned))
 
     text_positions = list(range(layout.n_system + layout.n_image, layout.total()))

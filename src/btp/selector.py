@@ -96,6 +96,14 @@ def _zero_norm_error(inputs: StageInputs, exc: ZeroNormRow) -> ValidationError:
     )
 
 
+def _quotas(stage: PruningStage, n: int, final: bool) -> tuple[int, int]:
+    """(k_att, k_div): the attention and diversity shares of the k tokens
+    a stage keeps of ``n`` survivors, the attention share rounded half up."""
+    k = stage_kept_count(stage.retention, n, final=final)
+    k_att = math.floor(stage.balance * k + 0.5)
+    return k_att, k - k_att
+
+
 def select_stage(
     inputs: StageInputs,
     stage: PruningStage,
@@ -112,12 +120,9 @@ def select_stage(
     skeleton of ceil(k_div / 4) cells intersected with those survivors.
     """
     n = inputs.survivors.size
-    k = stage_kept_count(stage.retention, n, final=final)
-    if k == 0:
+    k_att, k_div = _quotas(stage, n, final)
+    if k_att + k_div == 0:
         return np.empty(0, dtype=np.int64)
-
-    k_att = math.floor(stage.balance * k + 0.5)  # round half up
-    k_div = k - k_att
 
     if k_att > 0:
         att_local = rebalanced_topk(inputs.scores, k_att)
@@ -191,6 +196,41 @@ def run_stage(
         kept_indices=kept,
         diagnostics=_stage_diagnostics(inputs, stage, kept, cfg),
     )
+
+
+def stage_peak_bytes(
+    schedule: PruningSchedule, n_image: int, widths: Mapping[int, int], metric: str
+) -> int:
+    """Estimated peak bytes of the largest stage of ``run_schedule``.
+
+    ``widths[l]`` is the width d of layer l's hidden rows; a layer it lacks
+    counts as width 0.  Each stage's survivor count follows from the
+    schedule alone, so this runs before anything is scored or gathered.  A
+    stage holds its survivors' gathered float32 rows, then the larger of
+    the greedy's and the diagnostics' float64 temporaries: under cosine
+    distance the unit rows and the [c, c] Gram of the c candidates (and
+    their raw rows, for the centroid seed), then the kept rows' unit rows,
+    Gram and pair distances with their int64 indices; under an elementwise
+    metric the candidates' rows and one difference matrix, then the kept
+    rows, one difference row and the pair distances, twice as they are
+    joined.
+    """
+    peak, alive = 0, n_image
+    for i, stage in enumerate(schedule.stages):
+        d = widths.get(stage.layer, 0)
+        k_att, k_div = _quotas(stage, alive, final=i == len(schedule.stages) - 1)
+        kept = k_att + k_div
+        c = alive - k_att if k_div else 0
+        pairs = kept * (kept - 1) // 2
+        if metric == "cosine_distance":
+            greedy = 8 * c * (c + 2 * d)
+            diagnostics = 8 * kept * (kept + d) + 24 * pairs
+        else:
+            greedy = 16 * c * d
+            diagnostics = 16 * kept * d + 16 * pairs
+        peak = max(peak, 4 * alive * d + max(greedy, diagnostics))
+        alive = kept
+    return peak
 
 
 def trace_stage_provider(

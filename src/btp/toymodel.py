@@ -32,6 +32,14 @@ which the tests keep as their reference.
 the same inputs and weights (its ``prefix``): until the first prune, the
 layers that record holds are read from it instead of being run again.
 The outputs are the bits a full run gives.
+
+``Forward`` is a forward run one layer per ``step``.  ``forward_many``
+steps several forwards side by side on a pool, from one shared head, and
+its workers draw the weights as they go into ``WEIGHT_WINDOW`` layer
+slots: at most that many layers ahead of the slowest forward, a layer's
+slot freed once every forward has run it.  So a deep model holds a few
+layers of weights, not all of them, and the records are those of one
+whole forward after another.
 """
 
 from __future__ import annotations
@@ -40,8 +48,7 @@ import itertools
 import math
 import threading
 from collections.abc import Sequence
-from concurrent.futures import Future
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -51,6 +58,11 @@ from .trace import DISTANCE_METRICS, VALUE_NORM_MODES, TokenLayout
 
 # logits per softmax block in ``layer_step``: one head, whole rows
 SOFTMAX_BLOCK_BYTES = 1 << 20
+# the layers of weights ``forward_many`` holds: its draw runs at most this
+# many layers ahead of the slowest forward
+WEIGHT_WINDOW = 8
+# float64 bytes of the block of rows the weight draw casts to float32 at once
+DRAW_BLOCK_BYTES = 1 << 19
 # the most image tokens ``single_layer_optimality_check`` tries every keep-set of
 MAX_EXHAUSTIVE_IMAGE_TOKENS = 12
 
@@ -79,8 +91,8 @@ class ToyConfig:
 class ToyWeights:
     """Per-layer projection matrices, all float32.
 
-    Each field holds one matrix per layer: a tuple, or the layers
-    ``init_weights`` is still drawing, where reading layer l waits until
+    Each field holds one matrix per layer: a tuple, or the layers a thread
+    is still drawing (``init_weights``), where reading layer l waits until
     layer l is drawn.
     """
 
@@ -92,61 +104,123 @@ class ToyWeights:
     w2: Sequence[np.ndarray]
 
 
-def _draw(rng: np.random.Generator, bound: float, stacks, drawn) -> None:
-    """Fill ``stacks`` layer by layer, in order, resolving ``drawn[layer]``
-    with that layer's matrices.  A failed draw is set on its layer's future
-    and on every later one."""
-    for layer, future in enumerate(drawn):
+class _Draw:
+    """The weights of a config, drawn one layer at a time by ``draw_next``.
+
+    Draw order is fixed (one generator seeded with ``cfg.seed``; per layer
+    wq, wk, wv, wo, w1, w2, each drawn in float64 and cast to float32) so a
+    seed pins every parameter bit.  Layer l is written into slot l mod
+    ``slots`` of float32 [slots, rows, cols] stacks allocated here, so
+    drawing layer l overwrites layer l - ``slots``: a caller that draws
+    more layers than slots must ``release`` that layer first.  A failed
+    draw is the error of its layer and of every later one.  ``condition``
+    guards the state and is notified at each drawn layer.  With
+    ``thread``, a thread draws every layer, and a reader gets a failed
+    draw's error once it has ended.
+    """
+
+    def __init__(self, cfg: ToyConfig, slots: int, thread: bool) -> None:
+        d, mlp = cfg.d, cfg.mlp
+        self.num_layers, self.slots = cfg.num_layers, slots
+        self.condition = threading.Condition()
+        self.drawn = 0  # the layers below this one are drawn
+        self.released = 0  # and those below this one may be overwritten
+        self.error: BaseException | None = None
+        shapes = [(d, d)] * 4 + [(d, mlp), (mlp, d)]
+        self._stacks = [np.empty((slots, rows, cols), dtype=np.float32) for rows, cols in shapes]
+        self._rng = np.random.default_rng(cfg.seed)
+        self._bound = 1.0 / math.sqrt(d)
+        self._thread = None
+        if thread:
+            self._thread = threading.Thread(target=self._draw_all, name="btp-init-weights",
+                                            daemon=True)
+            self._thread.start()
+
+    def _draw_all(self) -> None:
+        while self.drawn < self.num_layers and self.draw_next():
+            pass
+
+    def draw_next(self) -> bool:
+        """Draw layer ``drawn``; False if the draw failed.  One thread at a
+        time may call it.
+
+        Each matrix is drawn a block of rows at a time: the generator fills
+        rows in order, so the bits are those of one draw of the matrix, and
+        the float64 temporary is one block of about ``DRAW_BLOCK_BYTES``.
+        """
+        layer = self.drawn
         try:
-            for stack in stacks:
-                stack[layer] = rng.uniform(-bound, bound, size=stack.shape[1:])
+            for stack in self._stacks:
+                matrix = stack[layer % self.slots]
+                rows, cols = matrix.shape
+                step = max(1, DRAW_BLOCK_BYTES // (8 * cols))
+                for start in range(0, rows, step):
+                    stop = min(start + step, rows)
+                    matrix[start:stop] = self._rng.uniform(-self._bound, self._bound,
+                                                           size=(stop - start, cols))
         except BaseException as exc:  # not re-raised here: the readers raise it
-            for later in drawn[layer:]:
-                later.set_exception(exc)
-            return
-        future.set_result(tuple(stack[layer] for stack in stacks))
+            with self.condition:
+                self.error = exc
+                self.condition.notify_all()
+            return False
+        with self.condition:
+            self.drawn = layer + 1
+            self.condition.notify_all()
+        return True
+
+    def ready(self, layer: int) -> bool:
+        """Whether reading ``layer`` returns or raises at once; call it
+        holding ``condition``."""
+        return layer < self.drawn or self.error is not None
+
+    def layer(self, layer: int) -> tuple[np.ndarray, ...]:
+        """The six matrices of ``layer``, once drawn."""
+        with self.condition:
+            self.condition.wait_for(lambda: self.ready(layer))
+            if layer < self.drawn:
+                if layer < self.released:
+                    raise RuntimeError(f"the weights of layer {layer} were released")
+                return tuple(stack[layer % self.slots] for stack in self._stacks)
+        if self._thread is not None:
+            self._thread.join()  # the error surfaces once the draw has ended
+        raise self.error
+
+    def release(self, mark: int) -> None:
+        """Free the slots of the drawn layers below ``mark``."""
+        with self.condition:
+            self.released = max(self.released, min(mark, self.drawn))
 
 
 class _DrawnLayers(Sequence):
-    """One field's per-layer matrices, read from the futures ``_draw`` resolves."""
+    """One field's per-layer matrices, read from a ``_Draw``."""
 
-    def __init__(self, drawn: list[Future], field: int, thread: threading.Thread) -> None:
-        self._drawn = drawn
+    def __init__(self, draw: _Draw, field: int) -> None:
+        self._draw = draw
         self._field = field
-        self._thread = thread
 
     def __len__(self) -> int:
-        return len(self._drawn)
+        return self._draw.num_layers
 
     def __getitem__(self, layer):
         if isinstance(layer, slice):
             return tuple(self[i] for i in range(len(self))[layer])
-        future = self._drawn[layer]
-        if future.exception() is not None:
-            self._thread.join()  # the error surfaces once the draw has ended
-        return future.result()[self._field]
+        return self._draw.layer(range(len(self))[layer])[self._field]
+
+
+def _drawn_weights(draw: _Draw) -> ToyWeights:
+    return ToyWeights(*(_DrawnLayers(draw, field) for field in range(len(fields(ToyWeights)))))
 
 
 def init_weights(cfg: ToyConfig) -> ToyWeights:
     """Seeded uniform(-1/sqrt(d), 1/sqrt(d)) weights, drawn on a thread.
 
-    Draw order is fixed (per layer: wq, wk, wv, wo, w1, w2) so a seed pins
-    every parameter bit.  The float32 [layers, rows, cols] stacks are
-    allocated here, and a thread then writes the draws into them layer by
-    layer, so a forward can run its first layers while later ones are
-    drawn.  Reading a layer's matrix waits until that layer is drawn, and
-    raises the draw's error if it failed at or before that layer.
+    Returns at once: a thread draws the layers in order (see ``_Draw``)
+    and keeps them all, so a forward can run its first layers while later
+    ones are drawn.  Reading a layer's matrix waits until that layer is
+    drawn, and raises the draw's error if it failed at or before that
+    layer.
     """
-    d, mlp = cfg.d, cfg.mlp
-    shapes = [(d, d)] * 4 + [(d, mlp), (mlp, d)]
-    stacks = [np.empty((cfg.num_layers, rows, cols), dtype=np.float32) for rows, cols in shapes]
-    drawn = [Future() for _ in range(cfg.num_layers)]
-    thread = threading.Thread(
-        target=_draw, args=(np.random.default_rng(cfg.seed), 1.0 / math.sqrt(d), stacks, drawn),
-        name="btp-init-weights", daemon=True,
-    )
-    thread.start()
-    return ToyWeights(*(_DrawnLayers(drawn, field, thread) for field in range(len(stacks))))
+    return _drawn_weights(_Draw(cfg, slots=cfg.num_layers, thread=True))
 
 
 def sinusoidal_encoding(positions, d: int) -> np.ndarray:
@@ -308,47 +382,91 @@ def forward(
     ``ForwardRecord``), cut as each layer is recorded, so the other rows
     are freed while the forward runs; such a record cannot be a prefix.
     """
-    x = np.asarray(inputs, dtype=np.float32)
-    if x.ndim != 2 or x.shape != (layout.total(), cfg.d):
-        raise ValidationError(
-            f"inputs must be [{layout.total()}, {cfg.d}], got {x.shape}"
-        )
-    if not np.isfinite(x).all():
-        raise ValidationError("inputs contain non-finite values")
-    if weights is None:
-        weights = init_weights(cfg)
+    run = Forward(inputs, layout, cfg, weights, prefix, text_only, prune_hook)
+    while not run.done:
+        run.step()
+    return run.record()
 
-    positions = np.arange(layout.total(), dtype=np.int64)
-    x = x + sinusoidal_encoding(positions, cfg.d)
-    alive = np.arange(layout.n_image, dtype=np.int64)
-    reused = 0
-    if prefix is not None:
-        _check_prefix(prefix, x, layout, cfg)
-        reused = prefix.config.num_layers
 
-    def recorded(rows: np.ndarray) -> np.ndarray:
-        return rows[rows.shape[0] - layout.n_text:].copy() if text_only else rows
+class Forward:
+    """A ``forward`` run one layer at a time.
 
-    hidden = [recorded(x)]
-    pos_hist = [recorded(positions)]
-    alive_hist = [alive]
-    attn_rows: list[np.ndarray] = []
+    Takes ``forward``'s arguments.  Each ``step`` runs layer ``layer``; the
+    first also checks the inputs and the prefix and positions the inputs,
+    so that constructing one costs nothing.  ``record`` is the record once
+    ``done``.
+    """
 
-    for layer in range(cfg.num_layers):
-        if layer < reused:
-            x_next, last_row = prefix.hidden[layer + 1], prefix.attn_last[layer]
+    def __init__(
+        self,
+        inputs,
+        layout: TokenLayout,
+        cfg: ToyConfig,
+        weights: ToyWeights | None = None,
+        prefix: ForwardRecord | None = None,
+        text_only: bool = False,
+        prune_hook=None,
+    ) -> None:
+        self.layout, self.cfg = layout, cfg
+        self._inputs, self._weights = inputs, weights
+        self._prefix, self._text_only, self._hook = prefix, text_only, prune_hook
+        # the layers read from the prefix, as it says until the first step checks it
+        self._reused = 0 if prefix is None else prefix.config.num_layers
+        self.layer = 0
+
+    def _start(self) -> None:
+        layout, cfg = self.layout, self.cfg
+        x = np.asarray(self._inputs, dtype=np.float32)
+        self._inputs = None
+        if x.ndim != 2 or x.shape != (layout.total(), cfg.d):
+            raise ValidationError(
+                f"inputs must be [{layout.total()}, {cfg.d}], got {x.shape}"
+            )
+        if not np.isfinite(x).all():
+            raise ValidationError("inputs contain non-finite values")
+        if self._weights is None:
+            self._weights = init_weights(cfg)
+        self._positions = np.arange(layout.total(), dtype=np.int64)
+        self._x = x + sinusoidal_encoding(self._positions, cfg.d)
+        self._alive = np.arange(layout.n_image, dtype=np.int64)
+        if self._prefix is not None:
+            _check_prefix(self._prefix, self._x, layout, cfg)
+        self._hidden = [self._recorded(self._x)]
+        self._pos_hist = [self._recorded(self._positions)]
+        self._alive_hist = [self._alive]
+        self._attn_rows: list[np.ndarray] = []
+
+    @property
+    def done(self) -> bool:
+        return self.layer == self.cfg.num_layers
+
+    @property
+    def reads_weights(self) -> bool:
+        """Whether the next ``step`` runs ``layer_step``, and so reads the
+        weights of ``layer``, rather than reading the prefix."""
+        return self.layer >= self._reused
+
+    def _recorded(self, rows: np.ndarray) -> np.ndarray:
+        return rows[rows.shape[0] - self.layout.n_text:].copy() if self._text_only else rows
+
+    def step(self) -> None:
+        if self.layer == 0:
+            self._start()
+        layer, layout, x, alive = self.layer, self.layout, self._x, self._alive
+        if layer < self._reused:
+            x_next, last_row = self._prefix.hidden[layer + 1], self._prefix.attn_last[layer]
         else:
-            x_next, last_row = layer_step(x, layer, cfg, weights)
+            x_next, last_row = layer_step(x, layer, self.cfg, self._weights)
             if not np.isfinite(x_next).all():
                 raise ValidationError(f"non-finite activations after layer {layer}")
-        attn_rows.append(recorded(last_row))
+        self._attn_rows.append(self._recorded(last_row))
 
-        if prune_hook is not None and alive.size > 0:
+        if self._hook is not None and alive.size > 0:
             # pruning keeps row order, so the alive image rows are contiguous
             image = slice(layout.n_system, layout.n_system + alive.size)
             image_rows = x[image]
             image_rows.flags.writeable = False  # a full record keeps x
-            kept = prune_hook(StageInputs(layer, alive, last_row[image], image_rows, layout))
+            kept = self._hook(StageInputs(layer, alive, last_row[image], image_rows, layout))
             if kept is not None:
                 kept = np.asarray(kept, dtype=np.int64).reshape(-1)
                 if np.unique(kept).size != kept.size:
@@ -362,23 +480,124 @@ def forward(
                     rows = np.r_[:image.start, image.start + np.searchsorted(alive, kept),
                                  image.stop:x_next.shape[0]]
                     x_next = x_next[rows]
-                    positions = positions[rows]
-                    reused = 0  # the prefix holds the unpruned rows only
-                alive = kept
+                    self._positions = self._positions[rows]
+                    self._reused = 0  # the prefix holds the unpruned rows only
+                self._alive = alive = kept
 
-        x = x_next
-        hidden.append(recorded(x))
-        pos_hist.append(recorded(positions))
-        alive_hist.append(alive)
+        self._x = x_next
+        self._hidden.append(self._recorded(x_next))
+        self._pos_hist.append(self._recorded(self._positions))
+        self._alive_hist.append(alive)
+        self.layer = layer + 1
 
-    return ForwardRecord(
-        config=cfg,
-        layout=layout,
-        hidden=tuple(hidden),
-        positions=tuple(pos_hist),
-        attn_last=tuple(attn_rows),
-        image_survivors=tuple(alive_hist),
-    )
+    def record(self) -> ForwardRecord:
+        return ForwardRecord(
+            config=self.cfg,
+            layout=self.layout,
+            hidden=tuple(self._hidden),
+            positions=tuple(self._pos_hist),
+            attn_last=tuple(self._attn_rows),
+            image_survivors=tuple(self._alive_hist),
+        )
+
+
+def forward_many(
+    inputs, layout: TokenLayout, cfg: ToyConfig, hooks, head_layers: int, pool, workers: int
+) -> list[ForwardRecord]:
+    """``forward(inputs, layout, cfg, weights, head, True, prune_hook=hook)``
+    for each of ``hooks``, run side by side, layer by layer, on ``workers``
+    jobs of the executor ``pool``, with the weights streamed.
+
+    With ``head_layers`` > 0, ``head`` is an unpruned forward through the
+    first ``head_layers`` layers, run once, first; no hook may prune before
+    its last layer.  The jobs draw the weights of ``cfg.seed`` as they go,
+    the bits ``init_weights`` draws, into ``WEIGHT_WINDOW`` layer slots: at
+    most that many layers ahead of the slowest forward, a layer's slot
+    freed once every forward has run it.  The records and the error raised
+    are those of the forwards run one after another (see ``_advance``).
+    """
+    draw = _Draw(cfg, slots=min(WEIGHT_WINDOW, cfg.num_layers), thread=False)
+    weights = _drawn_weights(draw)
+    head = None
+    if head_layers:
+        run = Forward(inputs, layout, replace(cfg, num_layers=head_layers), weights)
+        _advance([run], draw, pool, workers)
+        head = run.record()
+    runs = [Forward(inputs, layout, cfg, weights, head, True, hook) for hook in hooks]
+    _advance(runs, draw, pool, workers)
+    return [run.record() for run in runs]
+
+
+def _advance(runs: list[Forward], draw: _Draw, pool, workers: int) -> None:
+    """Run every layer of ``runs`` on up to ``workers`` jobs of ``pool``,
+    drawing their weights.
+
+    A job takes the next layer of ``runs[0]`` first, the longest chain;
+    then the draw of the next layer's weights, while ``draw`` has a free
+    slot; then the next layer of the run furthest behind, the earlier one
+    on ties.  A run is taken only once the weights its layer reads are
+    drawn, and after each layer the weights below every run's layer are
+    released.  A run that fails stops, and so do the runs after it: the
+    error raised is that of the first failed run in list order, as running
+    the runs one after another would raise, so the runs before it go on to
+    their ends.
+    """
+    busy = [False] * len(runs)
+    errors: list[BaseException | None] = [None] * len(runs)
+    drawing = False
+
+    def stopped(i: int) -> bool:
+        return any(error is not None for error in errors[: i + 1])
+
+    def ready(i: int) -> bool:
+        run = runs[i]
+        return (not (busy[i] or run.done or stopped(i))
+                and (not run.reads_weights or draw.ready(run.layer)))
+
+    def pick() -> int | None:
+        """A run's index, -1 for the draw, or None for nothing to do now."""
+        if ready(0):
+            return 0
+        if (not drawing and draw.error is None
+                and draw.drawn < min(draw.released + draw.slots, draw.num_layers)):
+            return -1
+        behind = sorted(range(1, len(runs)), key=lambda i: runs[i].layer)
+        return next((i for i in behind if ready(i)), None)
+
+    def work() -> None:
+        nonlocal drawing
+        with draw.condition:
+            while not all(run.done or stopped(i) for i, run in enumerate(runs)):
+                task = pick()
+                if task is None:
+                    draw.condition.wait()
+                    continue
+                if task < 0:
+                    drawing = True
+                    draw.condition.release()
+                    draw.draw_next()  # a failure is raised by the runs that read it
+                    draw.condition.acquire()
+                    drawing = False
+                    continue
+                busy[task] = True
+                draw.condition.release()
+                error = None
+                try:
+                    runs[task].step()
+                except BaseException as exc:  # raised below, in run order
+                    error = exc
+                draw.condition.acquire()
+                busy[task], errors[task] = False, error
+                held = [run.layer for i, run in enumerate(runs) if busy[i] or not stopped(i)]
+                if held:
+                    draw.release(min(held))
+                draw.condition.notify_all()
+
+    for job in [pool.submit(work) for _ in range(min(workers, len(runs) + 1))]:
+        job.result()
+    first = next((error for error in errors if error is not None), None)
+    if first is not None:
+        raise first
 
 
 def _check_prefix(

@@ -325,11 +325,39 @@ def test_calibrate_starts_no_thread(tmp_path, capsys, monkeypatch):
     assert outs[1].read_bytes() == outs[0].read_bytes()
 
 
+def _rss_of_child(argv, **env):
+    """(VmRSS before ``main``, VmHWM after it) in bytes, of a child process
+    that runs ``btp`` on ``argv`` with ``env`` added to its environment.
+
+    The child reads its own high-water mark: wait4's ru_maxrss also counts
+    the parent's pages, which the child holds until its exec.
+    """
+    if not Path("/proc/self/status").exists():
+        pytest.skip("no /proc/self/status")
+    launcher = (
+        "import sys, btp.cli\n"
+        "def status(key):\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        line = next(l for l in fh if l.startswith(key + ':'))\n"
+        "    return int(line.split()[1]) * 1024\n"
+        "before = status('VmRSS')\n"
+        "code = btp.cli.main(sys.argv[1:])\n"
+        "print(code, before, status('VmHWM'))\n"
+    )
+    src = str(Path(btp.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", **env)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", launcher, *argv], env=env,
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, before, peak = map(int, proc.stdout.split())
+    assert code == 0, proc.stderr
+    return before, peak
+
+
 def test_calibrate_maps_one_trace_at_a_time(tmp_path):
     # two traces of 40 MB each: the high-water RSS grows by one trace's
     # pages, not both
-    if not Path("/proc/self/status").exists():
-        pytest.skip("no /proc/self/status")
     n_image, d, num_layers = 576, 1024, 16
     layout = TokenLayout(n_system=0, n_image=n_image, n_text=0, grid_rows=24, grid_cols=24)
     dims = ModelShape(layers=num_layers, d=d, heads=1, m=2 * d)
@@ -347,25 +375,8 @@ def test_calibrate_maps_one_trace_at_a_time(tmp_path):
         write_trace(path, make_manifest(layout, dims, blobs), blobs)
         traces.append(str(path))
     payload = (num_layers + 1) * n_image * d * 4
-    launcher = (
-        "import sys, btp.cli\n"
-        "def status(key):\n"
-        "    with open('/proc/self/status') as fh:\n"
-        "        line = next(l for l in fh if l.startswith(key + ':'))\n"
-        "    return int(line.split()[1]) * 1024\n"
-        "before = status('VmRSS')\n"
-        "code = btp.cli.main(sys.argv[1:])\n"
-        "print(code, before, status('VmHWM'))\n"
-    )
-    src = str(Path(btp.cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     argv = ["calibrate", *traces, "--lambdas", "1.0", "--out", str(tmp_path / "s.json")]
-    proc = subprocess.run([sys.executable, "-c", launcher, *argv], env=env,
-                          capture_output=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    code, before, peak = map(int, proc.stdout.split())
-    assert code == 0, proc.stderr
+    before, peak = _rss_of_child(argv)
     assert peak - before < payload + (16 << 20), (
         f"high-water RSS grew by {(peak - before) / 2**20:.1f} MiB, "
         f"one trace is {payload / 2**20:.1f} MiB"
@@ -1022,29 +1033,25 @@ def test_simulate_peak_rss_is_bounded(tmp_path):
     # 1500 rows at 8 heads on two workers: one head's float32 [n, n] logits
     # are 8.6 MiB per running forward, and the child peaks near 73 MiB; all
     # heads' [heads, n, n] logits would be 69 MiB each, and it peaked at 138
-    if not Path("/proc/self/status").exists():
-        pytest.skip("no /proc/self/status")
     sched = _write_schedule(tmp_path, [(1, 0.5, 0.5)], num_layers=3)
-    # the child's own high-water mark: wait4's ru_maxrss also counts the
-    # parent's pages, which the child holds until its exec
-    launcher = (
-        "import sys, btp.cli\n"
-        "code = btp.cli.main(sys.argv[1:])\n"
-        "with open('/proc/self/status') as fh:\n"
-        "    line = next(l for l in fh if l.startswith('VmHWM:'))\n"
-        "print(code, int(line.split()[1]) * 1024)\n"
-    )
-    src = str(Path(btp.cli.__file__).resolve().parents[1])
-    env = dict(os.environ, BTP_THREADS="2", PYTHONDONTWRITEBYTECODE="1")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     argv = ["simulate", "--schedule", sched, "--layout", "2,1400,98,35,40", "--layers", "3",
             "--d", "64", "--heads", "8", "--mlp", "128", "--out", str(tmp_path / "sim.csv")]
-    proc = subprocess.run([sys.executable, "-c", launcher, *argv], env=env,
-                          capture_output=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    code, peak = map(int, proc.stdout.split())
-    assert code == 0, proc.stderr
+    _, peak = _rss_of_child(argv, BTP_THREADS="2")
     assert peak < 100 << 20, f"simulate peaked at {peak / 2**20:.1f} MiB"
+
+
+def test_simulate_holds_a_few_layers_of_weights(tmp_path):
+    # 32 layers of 256-wide weights are 75 MiB of float32, and holding them
+    # all the child grew by 91 MiB; streamed, it holds WEIGHT_WINDOW = 8
+    # layers (19 MiB) at once and grew by 33 to 39 MiB
+    sched = _write_schedule(tmp_path, [(2, 0.5, 0.6), (8, 0.5, 0.8), (16, 0.5, 1.0)],
+                            num_layers=32)
+    argv = ["simulate", "--schedule", sched, "--layers", "32", "--d", "256", "--heads", "8",
+            "--mlp", "688", "--layout", "2,64,8,8,8", "--out", str(tmp_path / "sim.csv")]
+    before, peak = _rss_of_child(argv, BTP_THREADS="2")
+    assert peak - before < 60 << 20, (
+        f"high-water RSS grew by {(peak - before) / 2**20:.1f} MiB"
+    )
 
 
 def test_simulate_pool_is_capped_by_btp_threads(tmp_path, capsys, monkeypatch):
@@ -1175,12 +1182,15 @@ def _weights_drawn_up_front(cfg):
 def test_simulate_reads_weights_while_they_are_drawn(tmp_path, capsys, monkeypatch):
     # the head and the forwards read each layer's weights while a thread is
     # still drawing later ones: switching threads every microsecond, on 1, 2
-    # and 4 workers, the CSV must be that of weights drawn before any forward
+    # and 4 workers, the CSV must be that of weights drawn before any
+    # forward, run one forward after another (a replaced ``forward``)
     sched = _write_schedule(tmp_path, [(1, 0.5, 0.5), (3, 0.5, 1.0)], num_layers=6)
     argv = ["simulate", "--schedule", sched, "--layers", "6", "--d", "64", "--mlp", "256",
             "--seed", "7"]
     with monkeypatch.context() as patch:
         patch.setattr(btp.cli, "init_weights", _weights_drawn_up_front)
+        patch.setattr(btp.cli, "forward", lambda *args, **kwargs: btp.toymodel.forward(
+            *args, **kwargs))
         code, serial, _ = _run(capsys, argv)
     assert code == 0
     interval = sys.getswitchinterval()
@@ -1220,29 +1230,43 @@ def test_simulate_runs_a_replaced_forward_one_call_at_a_time(tmp_path, capsys, m
     assert overlaps == [1, 1, 1, 1]
 
 
-class _FaultyDriver(ScheduleDriver):
-    """The btp schedule's stage returns duplicates, diversity_only's a
-    token that is not alive; attention_only runs as it should."""
+def _faulty_driver(btp_fails_at):
+    """A ScheduleDriver whose btp stage at layer ``btp_fails_at`` returns
+    duplicates and whose diversity_only stage returns a token that is not
+    alive; attention_only runs as it should."""
 
-    def __call__(self, inputs):
-        kept = super().__call__(inputs)
-        balances = {stage.balance for stage in self.schedule.stages}
-        if kept is None or balances == {1.0}:
-            return kept
-        if balances == {0.0}:
-            return kept + inputs.layout.n_image
-        return np.repeat(kept[:1], 2)
+    class Faulty(ScheduleDriver):
+        def __call__(self, inputs):
+            kept = super().__call__(inputs)
+            balances = {stage.balance for stage in self.schedule.stages}
+            if kept is None or balances == {1.0}:
+                return kept
+            if balances == {0.0}:
+                return kept + inputs.layout.n_image
+            return np.repeat(kept[:1], 2) if inputs.layer == btp_fails_at else kept
+
+    return Faulty
 
 
-@pytest.mark.parametrize("workers", [1, 4])
-def test_simulate_reports_the_first_failing_forward(tmp_path, capsys, monkeypatch, workers):
+@pytest.mark.parametrize("workers,btp_fails_at", [
+    pytest.param(1, 1, id="1"),
+    pytest.param(4, 1, id="4"),
+    # layer by layer, diversity_only fails at layer 1 before btp reaches 3
+    pytest.param(1, 3, id="1-btp-fails-at-its-second-stage"),
+    pytest.param(4, 3, id="4-btp-fails-at-its-second-stage"),
+])
+def test_simulate_reports_the_first_failing_forward(tmp_path, capsys, monkeypatch, workers,
+                                                    btp_fails_at):
     # one forward after another, the btp forward failed first; on a pool the
-    # error is still that of the first failing job in submission order
-    monkeypatch.setattr(btp.cli, "ScheduleDriver", _FaultyDriver)
+    # error is still that of the first failing forward in submission order
+    monkeypatch.setattr(btp.cli, "ScheduleDriver", _faulty_driver(btp_fails_at))
     monkeypatch.setenv("BTP_THREADS", str(workers))
     sched = _write_schedule(tmp_path, [(1, 0.5, 0.5), (3, 0.5, 1.0)], num_layers=4)
+    threads = threading.active_count()
     code, out, err = _run(capsys, ["simulate", "--schedule", sched])
-    assert (code, out, err) == (1, "", "error: prune hook returned duplicates at layer 1\n")
+    assert (code, out) == (1, "")
+    assert err == f"error: prune hook returned duplicates at layer {btp_fails_at}\n"
+    assert threading.active_count() == threads
 
 
 def test_simulate_restores_the_blas_thread_count(tmp_path, capsys):
@@ -1264,7 +1288,7 @@ def test_simulate_restores_the_blas_thread_count(tmp_path, capsys):
 # failed --out writes and allocations
 
 
-def _run_limited(kind, size, argv, tmp_path):
+def _run_limited(kind, size, argv, tmp_path, timeout=120):
     """Run ``btp`` in a child process whose ``RLIMIT_<kind>`` is ``size``
     bytes, set after the imports."""
     launcher = (
@@ -1277,7 +1301,7 @@ def _run_limited(kind, size, argv, tmp_path):
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONDONTWRITEBYTECODE="1")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-c", launcher, *argv], env=env,
-                          cwd=tmp_path, capture_output=True, timeout=120)
+                          cwd=tmp_path, capture_output=True, timeout=timeout)
 
 
 def _out_argv(tmp_path, command):
@@ -1437,6 +1461,30 @@ def test_simulate_estimate_counts_the_attention_logits(tmp_path):
     assert proc.returncode == 1, err
     assert proc.stdout == b""
     assert err.startswith("error: out of memory: simulate needs about ") and err.count("\n") == 1
+
+
+def test_select_estimate_refuses_a_gram_beyond_physical_memory(tmp_path):
+    # 400,000 image tokens at d = 2, all of them diversity candidates: their
+    # float64 cosine Gram alone would take 1.28 TB.  The estimate refuses it
+    # before anything is scored; the selection itself would run for minutes
+    # before it reached the Gram
+    side_rows, side_cols = 400, 1000
+    layout = TokenLayout(n_system=1, n_image=side_rows * side_cols, n_text=2,
+                         grid_rows=side_rows, grid_cols=side_cols)
+    rng = np.random.default_rng(0)
+    row = rng.random(layout.total()) + 1e-3
+    arrays = {"attn_l1": row / row.sum(),
+              "hidden_l1": rng.standard_normal((layout.n_image, 2)).astype(np.float32)}
+    trace = _write_arrays_trace(tmp_path, layout, ModelShape(layers=4, d=2, heads=1, m=4), arrays)
+    sched = _write_schedule(tmp_path, [(1, 0.5, 0.0)], num_layers=4)
+    start = time.perf_counter()
+    proc = _run_limited("AS", 2 << 30, ["select", "--trace", trace, "--schedule", sched],
+                        tmp_path, timeout=60)
+    err = proc.stderr.decode()
+    assert proc.returncode == 1, err
+    assert proc.stdout == b""
+    assert err.startswith("error: out of memory: select needs about ") and err.count("\n") == 1
+    assert time.perf_counter() - start < 30
 
 
 # ---------------------------------------------------------------------------

@@ -260,6 +260,46 @@ def test_run_schedule_validates_each_stage_layer():
     )
 
 
+@pytest.mark.parametrize("side,d,stages", [
+    (24, 64, [(1, 0.5, 0.5), (3, 0.5, 1.0)]),
+    (24, 8, [(1, 0.8, 0.0)]),
+    (48, 16, [(1, 0.25, 0.3)]),
+])
+@pytest.mark.parametrize("metric", ["cosine_distance", "euclidean"])
+def test_stage_peak_bytes_tracks_the_measured_peak(side, d, stages, metric):
+    # numpy reports its allocations to tracemalloc: the estimate, made from
+    # the schedule and the widths alone, lies within 15% of what the stages
+    # allocated at their peak
+    import tracemalloc
+
+    layout = TokenLayout(n_system=1, n_image=side * side, n_text=2,
+                         grid_rows=side, grid_cols=side)
+    sched = PruningSchedule(tuple(PruningStage(*stage) for stage in stages), num_layers=4)
+    rng = np.random.default_rng(side + d)
+    scores = {layer: rng.random(layout.n_image) for layer, _, _ in stages}
+    hidden = {layer: rng.standard_normal((layout.n_image, d)).astype(np.float32)
+              for layer, _, _ in stages}
+    tracemalloc.start()
+    try:
+        run_schedule(layout, scores, hidden, sched, DiversityConfig(semantic_metric=metric))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    estimate = btp.selector.stage_peak_bytes(sched, layout.n_image, dict.fromkeys(hidden, d),
+                                             metric)
+    assert 0.85 * peak < estimate < 1.15 * peak
+
+
+def test_stage_peak_bytes_counts_each_stage_at_its_survivor_count():
+    # 100 candidates at the first stage, 50 survivors at the second
+    sched = PruningSchedule((PruningStage(1, 0.5, 0.0), PruningStage(2, 0.5, 0.0)), 4)
+    first = 4 * 100 * 3 + 8 * 100 * (100 + 2 * 3)
+    assert btp.selector.stage_peak_bytes(sched, 100, {1: 3}, "cosine_distance") == first
+    second = 4 * 50 * 1000 + 8 * 50 * (50 + 2 * 1000)
+    assert btp.selector.stage_peak_bytes(sched, 100, {1: 3, 2: 1000},
+                                         "cosine_distance") == second
+
+
 def test_trace_provider_parses_tensor_names():
     rng = np.random.default_rng(14)
     row = rng.random(LAYOUT.total()) + 1e-3

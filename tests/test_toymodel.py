@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import btp.cli
+import btp.threads
 import btp.toymodel
 from btp.errors import ValidationError
 from btp.selector import ScheduleDriver
@@ -90,7 +91,9 @@ def _serial_init_weights(cfg):
 
 
 @pytest.mark.parametrize(
-    "layers,d,mlp,seed", [(1, 4, 4, 0), (3, 16, 32, 5), (5, 8, 20, 11), (6, 12, 6, 2**40)]
+    "layers,d,mlp,seed", [(1, 4, 4, 0), (3, 16, 32, 5), (5, 8, 20, 11), (6, 12, 6, 2**40),
+                          # w1 and w2 are drawn in 3 blocks of rows each
+                          (2, 256, 688, 3)]
 )
 def test_init_weights_matches_serial_draw(layers, d, mlp, seed):
     cfg = ToyConfig(num_layers=layers, d=d, heads=2, mlp=mlp, seed=seed)
@@ -601,6 +604,51 @@ def test_prefix_rejects_other_inputs():
     y[-1, 0] += 1.0
     with pytest.raises(ValidationError, match="other inputs"):
         forward(y, LAYOUT, DEEP, init_weights(DEEP), head)
+
+
+# ---------------------------------------------------------------------------
+# forwards side by side, with the weights streamed
+
+STREAMED = dataclasses.replace(CFG, num_layers=10)
+
+
+@pytest.mark.parametrize("first_stage", [1, 4])
+@pytest.mark.parametrize("window", [1, 2, 8])
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_forward_many_gives_the_serial_records_holding_a_window(monkeypatch, first_stage,
+                                                                window, workers):
+    # the records are those of one whole forward after another, while no
+    # more than ``window`` layers of weights are held, also when the head
+    # runs more layers than that
+    stages = (PruningStage(first_stage, 0.5, 0.5), PruningStage(6, 0.5, 0.8),
+              PruningStage(8, 0.5, 1.0))
+    sched = PruningSchedule(stages, STREAMED.num_layers)
+    hooks = [None] + [
+        ScheduleDriver(dataclasses.replace(sched, stages=tuple(
+            dataclasses.replace(stage, balance=balance) for stage in stages)))
+        for balance in (0.5, 1.0, 0.0)
+    ]
+    x, head_layers = _inputs(30, cfg=STREAMED), first_stage + 1
+    held = []
+
+    class CountingDraw(btp.toymodel._Draw):
+        def layer(self, layer):
+            with self.condition:
+                held.append(self.drawn - self.released)
+            return super().layer(layer)
+
+    with btp.threads.pinned_pool(workers) as pool:
+        weights = _serial_init_weights(STREAMED)
+        head = forward(x, LAYOUT, dataclasses.replace(STREAMED, num_layers=head_layers), weights)
+        want = [forward(x, LAYOUT, STREAMED, weights, head, True, hook) for hook in hooks]
+        monkeypatch.setattr(btp.toymodel, "WEIGHT_WINDOW", window)
+        monkeypatch.setattr(btp.toymodel, "_Draw", CountingDraw)
+        threads = threading.active_count()
+        got = btp.toymodel.forward_many(x, LAYOUT, STREAMED, hooks, head_layers, pool, workers)
+    for g, w in zip(got, want, strict=True):
+        _assert_same_record(g, w)
+    assert 0 < max(held) <= window
+    assert threading.active_count() == threads
 
 
 # ---------------------------------------------------------------------------
