@@ -358,7 +358,8 @@ def cmd_select(args) -> int:
 
 def _simulate_serially(inputs, layout, cfg, hooks, head_layers, pool) -> list:
     """The head, then one ``forward`` per hook, each run whole on ``pool``
-    after the last, with every layer's weights drawn by ``init_weights``.
+    after the last, with the weights ``init_weights`` draws on this thread,
+    every layer before the head runs.
 
     The head calls ``toymodel.forward`` itself, so that the forwards are
     the only calls of ``forward``; the head and ``text_only`` go in by
@@ -403,32 +404,18 @@ def cmd_simulate(args) -> int:
     workers = min(4, thread_count())
     if serial or not openblas_thread_setter():
         workers = 1
-    # the float32 weights of the layers held at once, every layer on the
-    # serial path, and the float64 block of rows the draw casts them from
-    # (one row at least); the head's record, whose float32 hidden and
-    # attention rows and int64 positions and survivors span the whole
-    # sequence at each of its depths; four records of the text rows alone,
-    # with int64 survivors at most n_image long; and the float32 [n, n]
-    # logits of one head in each forward that runs at once, one per worker
-    n = layout.total()
     head_layers = schedule.stages[0].layer + 1 if schedule.stages else 0
-    held = cfg.num_layers if serial else min(toymodel.WEIGHT_WINDOW, cfg.num_layers)
-    _check_fits_in_memory(
-        "simulate",
-        4 * held * (4 * cfg.d * cfg.d + 2 * cfg.d * cfg.mlp)
-        + max(toymodel.DRAW_BLOCK_BYTES, 8 * max(cfg.d, cfg.mlp))
-        + (head_layers + 1 if head_layers else 0) * n * (4 * cfg.d + 4 + 8 + 8)
-        + 4 * (cfg.num_layers + 1) * (layout.n_text * (4 * cfg.d + 4 + 8) + 8 * layout.n_image)
-        + 4 * workers * n * n,
-    )
-    _keep_freed_heap()
-    rng = np.random.default_rng([cfg.seed, 1])
-    inputs = rng.standard_normal((n, cfg.d)).astype(np.float32)
-
     strategies = {"btp": schedule} | {
         name: replace(schedule, stages=tuple(replace(s, balance=b) for s in schedule.stages))
         for name, b in (("attention_only", 1.0), ("diversity_only", 0.0))
     }
+    hooks = [None] + [ScheduleDriver(sched, dcfg) for sched in strategies.values()]
+    _check_fits_in_memory("simulate", toymodel.forward_many_peak_bytes(
+        layout, cfg, hooks, head_layers, workers, streamed=not serial))
+    _keep_freed_heap()
+    rng = np.random.default_rng([cfg.seed, 1])
+    inputs = rng.standard_normal((layout.total(), cfg.d)).astype(np.float32)
+
     # Up to and including the first stage's layer all four forwards compute
     # the same unpruned layers, so a head runs them once and every forward
     # starts from its record.  The head runs on a worker: run on the main
@@ -438,7 +425,6 @@ def cmd_simulate(args) -> int:
     # forward in this order, as one forward after another would raise it.
     # The CSV compares text rows alone, so each forward records only those
     # (``text_only``); the head's record stays whole.
-    hooks = [None] + [ScheduleDriver(sched, dcfg) for sched in strategies.values()]
     with pinned_pool(workers) as pool:
         if serial:
             baseline, *pruned = _simulate_serially(inputs, layout, cfg, hooks, head_layers, pool)

@@ -39,7 +39,9 @@ its workers draw the weights as they go into ``WEIGHT_WINDOW`` layer
 slots: at most that many layers ahead of the slowest forward, a layer's
 slot freed once every forward has run it.  So a deep model holds a few
 layers of weights, not all of them, and the records are those of one
-whole forward after another.
+whole forward after another.  ``init_weights`` draws the same bits, every
+layer on the calling thread before it returns.  Nothing here starts a
+thread: ``forward_many`` runs on the caller's pool.
 """
 
 from __future__ import annotations
@@ -47,13 +49,12 @@ from __future__ import annotations
 import itertools
 import math
 import threading
-from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .errors import ValidationError
-from .selector import StageInputs
+from .selector import StageInputs, stage_peak_bytes
 from .trace import DISTANCE_METRICS, VALUE_NORM_MODES, TokenLayout
 
 # logits per softmax block in ``layer_step``: one head, whole rows
@@ -91,17 +92,16 @@ class ToyConfig:
 class ToyWeights:
     """Per-layer projection matrices, all float32.
 
-    Each field holds one matrix per layer: a tuple, or the layers a thread
-    is still drawing (``init_weights``), where reading layer l waits until
-    layer l is drawn.
+    Each field is a tuple of one matrix per layer.  Inside ``forward_many``
+    the fields are the streamed layers instead, indexed by layer alone.
     """
 
-    wq: Sequence[np.ndarray]
-    wk: Sequence[np.ndarray]
-    wv: Sequence[np.ndarray]
-    wo: Sequence[np.ndarray]
-    w1: Sequence[np.ndarray]
-    w2: Sequence[np.ndarray]
+    wq: tuple[np.ndarray, ...]
+    wk: tuple[np.ndarray, ...]
+    wv: tuple[np.ndarray, ...]
+    wo: tuple[np.ndarray, ...]
+    w1: tuple[np.ndarray, ...]
+    w2: tuple[np.ndarray, ...]
 
 
 class _Draw:
@@ -114,12 +114,10 @@ class _Draw:
     drawing layer l overwrites layer l - ``slots``: a caller that draws
     more layers than slots must ``release`` that layer first.  A failed
     draw is the error of its layer and of every later one.  ``condition``
-    guards the state and is notified at each drawn layer.  With
-    ``thread``, a thread draws every layer, and a reader gets a failed
-    draw's error once it has ended.
+    guards the state and is notified at each drawn layer.
     """
 
-    def __init__(self, cfg: ToyConfig, slots: int, thread: bool) -> None:
+    def __init__(self, cfg: ToyConfig, slots: int) -> None:
         d, mlp = cfg.d, cfg.mlp
         self.num_layers, self.slots = cfg.num_layers, slots
         self.condition = threading.Condition()
@@ -130,15 +128,6 @@ class _Draw:
         self._stacks = [np.empty((slots, rows, cols), dtype=np.float32) for rows, cols in shapes]
         self._rng = np.random.default_rng(cfg.seed)
         self._bound = 1.0 / math.sqrt(d)
-        self._thread = None
-        if thread:
-            self._thread = threading.Thread(target=self._draw_all, name="btp-init-weights",
-                                            daemon=True)
-            self._thread.start()
-
-    def _draw_all(self) -> None:
-        while self.drawn < self.num_layers and self.draw_next():
-            pass
 
     def draw_next(self) -> bool:
         """Draw layer ``drawn``; False if the draw failed.  One thread at a
@@ -169,21 +158,18 @@ class _Draw:
         return True
 
     def ready(self, layer: int) -> bool:
-        """Whether reading ``layer`` returns or raises at once; call it
-        holding ``condition``."""
+        """Whether reading ``layer`` returns or raises; call it holding
+        ``condition``."""
         return layer < self.drawn or self.error is not None
 
     def layer(self, layer: int) -> tuple[np.ndarray, ...]:
-        """The six matrices of ``layer``, once drawn."""
+        """The six matrices of ``layer``, which must be ``ready``."""
         with self.condition:
-            self.condition.wait_for(lambda: self.ready(layer))
-            if layer < self.drawn:
-                if layer < self.released:
-                    raise RuntimeError(f"the weights of layer {layer} were released")
-                return tuple(stack[layer % self.slots] for stack in self._stacks)
-        if self._thread is not None:
-            self._thread.join()  # the error surfaces once the draw has ended
-        raise self.error
+            if layer >= self.drawn:
+                raise self.error or RuntimeError(f"the weights of layer {layer} are not drawn")
+            if layer < self.released:
+                raise RuntimeError(f"the weights of layer {layer} were released")
+            return tuple(stack[layer % self.slots] for stack in self._stacks)
 
     def release(self, mark: int) -> None:
         """Free the slots of the drawn layers below ``mark``."""
@@ -191,36 +177,26 @@ class _Draw:
             self.released = max(self.released, min(mark, self.drawn))
 
 
-class _DrawnLayers(Sequence):
+class _DrawnLayers:
     """One field's per-layer matrices, read from a ``_Draw``."""
 
     def __init__(self, draw: _Draw, field: int) -> None:
         self._draw = draw
         self._field = field
 
-    def __len__(self) -> int:
-        return self._draw.num_layers
-
-    def __getitem__(self, layer):
-        if isinstance(layer, slice):
-            return tuple(self[i] for i in range(len(self))[layer])
-        return self._draw.layer(range(len(self))[layer])[self._field]
-
-
-def _drawn_weights(draw: _Draw) -> ToyWeights:
-    return ToyWeights(*(_DrawnLayers(draw, field) for field in range(len(fields(ToyWeights)))))
+    def __getitem__(self, layer: int) -> np.ndarray:
+        return self._draw.layer(layer)[self._field]
 
 
 def init_weights(cfg: ToyConfig) -> ToyWeights:
-    """Seeded uniform(-1/sqrt(d), 1/sqrt(d)) weights, drawn on a thread.
-
-    Returns at once: a thread draws the layers in order (see ``_Draw``)
-    and keeps them all, so a forward can run its first layers while later
-    ones are drawn.  Reading a layer's matrix waits until that layer is
-    drawn, and raises the draw's error if it failed at or before that
-    layer.
-    """
-    return _drawn_weights(_Draw(cfg, slots=cfg.num_layers, thread=True))
+    """Seeded uniform(-1/sqrt(d), 1/sqrt(d)) weights, every layer drawn
+    (see ``_Draw``) on the calling thread before this returns; a failed
+    draw raises here."""
+    draw = _Draw(cfg, slots=cfg.num_layers)
+    while draw.drawn < cfg.num_layers:
+        if not draw.draw_next():
+            raise draw.error
+    return ToyWeights(*zip(*(draw.layer(layer) for layer in range(cfg.num_layers))))
 
 
 def sinusoidal_encoding(positions, d: int) -> np.ndarray:
@@ -516,8 +492,8 @@ def forward_many(
     freed once every forward has run it.  The records and the error raised
     are those of the forwards run one after another (see ``_advance``).
     """
-    draw = _Draw(cfg, slots=min(WEIGHT_WINDOW, cfg.num_layers), thread=False)
-    weights = _drawn_weights(draw)
+    draw = _Draw(cfg, slots=min(WEIGHT_WINDOW, cfg.num_layers))
+    weights = ToyWeights(*(_DrawnLayers(draw, field) for field in range(len(fields(ToyWeights)))))
     head = None
     if head_layers:
         run = Forward(inputs, layout, replace(cfg, num_layers=head_layers), weights)
@@ -598,6 +574,33 @@ def _advance(runs: list[Forward], draw: _Draw, pool, workers: int) -> None:
     first = next((error for error in errors if error is not None), None)
     if first is not None:
         raise first
+
+
+def forward_many_peak_bytes(layout: TokenLayout, cfg: ToyConfig, hooks, head_layers: int,
+                            workers: int, streamed: bool = True) -> int:
+    """Estimated peak bytes of ``forward_many(inputs, layout, cfg, hooks,
+    head_layers, pool, workers)`` with hooks None or ``ScheduleDriver``s,
+    inputs included; without ``streamed``, of those forwards run one after
+    another on every layer of ``init_weights``.  It counts the weights held,
+    the draw's float64 block, the head's and the text-only records, each
+    forward's rows, and the temporaries of the ``workers`` forwards with
+    the most: a ``layer_step``'s over the whole sequence (one head's [n, n]
+    logits and mask tile, eight [n, d] and two [n, max(mlp, d)] float32
+    matrices) or a stage's, its new rows and ``selector.stage_peak_bytes``.
+    """
+    n, d, mlp = layout.total(), cfg.d, cfg.mlp
+    block_rows = min(n, max(1, SOFTMAX_BLOCK_BYTES // (4 * n)))
+    step = 4 * n * n + 4 * block_rows**2 + 32 * n * d + 8 * n * max(mlp, d)
+    steps = sorted((step if hook is None else max(step, 4 * n * d + stage_peak_bytes(
+        hook.schedule, layout.n_image, dict.fromkeys((s.layer for s in hook.schedule.stages), d),
+        hook.cfg.semantic_metric)) for hook in hooks), reverse=True)
+    held = min(WEIGHT_WINDOW, cfg.num_layers) if streamed else cfg.num_layers
+    under_way = len(hooks) if streamed else 1
+    return (4 * held * (4 * d * d + 2 * d * mlp) + max(DRAW_BLOCK_BYTES, 8 * max(d, mlp))
+            + (head_layers + 1 if head_layers else 0) * n * (4 * d + 20)
+            + len(hooks) * (cfg.num_layers + 1) * (layout.n_text * (4 * d + 12)
+                                                   + 8 * layout.n_image)
+            + (1 + under_way) * 4 * n * d + sum(steps[:workers]))
 
 
 def _check_prefix(

@@ -3,7 +3,6 @@
 import errno
 import hashlib
 import json
-import math
 import os
 import re
 import stat
@@ -1054,6 +1053,40 @@ def test_simulate_holds_a_few_layers_of_weights(tmp_path):
     )
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("layout,layers,d,heads,mlp,stages", [
+    ("35,576,64,24,24", 32, 256, 8, 688, [(2, 0.5, 0.6), (8, 0.5, 0.8), (16, 0.5, 1.0)]),
+    ("35,576,64,24,24", 8, 512, 8, 1376, [(2, 0.5, 0.6), (5, 0.5, 1.0)]),
+    ("2,1400,98,35,40", 3, 64, 8, 128, [(1, 0.5, 0.5)]),
+    # diversity_only's first stage builds a 2304-square float64 Gram
+    ("35,2304,64,48,48", 4, 128, 4, 256, [(1, 0.5, 0.6), (2, 0.5, 1.0)]),
+])
+def test_simulate_estimate_tracks_the_measured_peak(tmp_path, capsys, monkeypatch, workers,
+                                                    layout, layers, d, heads, mlp, stages):
+    # numpy reports its allocations to tracemalloc: the estimate simulate
+    # checks before it allocates is no less than 0.9 and no more than twice
+    # what the command allocated at its peak
+    import tracemalloc
+
+    estimates = []
+    monkeypatch.setattr(btp.cli, "_check_fits_in_memory",
+                        lambda what, nbytes: estimates.append(nbytes))
+    monkeypatch.setenv("BTP_THREADS", str(workers))
+    sched = _write_schedule(tmp_path, stages, num_layers=layers)
+    argv = ["simulate", "--schedule", sched, "--layout", layout, "--layers", str(layers),
+            "--d", str(d), "--heads", str(heads), "--mlp", str(mlp),
+            "--out", str(tmp_path / "sim.csv")]
+    tracemalloc.start()
+    try:
+        code, _, _ = _run(capsys, argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    [estimate] = estimates
+    assert 0.9 * peak <= estimate <= 2 * peak, f"{estimate / peak:.2f} times the peak"
+
+
 def test_simulate_pool_is_capped_by_btp_threads(tmp_path, capsys, monkeypatch):
     # four usable CPUs, but BTP_THREADS=1 caps the pool at one worker: the
     # head and all four forwards run their layers on that one thread
@@ -1169,26 +1202,16 @@ def test_simulate_pool_with_more_workers_than_cores(tmp_path, capsys, monkeypatc
         sys.setswitchinterval(interval)
 
 
-def _weights_drawn_up_front(cfg):
-    """The weights ``init_weights`` draws, drawn before this returns."""
-    rng = np.random.default_rng(cfg.seed)
-    bound = 1.0 / math.sqrt(cfg.d)
-    shapes = [(cfg.d, cfg.d)] * 4 + [(cfg.d, cfg.mlp), (cfg.mlp, cfg.d)]
-    layers = [[rng.uniform(-bound, bound, size=shape).astype(np.float32) for shape in shapes]
-              for _ in range(cfg.num_layers)]
-    return btp.toymodel.ToyWeights(*zip(*layers))
-
-
 def test_simulate_reads_weights_while_they_are_drawn(tmp_path, capsys, monkeypatch):
-    # the head and the forwards read each layer's weights while a thread is
-    # still drawing later ones: switching threads every microsecond, on 1, 2
+    # the head and the forwards read each layer's weights while the pool
+    # still draws later ones: switching threads every microsecond, on 1, 2
     # and 4 workers, the CSV must be that of weights drawn before any
-    # forward, run one forward after another (a replaced ``forward``)
+    # forward (``init_weights``), run one forward after another (a replaced
+    # ``forward``)
     sched = _write_schedule(tmp_path, [(1, 0.5, 0.5), (3, 0.5, 1.0)], num_layers=6)
     argv = ["simulate", "--schedule", sched, "--layers", "6", "--d", "64", "--mlp", "256",
             "--seed", "7"]
     with monkeypatch.context() as patch:
-        patch.setattr(btp.cli, "init_weights", _weights_drawn_up_front)
         patch.setattr(btp.cli, "forward", lambda *args, **kwargs: btp.toymodel.forward(
             *args, **kwargs))
         code, serial, _ = _run(capsys, argv)

@@ -100,20 +100,10 @@ def test_init_weights_matches_serial_draw(layers, d, mlp, seed):
     want = _serial_init_weights(cfg)
     got = init_weights(cfg)
     for field in dataclasses.fields(ToyWeights):
+        assert type(getattr(got, field.name)) is tuple
         pairs = zip(getattr(got, field.name), getattr(want, field.name), strict=True)
         for g, w in pairs:
             assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
-
-
-def test_drawn_layers_index_like_a_tuple():
-    got, want = init_weights(CFG), _serial_init_weights(CFG)
-    assert len(got.w1) == CFG.num_layers
-    assert got.w1[-1].tobytes() == want.w1[-1].tobytes()
-    assert [m.tobytes() for m in got.wo[1:]] == [m.tobytes() for m in want.wo[1:]]
-    with pytest.raises(IndexError):
-        got.wq[CFG.num_layers]
-    with pytest.raises(TypeError):
-        got.wq["0"]
 
 
 class _FailingDraw:
@@ -160,20 +150,37 @@ def _within(seconds, fn, *args):
     return value
 
 
-def test_forward_raises_a_failed_draw_without_blocking(monkeypatch):
-    want = _serial_init_weights(DEEP)
+def test_a_failed_draw_raises_on_the_calling_thread(monkeypatch):
+    # no thread can start, so the draw that fails is the caller's
+    def start(thread):
+        raise AssertionError(f"started thread {thread.name}")
+
     _fail_draws_at_layer_3(monkeypatch)
-    threads = threading.active_count()
-    weights = init_weights(DEEP)
+    monkeypatch.setattr(threading.Thread, "start", start)
     with pytest.raises(MemoryError, match="cannot draw layer 3"):
-        _within(30, forward, _inputs(1), LAYOUT, DEEP, weights)
-    assert threading.active_count() == threads
-    # the layers drawn before the failure stay readable, the rest raise
-    assert weights.w2[2].tobytes() == want.w2[2].tobytes()
+        init_weights(DEEP)
     with pytest.raises(MemoryError, match="cannot draw layer 3"):
-        weights.w1[3]
-    with pytest.raises(MemoryError, match="cannot draw layer 3"):
-        weights.wq[4]
+        forward(_inputs(1), LAYOUT, DEEP)
+
+
+def test_btp_starts_no_thread_outside_the_simulate_pool(tmp_path, capsys, monkeypatch):
+    started = []
+    start = threading.Thread.start
+
+    def recording(thread):
+        started.append(thread.name)
+        start(thread)
+
+    sched = tmp_path / "schedule.json"
+    sched.write_text(json.dumps(PruningSchedule((PruningStage(1, 0.5, 0.5),), 5).to_json_dict()))
+    # a replaced ``forward`` takes simulate's serial path, through init_weights
+    monkeypatch.setattr(btp.cli, "forward", lambda *args, **kwargs: forward(*args, **kwargs))
+    monkeypatch.setattr(threading.Thread, "start", recording)
+    init_weights(DEEP)
+    forward(_inputs(1), LAYOUT, DEEP)
+    assert started == []
+    assert btp.cli.main(["simulate", "--schedule", str(sched), "--layers", "5"]) == 0
+    assert started and all(name.startswith("ThreadPoolExecutor-") for name in started), started
 
 
 @pytest.mark.parametrize("workers", [1, 4])
